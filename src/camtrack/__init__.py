@@ -52,7 +52,7 @@ from .io import (
 )
 from .nn import PolicyParams, build_features, compute_returns, forward, init_params
 from .rng import RngStream
-from .training import Transition, UpdateStats, train_pose_controller
+from .training import UpdateStats, train_pose_controller
 from .world import (
     Action,
     StepOutcome,

@@ -7,12 +7,22 @@ silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration."""
+
+
+def _require_finite(cfg) -> None:
+    """Reject NaN and +-Infinity in any float field or range bound."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -28,6 +38,7 @@ class EpisodeConfig:
     camera_height_range: tuple[float, float] = (2.0, 3.0)
 
     def validate(self) -> None:
+        _require_finite(self)
         if not 5.0 <= self.arena_half <= 20.0:
             raise ConfigError(f"arena_half must be in [5, 20], got {self.arena_half}")
         if not 2 <= self.n_cameras <= 8:
@@ -63,6 +74,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
         for key in ("learning_rate", "entropy_coeff", "value_coeff", "grad_clip"):

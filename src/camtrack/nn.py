@@ -96,9 +96,14 @@ def init_params(seed: int) -> PolicyParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept for the backward pass. raws/embeds are only present
-    when the features were built from pose messages; without them the embed
-    layer receives zero gradient."""
+    """Intermediates kept for the backward pass, one row per sample (a 1-D
+    forward keeps 1-D arrays).
+
+    raws, embeds and group are only present when the features were built
+    from pose tuples: raws (G, C, 7) and embeds (G, C, 16) hold G groups of C
+    cameras that share one mean-pooled embedding, and row b's features were
+    pooled over group[b]. Without them the embed layer receives zero
+    gradient."""
 
     features: np.ndarray
     h1: np.ndarray
@@ -106,143 +111,184 @@ class ForwardCache:
     logits: np.ndarray
     raws: np.ndarray | None = None
     embeds: np.ndarray | None = None
+    group: np.ndarray | None = None
 
 
-def _encode(params: PolicyParams, self_index: int, messages,
-            arena_half: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw tuples, their embeddings, and the 23-feature vector for one camera."""
-    n = len(messages)
-    raws = np.empty((n, RAW_SIZE))
-    for j, msg in enumerate(messages):
-        p = msg.pose
-        yaw = math.radians(p.yaw_deg)
-        raws[j, 0] = p.x / arena_half
-        raws[j, 1] = p.y / arena_half
-        raws[j, 2] = p.z / 3.0
-        raws[j, 3] = math.sin(yaw)
-        raws[j, 4] = math.cos(yaw)
-        raws[j, 5] = p.pitch_deg / 60.0
-        raws[j, 6] = float(msg.label)
+def raw_tuples(groups, arena_half: float) -> np.ndarray:
+    """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples, shape
+    (G, C, 7), of G groups of C pose messages each."""
+    rows = []
+    for messages in groups:
+        row = []
+        for msg in messages:
+            p = msg.pose
+            yaw = math.radians(p.yaw_deg)
+            row.append((p.x / arena_half, p.y / arena_half, p.z / 3.0,
+                        math.sin(yaw), math.cos(yaw), p.pitch_deg / 60.0,
+                        float(msg.label)))
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+def encode(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embed each group's tuples once and mean-pool them.
+
+    Returns the features (..., C, 23) of every camera, its own tuple followed
+    by its group's pooled embedding, and the embeddings (..., C, 16)."""
     embeds = np.tanh(raws @ params.embed_w.T + params.embed_b)
-    features = np.concatenate([raws[self_index], embeds.mean(axis=0)])
-    return features, raws, embeds
+    features = np.empty(raws.shape[:-1] + (FEATURE_SIZE,))
+    features[..., :RAW_SIZE] = raws
+    features[..., RAW_SIZE:] = embeds.sum(axis=-2, keepdims=True) / raws.shape[-2]
+    return features, embeds
 
 
 def build_features(params: PolicyParams, self_index: int, messages,
                    arena_half: float) -> np.ndarray:
     """Observation vector for one camera: its own normalized pose tuple
     concatenated with the mean embedding of all cameras' tuples."""
-    features, _, _ = _encode(params, self_index, messages, arena_half)
-    return features
+    features, _ = encode(params, raw_tuples([messages], arena_half))
+    return features[0, self_index]
 
 
 def forward(params: PolicyParams,
             features: np.ndarray) -> tuple[np.ndarray, float, ForwardCache]:
-    """Trunk and heads on a prebuilt feature vector -> (logits, value, cache)."""
+    """Trunk and heads on prebuilt features -> (logits, value, cache).
+
+    features is one 23-vector or a batch (..., 23); a batch gives logits
+    (..., 11) and an array of values, a single vector a float value."""
     features = np.asarray(features, dtype=float)
-    if features.shape != (FEATURE_SIZE,):
-        raise ValueError(f"features must have shape ({FEATURE_SIZE},), "
+    if features.ndim == 0 or features.shape[-1] != FEATURE_SIZE:
+        raise ValueError(f"features must have shape (..., {FEATURE_SIZE}), "
                          f"got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    h1 = np.tanh(params.trunk1_w @ features + params.trunk1_b)
-    h2 = np.tanh(params.trunk2_w @ h1 + params.trunk2_b)
-    logits = params.policy_w @ h2 + params.policy_b
-    value = float(params.value_w[0] @ h2 + params.value_b[0])
+    h1 = np.tanh(features @ params.trunk1_w.T + params.trunk1_b)
+    h2 = np.tanh(h1 @ params.trunk2_w.T + params.trunk2_b)
+    logits = h2 @ params.policy_w.T + params.policy_b
+    value = h2 @ params.value_w[0] + params.value_b[0]
+    if features.ndim == 1:
+        value = float(value)
     return logits, value, ForwardCache(features, h1, h2, logits)
+
+
+def group_forward(params: PolicyParams, raws: np.ndarray, group, cam
+                  ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """Forward for rows (group[b], cam[b]) of the tuples raws (G, C, 7), each
+    group embedded once -> logits (B, 11), values (B,) and a cache that also
+    supports embed-layer gradients. Scalar group and cam give one 1-D row."""
+    features, embeds = encode(params, raws)
+    logits, values, cache = forward(params, features[group, cam])
+    cache.raws, cache.embeds, cache.group = raws, embeds, np.atleast_1d(group)
+    return logits, values, cache
 
 
 def policy_forward(params: PolicyParams, self_index: int, messages,
                    arena_half: float) -> tuple[np.ndarray, float, ForwardCache]:
-    """Full pipeline from pose messages; the cache also supports embed-layer
-    gradients."""
-    features, raws, embeds = _encode(params, self_index, messages, arena_half)
-    logits, value, cache = forward(params, features)
-    cache.raws = raws
-    cache.embeds = embeds
-    return logits, value, cache
+    """Full pipeline from pose messages for one camera, the batch-of-one case
+    of group_forward; the cache also supports embed-layer gradients."""
+    return group_forward(params, raw_tuples([messages], arena_half), 0, self_index)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    """Log-probabilities over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy(logits: np.ndarray) -> float:
-    """Shannon entropy of the action distribution, in nats."""
-    logp = log_softmax(logits)
+def _entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, entropy over the last axis) from log-probabilities."""
     p = np.exp(logp)
-    return float(-(p * np.where(p > 0.0, logp, 0.0)).sum())
+    return p, -(p * np.where(p > 0.0, logp, 0.0)).sum(axis=-1)
 
 
-def loss_value(logits: np.ndarray, value: float, action: int, advantage: float,
-               return_target: float, entropy_coeff: float,
-               value_coeff: float) -> float:
-    """Scalar actor-critic loss; the quantity backward() differentiates."""
+def entropy(logits: np.ndarray):
+    """Shannon entropy of the action distribution, in nats: a float for one
+    logit vector, an array over the leading axes of a batch."""
+    h = _entropy(log_softmax(logits))[1]
+    return float(h) if h.ndim == 0 else h
+
+
+def loss_value(logits: np.ndarray, value, action, advantage, return_target,
+               entropy_coeff: float, value_coeff: float) -> float:
+    """Actor-critic loss, summed over the rows of a batch; the quantity
+    backward() differentiates."""
     logp = log_softmax(logits)
-    return (-float(logp[action]) * advantage
-            + value_coeff * (value - return_target) ** 2
-            - entropy_coeff * entropy(logits))
+    picked = np.take_along_axis(logp, np.asarray(action)[..., None], axis=-1)[..., 0]
+    return float(np.sum(-picked * advantage
+                        + value_coeff * (np.asarray(value) - return_target) ** 2
+                        - entropy_coeff * entropy(logits)))
 
 
-def backward(params: PolicyParams, cache: ForwardCache, action: int,
-             advantage: float, return_target: float, entropy_coeff: float,
-             value_coeff: float) -> PolicyParams:
+def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
+             return_target, entropy_coeff: float, value_coeff: float,
+             out: PolicyParams | None = None) -> PolicyParams:
     """Exact gradients of the actor-critic loss
 
-        L = -log pi(action) * advantage
-            + value_coeff * (value - return_target)^2
-            - entropy_coeff * H(pi)
+        L = sum over rows of  -log pi(action) * advantage
+                              + value_coeff * (value - return_target)^2
+                              - entropy_coeff * H(pi)
 
-    with respect to every parameter array. The advantage is treated as a
-    constant. Returns a PolicyParams holding the gradient arrays.
+    with respect to every parameter array. action, advantage and
+    return_target are scalars for a 1-D cache and per-row arrays for a batch;
+    the advantage is treated as a constant. The gradients are added to out
+    when given, else to fresh zeros; returns the PolicyParams holding them.
     """
-    if cache.features.shape != (FEATURE_SIZE,) or cache.h1.shape != (HIDDEN_SIZE,):
+    f = np.atleast_2d(cache.features)
+    h1 = np.atleast_2d(cache.h1)
+    h2 = np.atleast_2d(cache.h2)
+    logits = np.atleast_2d(cache.logits)
+    rows = f.shape[0]
+    if (f.shape != (rows, FEATURE_SIZE) or h1.shape != (rows, HIDDEN_SIZE)
+            or h2.shape != (rows, HIDDEN_SIZE) or logits.shape != (rows, N_ACTIONS)):
         raise ValueError("cache does not match the parameter shapes")
-    if not 0 <= action < N_ACTIONS:
-        raise ValueError(f"action index {action} out of range")
+    action = np.broadcast_to(np.asarray(action, dtype=np.intp), (rows,))
+    if ((action < 0) | (action >= N_ACTIONS)).any():
+        raise ValueError(f"action index out of range in {action}")
+    advantage = np.broadcast_to(np.asarray(advantage, dtype=float), (rows,))
+    return_target = np.broadcast_to(np.asarray(return_target, dtype=float), (rows,))
 
-    f, h1, h2 = cache.features, cache.h1, cache.h2
-    logp = log_softmax(cache.logits)
-    p = np.exp(logp)
-    value = float(params.value_w[0] @ h2 + params.value_b[0])
+    logp = log_softmax(logits)
+    p, ent = _entropy(logp)
+    value = h2 @ params.value_w[0] + params.value_b[0]
 
     # policy head: d(-logp[a] * A)/dlogits = A * (p - onehot)
-    d_logits = advantage * p.copy()
-    d_logits[action] -= advantage
+    d_logits = advantage[:, None] * p
+    d_logits[np.arange(rows), action] -= advantage
     # entropy bonus: d(-H)/dlogits = p * (logp + H)
-    ent = float(-(p * np.where(p > 0.0, logp, 0.0)).sum())
-    d_logits += entropy_coeff * p * np.where(p > 0.0, logp + ent, 0.0)
+    d_logits += entropy_coeff * p * np.where(p > 0.0, logp + ent[:, None], 0.0)
     d_value = 2.0 * value_coeff * (value - return_target)
 
-    grads = zeros_like_params()
-    grads.policy_w[:] = np.outer(d_logits, h2)
-    grads.policy_b[:] = d_logits
-    grads.value_w[0, :] = d_value * h2
-    grads.value_b[0] = d_value
+    grads = zeros_like_params() if out is None else out
+    grads.policy_w += d_logits.T @ h2
+    grads.policy_b += d_logits.sum(axis=0)
+    grads.value_w[0] += d_value @ h2
+    grads.value_b[0] += d_value.sum()
 
-    d_h2 = params.policy_w.T @ d_logits + params.value_w[0] * d_value
+    d_h2 = d_logits @ params.policy_w + d_value[:, None] * params.value_w[0]
     d_z2 = d_h2 * (1.0 - h2 * h2)
-    grads.trunk2_w[:] = np.outer(d_z2, h1)
-    grads.trunk2_b[:] = d_z2
+    grads.trunk2_w += d_z2.T @ h1
+    grads.trunk2_b += d_z2.sum(axis=0)
 
-    d_h1 = params.trunk2_w.T @ d_z2
+    d_h1 = d_z2 @ params.trunk2_w
     d_z1 = d_h1 * (1.0 - h1 * h1)
-    grads.trunk1_w[:] = np.outer(d_z1, f)
-    grads.trunk1_b[:] = d_z1
+    grads.trunk1_w += d_z1.T @ f
+    grads.trunk1_b += d_z1.sum(axis=0)
 
     if cache.raws is not None:
-        # mean pooling spreads the feature gradient evenly over the cameras
-        d_features = params.trunk1_w.T @ d_z1
-        d_embed = d_features[RAW_SIZE:] / cache.raws.shape[0]
-        d_z_embed = d_embed * (1.0 - cache.embeds * cache.embeds)
-        grads.embed_w[:] = d_z_embed.T @ cache.raws
-        grads.embed_b[:] = d_z_embed.sum(axis=0)
+        # each group's pooled embedding collects the gradient of all its rows;
+        # mean pooling spreads it evenly over the group's cameras
+        raws, embeds = cache.raws, cache.embeds
+        d_pooled = np.zeros((raws.shape[0], EMBED_SIZE))
+        np.add.at(d_pooled, cache.group, d_z1 @ params.trunk1_w[:, RAW_SIZE:])
+        d_z_embed = (d_pooled[:, None, :] / raws.shape[1]) * (1.0 - embeds * embeds)
+        d_z_embed = d_z_embed.reshape(-1, EMBED_SIZE)
+        grads.embed_w += d_z_embed.T @ raws.reshape(-1, RAW_SIZE)
+        grads.embed_b += d_z_embed.sum(axis=0)
     return grads
 
 
@@ -258,11 +304,10 @@ def compute_returns(rewards: list[float], bootstrap: float,
     return returns
 
 
-def sample_action(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw from a probability vector using a uniform u in [0, 1)."""
-    acc = 0.0
-    for idx in range(len(probs) - 1):
-        acc += probs[idx]
-        if u < acc:
-            return idx
-    return len(probs) - 1
+def sample_action(probs: np.ndarray, u):
+    """Inverse-CDF draw from a probability vector using a uniform u in [0, 1):
+    the first index whose cumulative probability exceeds u, the last index if
+    none does. probs (B, 11) with u (B,) draws one index per row."""
+    cdf = np.cumsum(probs[..., :-1], axis=-1)
+    idx = (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return int(idx) if idx.ndim == 0 else idx

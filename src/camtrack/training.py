@@ -17,31 +17,9 @@ import numpy as np
 from . import nn
 from .config import ConfigError, EpisodeConfig, TrainConfig
 from .controllers import PoseMessage, random_switch, virtual_tracker_action
+from .evaluate import DEFAULT_EPISODE_STEPS
 from .rng import RngStream
 from .world import Action, spawn_episode, step
-
-EPISODE_STEPS = 500  # environments re-randomize after this many steps
-
-
-@dataclass
-class Transition:
-    """One pose-controller camera-step collected for learning. reward and
-    done are filled once the step outcome / window boundary is known."""
-
-    env: int
-    cam: int
-    pos: int  # index within the rollout window
-    cache: nn.ForwardCache
-    action: int
-    log_prob: float
-    value: float
-    entropy: float
-    reward: float = 0.0
-    done: bool = False
-
-    @property
-    def features(self):
-        return self.cache.features
 
 
 @dataclass
@@ -49,7 +27,7 @@ class UpdateStats:
     """One row of the training log."""
 
     update_idx: int
-    env_steps: int
+    env_steps: int  # env-steps simulated so far, windows without an update included
     mean_reward_g0: float
     entropy: float
     value_loss: float
@@ -57,8 +35,31 @@ class UpdateStats:
     n_g0: int  # label-0 camera-steps in this update (not part of the CSV)
 
 
+@dataclass
+class _RolloutStep:
+    """What the update needs of one rollout step: the (env, camera, 7) pose
+    tuples (labels included), the label-0 cameras as (env, camera) index
+    arrays, their sampled actions, and every camera's reward."""
+
+    raws: np.ndarray
+    env: np.ndarray
+    cam: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+
+
 def _global_norm(grads: nn.PolicyParams) -> float:
     return math.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.arrays()))
+
+
+def _draw_labels(rng: RngStream, n_cams: int, p_pose: float) -> list[int]:
+    return [random_switch(rng, p_pose) for _ in range(n_cams)]
+
+
+def _raws(worlds, labels, arena_half: float) -> np.ndarray:
+    return nn.raw_tuples([[PoseMessage(i, cam, lab)
+                           for i, (cam, lab) in enumerate(zip(w.cameras, labs))]
+                          for w, labs in zip(worlds, labels)], arena_half)
 
 
 def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
@@ -68,6 +69,12 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     Fully deterministic in (train_cfg.seed, configs): every environment and
     the action sampler own fixed derived rng streams, and updates are applied
     sequentially.
+
+    Each rollout step embeds all environments' pose tuples at once and runs
+    one policy forward over the label-0 cameras. The window keeps only the
+    tuples, actions and rewards; the update recomputes the forward one
+    rollout step at a time and adds one batched backward per step into the
+    window's gradient.
     """
     train_cfg.validate()
     episode_cfg.validate()
@@ -79,7 +86,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     n_envs = train_cfg.n_envs
     n_cams = episode_cfg.n_cameras
     arena_half = episode_cfg.arena_half
-    gamma = train_cfg.gamma
+    p_pose = train_cfg.p_pose
 
     reseed = [RngStream(train_cfg.seed, 1000 + e) for e in range(n_envs)]
     agent_rng = [RngStream(train_cfg.seed, 2000 + e) for e in range(n_envs)]
@@ -89,111 +96,94 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
 
     log: list[UpdateStats] = []
     collected = 0
-    update_idx = 0
+    env_steps = 0
     while collected < train_cfg.total_steps:
-        transitions: list[Transition] = []
-        rewards = [[[] for _ in range(n_cams)] for _ in range(n_envs)]
+        window: list[_RolloutStep] = []
+        for _ in range(train_cfg.rollout_len):
+            # each env's stream draws its labels, then one uniform per label-0
+            # camera in camera order
+            labels = [pending_labels[e] or _draw_labels(agent_rng[e], n_cams, p_pose)
+                      for e in range(n_envs)]
+            pending_labels = [None] * n_envs
+            raws = _raws(worlds, labels, arena_half)
+            env, cam = np.nonzero(raws[:, :, 6] == 0.0)
+            logits, _, _ = nn.group_forward(params, raws, env, cam)
+            u = [agent_rng[e].random() for e in env.tolist()]
+            sampled = nn.sample_action(np.exp(nn.log_softmax(logits)), np.array(u))
 
-        for pos in range(train_cfg.rollout_len):
-            for e in range(n_envs):
-                world = worlds[e]
-                if pending_labels[e] is not None:
-                    labels = pending_labels[e]
-                    pending_labels[e] = None
-                else:
-                    labels = [random_switch(agent_rng[e], train_cfg.p_pose)
-                              for _ in range(n_cams)]
-                messages = [PoseMessage(i, world.cameras[i], labels[i])
-                            for i in range(n_cams)]
+            rewards = np.empty((n_envs, n_cams))
+            pose_actions = iter(sampled.tolist())
+            for e, world in enumerate(worlds):
                 target_point = world.target.point()
-                actions = []
-                fresh: list[Transition] = []
-                for i in range(n_cams):
-                    if labels[i] == 1:
-                        actions.append(virtual_tracker_action(world.cameras[i],
-                                                              target_point))
-                    else:
-                        logits, value, cache = nn.policy_forward(
-                            params, i, messages, arena_half)
-                        logp = nn.log_softmax(logits)
-                        probs = np.exp(logp)
-                        a = nn.sample_action(probs, agent_rng[e].random())
-                        ent = float(-(probs * np.where(probs > 0.0, logp, 0.0)).sum())
-                        fresh.append(Transition(e, i, pos, cache, a,
-                                                float(logp[a]), value, ent))
-                        actions.append(Action(a))
+                actions = [virtual_tracker_action(world.cameras[i], target_point)
+                           if labels[e][i] == 1 else Action(next(pose_actions))
+                           for i in range(n_cams)]
                 outcome = step(world, actions)
                 worlds[e] = outcome.state
-                for t in fresh:
-                    t.reward = outcome.reward[t.cam]
-                transitions.extend(fresh)
-                for i in range(n_cams):
-                    rewards[e][i].append(outcome.reward[i])
+                rewards[e] = outcome.reward
+            window.append(_RolloutStep(raws, env, cam, sampled, rewards))
+        env_steps += train_cfg.rollout_len * n_envs
 
         # bootstrap with the value of the actual next observation (its labels
         # are drawn now and reused at the next window's first step); zero
         # across episode boundaries
-        returns = [[None] * n_cams for _ in range(n_envs)]
-        reset_envs = set()
+        bootstrap = np.zeros((n_envs, n_cams))
+        live = []
         for e in range(n_envs):
-            at_reset = worlds[e].t >= EPISODE_STEPS
-            if at_reset:
-                reset_envs.add(e)
-                for i in range(n_cams):
-                    returns[e][i] = nn.compute_returns(rewards[e][i], 0.0, gamma)
+            if worlds[e].t >= DEFAULT_EPISODE_STEPS:
                 worlds[e] = spawn_episode(episode_cfg, reseed[e].next_u64())
             else:
-                labels = [random_switch(agent_rng[e], train_cfg.p_pose)
-                          for _ in range(n_cams)]
-                pending_labels[e] = labels
-                msgs = [PoseMessage(j, worlds[e].cameras[j], labels[j])
-                        for j in range(n_cams)]
-                for i in range(n_cams):
-                    feats = nn.build_features(params, i, msgs, arena_half)
-                    _, boot, _ = nn.forward(params, feats)
-                    returns[e][i] = nn.compute_returns(rewards[e][i], boot, gamma)
+                pending_labels[e] = _draw_labels(agent_rng[e], n_cams, p_pose)
+                live.append(e)
+        if live:
+            features, _ = nn.encode(params, _raws([worlds[e] for e in live],
+                                                  [pending_labels[e] for e in live],
+                                                  arena_half))
+            bootstrap[live] = nn.forward(params, features)[1]
+        returns = nn.compute_returns(np.array([s.rewards for s in window]),
+                                     bootstrap, train_cfg.gamma)
 
-        if transitions:
-            grad_sum = nn.zeros_like_params()
-            reward_sum = 0.0
-            entropy_sum = 0.0
-            value_loss_sum = 0.0
-            last_pos = train_cfg.rollout_len - 1
-            for t in transitions:
-                t.done = t.env in reset_envs and t.pos == last_pos
-                ret = returns[t.env][t.cam][t.pos]
-                advantage = ret - t.value
-                g = nn.backward(params, t.cache, t.action, advantage, ret,
-                                train_cfg.entropy_coeff, train_cfg.value_coeff)
-                for name, arr in grad_sum.arrays():
-                    arr += getattr(g, name)
-                reward_sum += t.reward
-                entropy_sum += t.entropy
-                value_loss_sum += (t.value - ret) ** 2
+        count = sum(s.env.size for s in window)
+        if count == 0:
+            continue
+        grad_sum = nn.zeros_like_params()
+        reward_sum = 0.0
+        entropy_sum = 0.0
+        value_loss_sum = 0.0
+        for s, ret in zip(window, returns):
+            if s.env.size == 0:
+                continue
+            logits, values, cache = nn.group_forward(params, s.raws, s.env, s.cam)
+            ret = ret[s.env, s.cam]
+            nn.backward(params, cache, s.actions, ret - values, ret,
+                        train_cfg.entropy_coeff, train_cfg.value_coeff, out=grad_sum)
+            reward_sum += float(s.rewards[s.env, s.cam].sum())
+            entropy_sum += float(nn.entropy(logits).sum())
+            value_loss_sum += float(((values - ret) ** 2).sum())
 
-            count = len(transitions)
-            for _, arr in grad_sum.arrays():
-                arr /= count
-            grad_norm = _global_norm(grad_sum)
-            scale = train_cfg.learning_rate
-            if grad_norm > train_cfg.grad_clip:
-                scale *= train_cfg.grad_clip / grad_norm
-            for name, arr in params.arrays():
-                arr -= scale * getattr(grad_sum, name)
+        for _, arr in grad_sum.arrays():
+            arr /= count
+        grad_norm = _global_norm(grad_sum)
+        scale = train_cfg.learning_rate
+        if grad_norm > train_cfg.grad_clip:
+            scale *= train_cfg.grad_clip / grad_norm
+        for name, arr in params.arrays():
+            arr -= scale * getattr(grad_sum, name)
 
-            if params.mean_abs() > 1e3:
-                raise RuntimeError("training diverged: mean |param| exceeded 1e3")
+        # written so that NaN parameters fail it too
+        if not params.mean_abs() <= 1e3:
+            raise RuntimeError("training diverged: mean |param| is above 1e3 "
+                               "or not finite")
 
-            collected += count
-            update_idx += 1
-            log.append(UpdateStats(
-                update_idx=update_idx,
-                env_steps=update_idx * train_cfg.rollout_len * n_envs,
-                mean_reward_g0=reward_sum / count,
-                entropy=entropy_sum / count,
-                value_loss=value_loss_sum / count,
-                grad_norm=grad_norm,
-                n_g0=count,
-            ))
+        collected += count
+        log.append(UpdateStats(
+            update_idx=len(log) + 1,
+            env_steps=env_steps,
+            mean_reward_g0=reward_sum / count,
+            entropy=entropy_sum / count,
+            value_loss=value_loss_sum / count,
+            grad_norm=grad_norm,
+            n_g0=count,
+        ))
 
     return params, log

@@ -213,6 +213,80 @@ class TestBackward:
             nn.backward(params, cache, 0, 1.0, 0.0, 0.01, 0.5)
 
 
+class TestBatchedBackward:
+    """The batched path: rows drawn from several (env, step) groups."""
+
+    GROUP = [0, 0, 1, 1, 2, 2, 0]
+    CAM = [0, 2, 1, 3, 0, 3, 3]
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        params = rand_params(rng)
+        groups = [rand_messages(rng) for _ in range(3)]
+        b = len(self.GROUP)
+        action = rng.integers(0, 11, b)
+        adv, ret = rng.normal(size=b), rng.normal(size=b)
+        return params, groups, action, adv, ret
+
+    def test_matches_finite_differences_on_every_parameter(self):
+        params, groups, action, adv, ret = self._batch(11)
+        raws = nn.raw_tuples(groups, 10.0)
+        ec, vc, h = 0.01, 0.5, 1e-5
+
+        def loss():
+            logits, values, _ = nn.group_forward(params, raws, self.GROUP, self.CAM)
+            return nn.loss_value(logits, values, action, adv, ret, ec, vc)
+
+        _, _, cache = nn.group_forward(params, raws, self.GROUP, self.CAM)
+        grads = nn.backward(params, cache, action, adv, ret, ec, vc)
+        for name, arr in params.arrays():
+            g = getattr(grads, name)
+            assert np.any(g != 0.0), name
+            for fi in range(arr.size):
+                idx = np.unravel_index(fi, arr.shape)
+                orig = arr[idx]
+                arr[idx] = orig + h
+                lp = loss()
+                arr[idx] = orig - h
+                lm = loss()
+                arr[idx] = orig
+                fd = (lp - lm) / (2 * h)
+                denom = max(1.0, abs(fd), abs(g[idx]))
+                assert abs(fd - g[idx]) / denom < 1e-4, (name, idx)
+
+    def test_batch_gradient_is_sum_of_single_sample_gradients(self):
+        params, groups, action, adv, ret = self._batch(12)
+        ec, vc = 0.01, 0.5
+        logits, values, cache = nn.group_forward(
+            params, nn.raw_tuples(groups, 10.0), self.GROUP, self.CAM)
+        batch = nn.backward(params, cache, action, adv, ret, ec, vc)
+        total = nn.zeros_like_params()
+        for b, (g, c) in enumerate(zip(self.GROUP, self.CAM)):
+            row_logits, row_value, row_cache = nn.policy_forward(params, c, groups[g], 10.0)
+            assert np.allclose(row_logits, logits[b], atol=1e-12)
+            assert row_value == pytest.approx(values[b], abs=1e-12)
+            nn.backward(params, row_cache, int(action[b]), float(adv[b]),
+                        float(ret[b]), ec, vc, out=total)
+        for name, arr in batch.arrays():
+            assert np.allclose(arr, getattr(total, name), rtol=0.0, atol=1e-12), name
+
+    def test_batch_loss_is_sum_of_row_losses(self):
+        params, groups, action, adv, ret = self._batch(13)
+        logits, values, _ = nn.group_forward(
+            params, nn.raw_tuples(groups, 10.0), self.GROUP, self.CAM)
+        rows = sum(nn.loss_value(logits[b], values[b], action[b], adv[b], ret[b],
+                                 0.01, 0.5) for b in range(len(self.GROUP)))
+        assert nn.loss_value(logits, values, action, adv, ret, 0.01, 0.5) \
+            == pytest.approx(rows, rel=1e-12)
+
+    def test_batched_sampling_matches_single_draws(self):
+        rng = np.random.default_rng(14)
+        probs = nn.softmax(rng.normal(0.0, 2.0, (200, 11)))
+        u = rng.uniform(0.0, 1.0, 200)
+        batch = nn.sample_action(probs, u)
+        assert [nn.sample_action(p, x) for p, x in zip(probs, u)] == batch.tolist()
+
+
 class TestComputeReturns:
     def test_two_step(self):
         assert nn.compute_returns([1.0, 1.0], 0.0, 0.9) == [1.9, 1.0]

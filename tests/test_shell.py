@@ -66,6 +66,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rollout_len"):
             load_config(path)
 
+    @pytest.mark.parametrize("entry, key", [
+        ('"learning_rate": Infinity', "learning_rate"),
+        ('"grad_clip": Infinity', "grad_clip"),
+        ('"gamma": NaN', "gamma"),
+        ('"entropy_coeff": -Infinity', "entropy_coeff"),
+        ('"arena_half": NaN', "arena_half"),
+        ('"camera_height_range": [2, Infinity]', "camera_height_range"),
+        ('"target_speed_range": [NaN, 0.2]', "target_speed_range"),
+    ])
+    def test_non_finite_rejected(self, tmp_path, entry, key):
+        path = tmp_path / "c.json"
+        path.write_text("{" + entry + "}")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_non_finite_rejected_by_validate(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=float("inf")).validate()
+        with pytest.raises(ConfigError, match="camera_height_range"):
+            EpisodeConfig(camera_height_range=(2.0, float("inf"))).validate()
+
     def test_round_trip_is_canonical(self, tmp_path):
         src = tmp_path / "src.json"
         src.write_text('{"n_cameras": 5, "seed": 7}')
@@ -259,6 +280,21 @@ class TestCli:
         code = cli_main(["rollout", "--config", str(cfg),
                          "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
+
+    def test_train_rejects_non_finite_config_before_training(self, tmp_path,
+                                                             capsys, monkeypatch):
+        import camtrack.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(camtrack.cli, "train_pose_controller", no_training)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"learning_rate": Infinity}')
+        out = tmp_path / "policy.ckpt"
+        assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rollout_writes_jsonl(self, tmp_path, capsys):
         out = tmp_path / "ep.jsonl"

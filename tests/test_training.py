@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from camtrack import nn
+from camtrack import nn, training
+from camtrack.cli import cli_main
 from camtrack.config import ConfigError, EpisodeConfig, TrainConfig
 from camtrack.training import train_pose_controller
 
@@ -63,6 +64,63 @@ class TestTrainPoseController:
         cfg = tiny_train_config(total_steps=4000, learning_rate=1e9)
         with pytest.raises(RuntimeError):
             train_pose_controller(cfg, EpisodeConfig())
+
+    def test_non_finite_params_trip_divergence_guard(self, monkeypatch):
+        real_backward = nn.backward
+
+        def nan_backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            grads.trunk1_w[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(nn, "backward", nan_backward)
+        with pytest.raises(RuntimeError, match="diverged"):
+            train_pose_controller(tiny_train_config(), EpisodeConfig())
+
+    def test_divergence_exits_one_without_checkpoint(self, monkeypatch, tmp_path, capsys):
+        real_backward = nn.backward
+
+        def nan_backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            grads.policy_b[:] = np.nan
+            return grads
+
+        monkeypatch.setattr(nn, "backward", nan_backward)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_envs": 4, "rollout_len": 10}')
+        out = tmp_path / "policy.ckpt"
+        assert cli_main(["train", "--config", str(cfg), "--steps", "400",
+                         "--out", str(out)]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_env_steps_count_windows_without_updates(self, monkeypatch):
+        simulated = []
+        real_step = training.step
+
+        def counting_step(*args, **kwargs):
+            simulated.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "step", counting_step)
+        cfg = TrainConfig(p_pose=0.05, n_envs=1, rollout_len=1, total_steps=40)
+        _, log = train_pose_controller(cfg, EpisodeConfig())
+        assert sum(r.n_g0 for r in log) >= 40
+        assert log[-1].env_steps == len(simulated) == 240
+        assert len(log) < 240  # some windows had no label-0 camera-step
+        steps = [r.env_steps for r in log]
+        assert steps == sorted(set(steps))
+
+    def test_pinned_replay_of_a_default_slice(self):
+        _, log = train_pose_controller(TrainConfig(seed=0, total_steps=9000),
+                                       EpisodeConfig())
+        assert [r.n_g0 for r in log] == [2313, 2299, 2306, 2300]
+        assert [r.env_steps for r in log] == [640, 1280, 1920, 2560]
+        # the per-transition implementation's values, to full precision
+        want = [0.39509327776757774, 0.15850611484545424, 0.016727460256304238,
+                0.09737099827076183]
+        for row, value in zip(log, want):
+            assert row.mean_reward_g0 == pytest.approx(value, rel=1e-9)
 
     def test_zero_p_pose_rejected(self):
         cfg = tiny_train_config(p_pose=0.0)
