@@ -292,10 +292,11 @@ def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
     return grads
 
 
-def compute_returns(rewards: list[float], bootstrap: float,
-                    gamma: float) -> list[float]:
+def compute_returns(rewards, bootstrap, gamma: float) -> list:
     """Discounted returns G_t = r_t + gamma * G_{t+1}, seeded with the
-    bootstrap value past the final reward."""
+    bootstrap value past the final reward. rewards is indexed by time first;
+    each rewards[t] and the bootstrap may also be arrays of parallel
+    sequences, which gives one list entry per step holding all of them."""
     returns = [0.0] * len(rewards)
     acc = bootstrap
     for i in range(len(rewards) - 1, -1, -1):
