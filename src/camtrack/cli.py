@@ -2,12 +2,14 @@
 
 Subcommands: train (learn a pose policy), eval (score one controller),
 compare (paired multi-seed system comparison), rollout (log one episode).
-Exit codes: 0 success, 2 validation error, 1 runtime error.
+Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
+raised where user input is read), 1 any other error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, EpisodeConfig, TrainConfig, load_config
@@ -185,11 +187,15 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CheckpointError, ValueError) as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception:
+        # a fault in the program, not in its input: keep the traceback
+        traceback.print_exc()
         return 1
 
 

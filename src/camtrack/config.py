@@ -119,7 +119,10 @@ def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
     Missing keys take defaults; unknown keys and out-of-range values raise
     ConfigError naming the offending key.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,20 +20,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .geometry import CameraPose, bearing_to, wrap_angle
+from .geometry import (
+    PITCH_LIMIT_DEG,
+    ZOOM_MAX,
+    ZOOM_MIN,
+    CameraPose,
+    bearing_to,
+    wrap_angle,
+)
 from .rng import RngStream
 from .world import (
     ACTION_DELTAS,
     ALPHA_MAX_DEG,
     BETA_MAX_DEG,
+    ROTATE_STEP_DEG,
     TARGET_MID_HEIGHT,
     ZOOM_ERROR_NORM,
+    ZOOM_STEP,
     Action,
     Visibility,
     desired_zoom,
 )
 
 TRIANGULATION_MAX_CONDITION = 1e6
+
+# The tracker's score is separable: each action's score is a pitch term plus
+# a yaw term plus a zoom term, and each axis takes only three distinct deltas.
+_PITCH_DELTAS = (0.0, ROTATE_STEP_DEG, -ROTATE_STEP_DEG)
+_YAW_DELTAS = (0.0, -ROTATE_STEP_DEG, ROTATE_STEP_DEG)
+_ZOOM_DELTAS = (0.0, ZOOM_STEP, -ZOOM_STEP)
+# (pitch, yaw, zoom) term index of every action, in action order
+_ACTION_TERMS = tuple((_PITCH_DELTAS.index(dp), _YAW_DELTAS.index(dy),
+                       _ZOOM_DELTAS.index(dz)) for dp, dy, dz in ACTION_DELTAS)
+_ACTIONS = tuple(Action)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,36 +87,40 @@ def virtual_tracker_action(pose: CameraPose,
                            target: tuple[float, float, float]) -> Action:
     """Greedy one-step minimizer of the normalized pose error.
 
-    Tries all 11 actions and returns the one whose resulting pose minimizes
+    Scores all 11 actions and returns the one whose resulting pose minimizes
     d_alpha/30 + d_beta/45 + d_xi/2.3; ties go to the lowest action index.
+    The camera position never changes, so the bearing is shared by all
+    candidates, and each axis's three terms are computed once and summed
+    per action (pitch + yaw + zoom, left to right).
     """
     b = bearing_to((pose.x, pose.y, pose.z), target)
     distance = math.dist((pose.x, pose.y, pose.z), target)
     xi_star = desired_zoom(distance)
 
-    best_idx = 0
-    best_score = math.inf
-    for idx, (dp, dy, dz) in enumerate(ACTION_DELTAS):
-        # same clamping as apply_action; the camera position never changes,
-        # so the bearing is shared by all candidates
+    # same clamping as apply_action
+    pitch_terms = []
+    for dp in _PITCH_DELTAS:
         pitch = pose.pitch_deg + dp
-        if pitch > 60.0:
-            pitch = 60.0
-        elif pitch < -60.0:
-            pitch = -60.0
+        if pitch > PITCH_LIMIT_DEG:
+            pitch = PITCH_LIMIT_DEG
+        elif pitch < -PITCH_LIMIT_DEG:
+            pitch = -PITCH_LIMIT_DEG
+        pitch_terms.append(abs(pitch - b.pitch_deg) / ALPHA_MAX_DEG)
+    yaw_terms = [abs(wrap_angle(pose.yaw_deg + dy - b.yaw_deg)) / BETA_MAX_DEG
+                 for dy in _YAW_DELTAS]
+    zoom_terms = []
+    for dz in _ZOOM_DELTAS:
         zoom = pose.zoom + dz
-        if zoom > 3.3:
-            zoom = 3.3
-        elif zoom < 1.0:
-            zoom = 1.0
-        d_alpha = abs(pitch - b.pitch_deg)
-        d_beta = abs(wrap_angle(pose.yaw_deg + dy - b.yaw_deg))
-        score = (d_alpha / ALPHA_MAX_DEG + d_beta / BETA_MAX_DEG
-                 + abs(zoom - xi_star) / ZOOM_ERROR_NORM)
-        if score < best_score:
-            best_score = score
-            best_idx = idx
-    return Action(best_idx)
+        if zoom > ZOOM_MAX:
+            zoom = ZOOM_MAX
+        elif zoom < ZOOM_MIN:
+            zoom = ZOOM_MIN
+        zoom_terms.append(abs(zoom - xi_star) / ZOOM_ERROR_NORM)
+
+    scores = [pitch_terms[i] + yaw_terms[j] + zoom_terms[k]
+              for i, j, k in _ACTION_TERMS]
+    # min keeps the first of equal scores, and index finds that one
+    return _ACTIONS[scores.index(min(scores))]
 
 
 def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
@@ -128,15 +151,17 @@ def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
         r1 += a01 * msg.pose.x + a11 * msg.pose.y
         contributors += 1
 
-    normal = np.array([[m00, m01], [m01, m11]])
-    singular_values = np.linalg.svd(normal, compute_uv=False)
-    if singular_values[1] > 0.0:
-        condition = float(singular_values[0] / singular_values[1])
+    # The normal matrix is symmetric positive semi-definite, so its singular
+    # values are its eigenvalues and sigma_max / sigma_min = l_max**2 / det.
+    det = m00 * m11 - m01 * m01
+    if det > 0.0:
+        l_max = 0.5 * (m00 + m11) + math.hypot(0.5 * (m00 - m11), m01)
+        condition = l_max * l_max / det
     else:
         condition = math.inf
     if contributors < 2 or condition > TRIANGULATION_MAX_CONDITION:
         return TriangulationResult(None, condition)
-    point = np.linalg.solve(normal, np.array([r0, r1]))
+    point = np.linalg.solve(np.array([[m00, m01], [m01, m11]]), np.array([r0, r1]))
     return TriangulationResult((float(point[0]), float(point[1])), condition)
 
 

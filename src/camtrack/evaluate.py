@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from . import nn
-from .config import EpisodeConfig
+from .config import ConfigError, EpisodeConfig
 from .controllers import (
     GeometricMemory,
     PoseMessage,
@@ -59,13 +59,13 @@ def parse_switcher(spec: str) -> tuple[str, float | None]:
         try:
             p = float(arg)
         except ValueError:
-            raise ValueError(f"bad switcher parameter in {spec!r}") from None
+            raise ConfigError(f"bad switcher parameter in {spec!r}") from None
         if kind == "random" and not 0.0 <= p <= 1.0:
-            raise ValueError(f"random switcher probability must be in [0, 1], got {p}")
+            raise ConfigError(f"random switcher probability must be in [0, 1], got {p}")
         if kind == "noisy" and not 0.0 <= p <= 0.5:
-            raise ValueError(f"noisy switcher flip rate must be in [0, 0.5], got {p}")
+            raise ConfigError(f"noisy switcher flip rate must be in [0, 0.5], got {p}")
         return kind, p
-    raise ValueError(f"unknown switcher {spec!r} (use oracle, random:P or noisy:E)")
+    raise ConfigError(f"unknown switcher {spec!r} (use oracle, random:P or noisy:E)")
 
 
 def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle",
@@ -75,7 +75,8 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
 
     Per step: current visibility feeds the switcher, the switcher labels feed
     the controllers, the world advances, and the post-step state is recorded.
-    Deterministic in seed.
+    Visibility is classified once per step: the post-step visibility that
+    step returns is the next step's current visibility. Deterministic in seed.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
@@ -89,8 +90,8 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     memories = [GeometricMemory() for _ in range(n_cams)]
 
     records: list[StepRecord] = []
+    vis_now = [visibility_of(world, i) for i in range(n_cams)]
     for _ in range(steps):
-        vis_now = [visibility_of(world, i) for i in range(n_cams)]
         if switch_kind == "oracle":
             labels = [oracle_switch(v) for v in vis_now]
         elif switch_kind == "random":
@@ -116,6 +117,7 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
 
         outcome = step(world, actions)
         world = outcome.state
+        vis_now = outcome.visibility
         records.append(StepRecord(
             t=world.t,
             target=world.target.point(),

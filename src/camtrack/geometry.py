@@ -121,28 +121,60 @@ def segment_box_overlap(p0: tuple[float, float, float],
     """Parametric overlap of the closed segment p0->p1 with the box, via the
     slab method. Returns (t_enter, t_exit) within [0, 1], or None when the
     segment misses the box entirely."""
+    # The three slabs are written out rather than looped over: building the
+    # per-slab bounds as tuples on every call cost more than their arithmetic.
     t_min, t_max = 0.0, 1.0
-    for a, b, lo, hi in (
-        (p0[0], p1[0], box.min_x, box.max_x),
-        (p0[1], p1[1], box.min_y, box.max_y),
-        (p0[2], p1[2], 0.0, box.height),
-    ):
-        d = b - a
-        if d == 0.0:
-            if a < lo or a > hi:
-                return None
-        else:
-            inv = 1.0 / d
-            t0 = (lo - a) * inv
-            t1 = (hi - a) * inv
-            if t0 > t1:
-                t0, t1 = t1, t0
-            if t0 > t_min:
-                t_min = t0
-            if t1 < t_max:
-                t_max = t1
-            if t_min > t_max:
-                return None
+    a = p0[0]
+    d = p1[0] - a
+    if d == 0.0:
+        if a < box.min_x or a > box.max_x:
+            return None
+    else:
+        inv = 1.0 / d
+        t0 = (box.min_x - a) * inv
+        t1 = (box.max_x - a) * inv
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > t_min:
+            t_min = t0
+        if t1 < t_max:
+            t_max = t1
+        if t_min > t_max:
+            return None
+    a = p0[1]
+    d = p1[1] - a
+    if d == 0.0:
+        if a < box.min_y or a > box.max_y:
+            return None
+    else:
+        inv = 1.0 / d
+        t0 = (box.min_y - a) * inv
+        t1 = (box.max_y - a) * inv
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > t_min:
+            t_min = t0
+        if t1 < t_max:
+            t_max = t1
+        if t_min > t_max:
+            return None
+    a = p0[2]
+    d = p1[2] - a
+    if d == 0.0:
+        if a < 0.0 or a > box.height:
+            return None
+    else:
+        inv = 1.0 / d
+        t0 = (0.0 - a) * inv
+        t1 = (box.height - a) * inv
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > t_min:
+            t_min = t0
+        if t1 < t_max:
+            t_max = t1
+        if t_min > t_max:
+            return None
     return t_min, t_max
 
 

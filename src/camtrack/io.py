@@ -61,7 +61,7 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     arrays = {}
     for name, shape, _, _ in PARAM_SPECS:
         name_len = struct.unpack("<I", take(4))[0]
-        stored = bytes(take(name_len)).decode("utf-8")
+        stored = bytes(take(name_len)).decode("utf-8", errors="replace")
         if stored != name:
             raise CheckpointError(f"expected array {name!r}, found {stored!r}")
         rank = struct.unpack("<I", take(4))[0]
@@ -75,7 +75,10 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
         raise CheckpointError(f"checkpoint {path} has {len(view) - offset} "
                               "trailing bytes")
     params = PolicyParams(**arrays)
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return params
 
 

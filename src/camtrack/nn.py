@@ -292,14 +292,18 @@ def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
     return grads
 
 
-def compute_returns(rewards, bootstrap, gamma: float) -> list:
+def compute_returns(rewards, bootstrap, gamma: float, done=None) -> list:
     """Discounted returns G_t = r_t + gamma * G_{t+1}, seeded with the
     bootstrap value past the final reward. rewards is indexed by time first;
     each rewards[t] and the bootstrap may also be arrays of parallel
-    sequences, which gives one list entry per step holding all of them."""
+    sequences, which gives one list entry per step holding all of them.
+    done[t], broadcast against rewards[t], marks the sequences whose episode
+    ended at step t: their G_t is r_t alone, with no bootstrap."""
     returns = [0.0] * len(rewards)
     acc = bootstrap
     for i in range(len(rewards) - 1, -1, -1):
+        if done is not None:
+            acc = np.where(done[i], 0.0, acc)
         acc = rewards[i] + gamma * acc
         returns[i] = acc
     return returns

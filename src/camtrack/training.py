@@ -5,7 +5,9 @@ camera's switcher label is drawn at random; label-1 cameras act through the
 groundtruth tracker, label-0 cameras act through the sampled policy, and only
 label-0 camera-steps contribute gradients. Returns are discounted over each
 camera's full reward sequence so that the credit a pose action receives also
-reflects the steps where the tracker took over afterwards.
+reflects the steps where the tracker took over afterwards. An environment
+is reset as soon as its episode reaches DEFAULT_EPISODE_STEPS, inside a
+window too, and returns do not cross that boundary.
 """
 from __future__ import annotations
 
@@ -99,7 +101,9 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     env_steps = 0
     while collected < train_cfg.total_steps:
         window: list[_RolloutStep] = []
-        for _ in range(train_cfg.rollout_len):
+        # done[k, e]: env e's episode ended at window step k
+        done = np.zeros((train_cfg.rollout_len, n_envs), dtype=bool)
+        for k in range(train_cfg.rollout_len):
             # each env's stream draws its labels, then one uniform per label-0
             # camera in camera order
             labels = [pending_labels[e] or _draw_labels(agent_rng[e], n_cams, p_pose)
@@ -121,18 +125,19 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                 outcome = step(world, actions)
                 worlds[e] = outcome.state
                 rewards[e] = outcome.reward
+                if outcome.state.t >= DEFAULT_EPISODE_STEPS:
+                    worlds[e] = spawn_episode(episode_cfg, reseed[e].next_u64())
+                    done[k, e] = True
             window.append(_RolloutStep(raws, env, cam, sampled, rewards))
         env_steps += train_cfg.rollout_len * n_envs
 
         # bootstrap with the value of the actual next observation (its labels
         # are drawn now and reused at the next window's first step); zero
-        # across episode boundaries
+        # where the episode ended at the window's last step
         bootstrap = np.zeros((n_envs, n_cams))
         live = []
         for e in range(n_envs):
-            if worlds[e].t >= DEFAULT_EPISODE_STEPS:
-                worlds[e] = spawn_episode(episode_cfg, reseed[e].next_u64())
-            else:
+            if not done[-1, e]:
                 pending_labels[e] = _draw_labels(agent_rng[e], n_cams, p_pose)
                 live.append(e)
         if live:
@@ -141,7 +146,8 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                                                   arena_half))
             bootstrap[live] = nn.forward(params, features)[1]
         returns = nn.compute_returns(np.array([s.rewards for s in window]),
-                                     bootstrap, train_cfg.gamma)
+                                     bootstrap, train_cfg.gamma,
+                                     done=done[:, :, None])
 
         count = sum(s.env.size for s in window)
         if count == 0:

@@ -14,6 +14,7 @@ from .config import ConfigError, EpisodeConfig
 from .geometry import (
     CameraPose,
     Obstacle,
+    PITCH_LIMIT_DEG,
     ZOOM_MAX,
     ZOOM_MIN,
     angle_error,
@@ -101,19 +102,6 @@ class WorldState:
     arena_half: float
     speed_range: tuple[float, float]
     rng: RngStream
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WorldState)
-                and self.cameras == other.cameras
-                and self.target.point() == other.target.point()
-                and self.target.speed == other.target.speed
-                and self.target.waypoint == other.target.waypoint
-                and self.target.pause_steps_remaining == other.target.pause_steps_remaining
-                and self.obstacles == other.obstacles
-                and self.t == other.t
-                and self.arena_half == other.arena_half
-                and self.speed_range == other.speed_range
-                and self.rng == other.rng)
 
 
 @dataclass(slots=True)
@@ -272,14 +260,15 @@ def advance_target(state: WorldState, rng: RngStream) -> TargetState:
 
 
 def apply_action(pose: CameraPose, action: Action) -> CameraPose:
-    """New pose after one discrete command: 5 degree rotation steps, 0.1 zoom
-    steps, with yaw wrapped and pitch/zoom clamped to their ranges."""
+    """New pose after one discrete command: ROTATE_STEP_DEG rotation steps,
+    ZOOM_STEP zoom steps, with yaw wrapped and pitch/zoom clamped to their
+    ranges."""
     dp, dy, dz = ACTION_DELTAS[action]
     pitch = pose.pitch_deg + dp
-    if pitch > 60.0:
-        pitch = 60.0
-    elif pitch < -60.0:
-        pitch = -60.0
+    if pitch > PITCH_LIMIT_DEG:
+        pitch = PITCH_LIMIT_DEG
+    elif pitch < -PITCH_LIMIT_DEG:
+        pitch = -PITCH_LIMIT_DEG
     yaw = wrap_angle(pose.yaw_deg + dy) if dy != 0.0 else pose.yaw_deg
     zoom = pose.zoom + dz
     if zoom > ZOOM_MAX:
@@ -351,9 +340,8 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
         distance = math.dist((pose.x, pose.y, pose.z), tp)
         d_xi = abs(pose.zoom - desired_zoom(distance))
         vis = _classify(pose, tp, state.obstacles, d_alpha, d_beta)
-        r = direction_reward(vis, d_alpha, d_beta)
-        if vis is Visibility.VISIBLE:
-            r += 1.0 - d_xi / ZOOM_ERROR_NORM
+        r = (direction_reward(vis, d_alpha, d_beta)
+             + zoom_reward(vis, pose.zoom, distance))
         if r > 1.0:
             r = 1.0
         elif r < -1.0:

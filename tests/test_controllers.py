@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camtrack import nn
 from camtrack.controllers import (
+    TRIANGULATION_MAX_CONDITION,
     GeometricMemory,
     PoseMessage,
     geometric_pose_action,
@@ -20,7 +22,9 @@ from camtrack.controllers import (
 )
 from camtrack.geometry import CameraPose, angle_error
 from camtrack.rng import RngStream
+from camtrack.geometry import bearing_to, wrap_angle
 from camtrack.world import (
+    ACTION_DELTAS,
     ALPHA_MAX_DEG,
     BETA_MAX_DEG,
     ZOOM_ERROR_NORM,
@@ -46,6 +50,31 @@ def naive_tracker(pose, target):
         if score < best_score:
             best, best_score = a, score
     return best
+
+
+def brute_force_scores(pose, target):
+    """Score of each of the 11 actions, each computed in full on its own,
+    with the tracker's clamping and summation order."""
+    b = bearing_to((pose.x, pose.y, pose.z), target)
+    xi_star = desired_zoom(math.dist((pose.x, pose.y, pose.z), target))
+    scores = []
+    for dp, dy, dz in ACTION_DELTAS:
+        pitch = min(max(pose.pitch_deg + dp, -60.0), 60.0)
+        zoom = min(max(pose.zoom + dz, 1.0), 3.3)
+        d_alpha = abs(pitch - b.pitch_deg)
+        d_beta = abs(wrap_angle(pose.yaw_deg + dy - b.yaw_deg))
+        scores.append(d_alpha / ALPHA_MAX_DEG + d_beta / BETA_MAX_DEG
+                      + abs(zoom - xi_star) / ZOOM_ERROR_NORM)
+    return scores
+
+
+def brute_force_tracker(pose, target):
+    """First action with a strictly lowest score."""
+    best, best_score = 0, math.inf
+    for idx, score in enumerate(brute_force_scores(pose, target)):
+        if score < best_score:
+            best, best_score = idx, score
+    return Action(best)
 
 
 def target_at(pose, d_pitch, d_yaw, distance=12.0):
@@ -78,6 +107,55 @@ class TestVirtualTracker:
                               rng.uniform(-179.9, 180), rng.uniform(1, 3.3))
             target = (rng.uniform(-10, 10), rng.uniform(-10, 10), 0.9)
             assert virtual_tracker_action(pose, target) == naive_tracker(pose, target)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(pitch=st.one_of(st.sampled_from([-60.0, -57.5, -55.0, 0.0, 55.0, 57.5, 60.0]),
+                           st.floats(-60.0, 60.0)),
+           yaw=st.one_of(st.sampled_from([180.0, 179.999, 177.5, 175.0, -175.0,
+                                          -177.5, -179.999, 0.0]),
+                         st.floats(-180.0, 180.0, exclude_min=True)),
+           zoom=st.one_of(st.sampled_from([1.0, 1.05, 1.1, 3.2, 3.25, 3.3]),
+                          st.floats(1.0, 3.3)),
+           position=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                              st.floats(2.0, 3.0)),
+           target=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                            st.sampled_from([0.9, 2.5])))
+    def test_matches_brute_force_reference(self, pitch, yaw, zoom, position, target):
+        pose = CameraPose(*position, pitch, yaw, zoom)
+        if math.dist(position, target) == 0.0:
+            return
+        assert virtual_tracker_action(pose, target) == brute_force_tracker(pose, target)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(pitch=st.floats(-60.0, 60.0), yaw=st.floats(-180.0, 180.0, exclude_min=True),
+           zoom=st.sampled_from([1.0, 1.5, 2.05, 3.3]),
+           d_pitch=st.sampled_from([-7.5, -2.5, 0.0, 2.5, 7.5]),
+           d_yaw=st.sampled_from([-182.5, -7.5, -2.5, 0.0, 2.5, 7.5, 177.5]),
+           distance=st.sampled_from([5.0, 12.0, 12.3, 12.6]))
+    def test_matches_brute_force_reference_near_ties(self, pitch, yaw, zoom,
+                                                     d_pitch, d_yaw, distance):
+        # offsets of half a rotation step (and zooms half a zoom step from
+        # the desired one) put two actions' scores within rounding of each
+        # other, so the winner depends on every operation's rounding
+        pose = CameraPose(0.0, 0.0, 2.5, pitch, yaw, zoom)
+        target = target_at(pose, d_pitch, d_yaw, distance)
+        assert virtual_tracker_action(pose, target) == brute_force_tracker(pose, target)
+
+    @pytest.mark.parametrize("pitch, yaw, want, tied", [
+        (2.5, 0.0, Action.KEEP_STILL, Action.DOWN),
+        (0.0, 2.5, Action.KEEP_STILL, Action.LEFT),
+        (2.5, 5.0, Action.LEFT, Action.BOTTOM_LEFT),
+        (-2.5, -5.0, Action.RIGHT, Action.TOP_RIGHT),
+    ])
+    def test_exact_ties_go_to_the_lowest_index(self, pitch, yaw, want, tied):
+        # target straight along +x at the camera's height and 12 m away, so
+        # its bearing is exactly (0, 0) and the desired zoom exactly 2
+        pose = CameraPose(0.0, 0.0, 0.9, pitch, yaw, 2.0)
+        target = (12.0, 0.0, 0.9)
+        scores = brute_force_scores(pose, target)
+        assert scores[want] == scores[tied] == min(scores)
+        assert want < tied
+        assert virtual_tracker_action(pose, target) == want
 
     def test_never_worsens_objective(self):
         rng = np.random.default_rng(29)
@@ -153,6 +231,17 @@ def exact_bearing_messages(rng, truth, n_cams, min_angle_deg=5.0):
                 return msgs
 
 
+def normal_matrix(messages):
+    """Sum of the label-1 cameras' perpendicular projectors I - d d^T."""
+    m = np.zeros((2, 2))
+    for msg in messages:
+        if msg.label == 1:
+            yaw = math.radians(msg.pose.yaw_deg)
+            d = np.array([math.cos(yaw), math.sin(yaw)])
+            m += np.eye(2) - np.outer(d, d)
+    return m
+
+
 class TestTriangulate:
     def test_two_line_intersection(self):
         msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 45.0, 1.0), 1),
@@ -195,6 +284,40 @@ class TestTriangulate:
             est = triangulate(perm).estimate
             assert est[0] == pytest.approx(base[0], abs=1e-9)
             assert est[1] == pytest.approx(base[1], abs=1e-9)
+
+    def test_condition_matches_svd_ratio(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            truth = tuple(rng.uniform(-8, 8, size=2))
+            msgs = exact_bearing_messages(rng, truth, int(rng.integers(2, 6)))
+            sv = np.linalg.svd(normal_matrix(msgs), compute_uv=False)
+            assert triangulate(msgs).condition == pytest.approx(sv[0] / sv[1], rel=1e-9)
+
+    def test_ok_decision_matches_svd_on_random_instances(self):
+        rng = np.random.default_rng(43)
+        n_parallel = 0
+        for k in range(10_000):
+            n = int(rng.integers(1, 6))
+            yaws = rng.uniform(-180.0, 180.0, size=n)
+            if k % 3 == 0:
+                # parallel or anti-parallel rays, some nudged by a hair so
+                # that the condition number crosses the 1e6 gate
+                base = yaws[0]
+                yaws = base + 180.0 * rng.integers(0, 2, size=n)
+                if k % 2 == 0:
+                    yaws += 10.0 ** rng.uniform(-4.0, 0.0, size=n)
+                yaws = np.array([wrap_angle(y) for y in yaws])
+                n_parallel += 1
+            msgs = [PoseMessage(i, CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                                              2.5, 0.0, float(yaws[i]), 1.0),
+                                int(rng.integers(0, 2)) if rng.random() < 0.3 else 1)
+                    for i in range(n)]
+            contributors = sum(m.label == 1 for m in msgs)
+            sv = np.linalg.svd(normal_matrix(msgs), compute_uv=False)
+            condition = sv[0] / sv[1] if sv[1] > 0.0 else math.inf
+            want_ok = contributors >= 2 and condition <= TRIANGULATION_MAX_CONDITION
+            assert triangulate(msgs).ok == want_ok
+        assert n_parallel > 3000
 
     def test_recovers_truth_and_matches_grid_oracle(self):
         rng = np.random.default_rng(23)

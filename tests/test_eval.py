@@ -65,6 +65,37 @@ class TestRunEpisode:
             assert ra.visibility == rb.visibility
             assert ra.target == rb.target
 
+    @pytest.mark.parametrize("controller", ["sv", "geometric"])
+    def test_visibility_is_fresh_at_every_step(self, controller, monkeypatch):
+        """The step's own visibility is reused as the next step's: it must
+        equal a fresh classification of each state the episode passes
+        through, before the step (seen via the oracle labels) and after it
+        (the recorded visibility)."""
+        from camtrack import evaluate
+        from camtrack.controllers import oracle_switch
+        from camtrack.world import visibility_of
+
+        cfg = EpisodeConfig()
+        for seed in (0, 1, 2):
+            before, after = [], []
+            real_step = evaluate.step
+
+            def recording_step(state, actions):
+                outcome = real_step(state, actions)
+                n = len(state.cameras)
+                before.append([visibility_of(state, i) for i in range(n)])
+                after.append([visibility_of(outcome.state, i) for i in range(n)])
+                return outcome
+
+            monkeypatch.setattr(evaluate, "step", recording_step)
+            records = run_episode(cfg, controller, seed=seed, steps=300)
+            monkeypatch.undo()
+            assert [r.visibility for r in records] == after
+            assert [r.labels for r in records] == [[oracle_switch(v) for v in vis]
+                                                   for vis in before]
+            assert any(v is not Visibility.VISIBLE
+                       for vis in before for v in vis)
+
     def test_learned_requires_params(self):
         with pytest.raises(ValueError):
             run_episode(EpisodeConfig(), "learned", seed=0, steps=5)

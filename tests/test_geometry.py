@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from camtrack.geometry import (
     CameraPose,
@@ -20,6 +20,39 @@ from camtrack.geometry import (
 
 def make_pose(yaw=0.0, pitch=0.0, zoom=1.0, x=0.0, y=0.0, z=0.0):
     return CameraPose(x, y, z, pitch, yaw, zoom)
+
+
+def reference_slab_overlap(p0, p1, box):
+    """The slab method as one loop over the three axes."""
+    t_min, t_max = 0.0, 1.0
+    for a, b, lo, hi in (
+        (p0[0], p1[0], box.min_x, box.max_x),
+        (p0[1], p1[1], box.min_y, box.max_y),
+        (p0[2], p1[2], 0.0, box.height),
+    ):
+        d = b - a
+        if d == 0.0:
+            if a < lo or a > hi:
+                return None
+        else:
+            inv = 1.0 / d
+            t0 = (lo - a) * inv
+            t1 = (hi - a) * inv
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > t_min:
+                t_min = t0
+            if t1 < t_max:
+                t_max = t1
+            if t_min > t_max:
+                return None
+    return t_min, t_max
+
+
+# Coordinates on a small grid that shares values with the box faces make
+# axis-parallel segments and touching boundaries common.
+GRID = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+COORD = st.one_of(GRID, st.floats(-5.0, 5.0, allow_nan=False))
 
 
 class TestWrapAngle:
@@ -208,6 +241,18 @@ class TestSegmentHitsBox:
                 mismatches += 1
         # near-tangency disagreements must stay rare
         assert mismatches < n_pairs * 0.01
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.tuples(COORD, COORD, COORD), st.tuples(COORD, COORD, COORD),
+           st.sampled_from([Obstacle(-1.0, -1.0, 1.0, 1.0, 2.0),
+                            Obstacle(0.0, 0.5, 2.0, 3.0, 0.5),
+                            Obstacle(-2.0, -1.0, -1.0, 0.0, 1.0)]))
+    def test_matches_reference_slab_loop(self, p0, p1, box):
+        # repr tells -0.0 from 0.0, so this asserts bit-identical results
+        assert (repr(segment_box_overlap(p0, p1, box))
+                == repr(reference_slab_overlap(p0, p1, box)))
+        assert segment_hits_box(p0, p1, box) == (
+            reference_slab_overlap(p0, p1, box) is not None)
 
     def test_obstacle_validation(self):
         with pytest.raises(ValueError):

@@ -301,6 +301,23 @@ class TestComputeReturns:
         got = nn.compute_returns([0.0, 0.0], 8.0, 0.5)
         assert got == [2.0, 4.0]
 
+    def test_done_stops_returns_at_the_episode_end(self):
+        # two parallel sequences; the first one's episode ends at step 1
+        rewards = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]])
+        done = np.array([[False, False], [True, False], [False, False]])
+        got = nn.compute_returns(rewards, np.array([8.0, 8.0]), 0.5, done=done)
+        assert [g[0] for g in got] == [2.0, 2.0, 8.0]
+        assert [g[1] for g in got] == [4.0, 6.0, 8.0]
+
+    def test_no_done_is_bit_identical(self):
+        rng = np.random.default_rng(3)
+        rewards = rng.uniform(-1, 1, size=(20, 4, 3))
+        boot = rng.uniform(-2, 2, size=(4, 3))
+        plain = nn.compute_returns(rewards, boot, 0.95)
+        masked = nn.compute_returns(rewards, boot, 0.95,
+                                    done=np.zeros((20, 4, 1), dtype=bool))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, masked))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=30),
            st.floats(0.05, 0.99), st.floats(-5, 5),

@@ -269,6 +269,43 @@ class TestCli:
         code = cli_main(["eval", "--controller", "sv", "--switcher", "sometimes"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["random:1.5", "noisy:0.9", "noisy:often"])
+    def test_bad_switcher_parameter_exits_two(self, spec, tmp_path, capsys):
+        code = cli_main(["rollout", "--switcher", spec,
+                         "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "switcher" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"n_cameras": \xff}')
+        code = cli_main(["rollout", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        import camtrack.cli
+
+        def broken_episode(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(camtrack.cli, "run_episode", broken_episode)
+        code = cli_main(["rollout", "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert "internal fault" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_two(self, tmp_path, capsys):
+        params = nn.init_params(0)
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(params, ckpt)
+        data = bytearray(ckpt.read_bytes())
+        data[-8:] = struct.pack("<d", float("nan"))
+        ckpt.write_bytes(bytes(data))
+        code = cli_main(["eval", "--controller", "learned", "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["rollout", "--config", str(tmp_path / "absent.json"),
                          "--out", str(tmp_path / "o.jsonl")])

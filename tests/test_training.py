@@ -111,6 +111,25 @@ class TestTrainPoseController:
         steps = [r.env_steps for r in log]
         assert steps == sorted(set(steps))
 
+    def test_episodes_stop_at_the_evaluation_length(self, monkeypatch):
+        # 30 does not divide 500, so episodes end inside a rollout window
+        times = []
+        real_step = training.step
+
+        def counting_step(state, actions):
+            outcome = real_step(state, actions)
+            times.append(outcome.state.t)
+            return outcome
+
+        monkeypatch.setattr(training, "step", counting_step)
+        cfg = TrainConfig(rollout_len=30, n_envs=1, total_steps=4000)
+        train_pose_controller(cfg, EpisodeConfig())
+        assert max(times) == training.DEFAULT_EPISODE_STEPS == 500
+        assert times.count(500) >= 2
+        # each episode counts 1, 2, ..., 500 and the next starts again at 1
+        for prev, t in zip(times, times[1:]):
+            assert t == (1 if prev == 500 else prev + 1)
+
     def test_pinned_replay_of_a_default_slice(self):
         _, log = train_pose_controller(TrainConfig(seed=0, total_steps=9000),
                                        EpisodeConfig())

@@ -1,4 +1,5 @@
 """World: episode randomization, target motion, transitions and rewards."""
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,26 @@ class TestSpawnEpisode:
     def test_different_seed_different_state(self):
         cfg = EpisodeConfig()
         assert spawn_episode(cfg, 1) != spawn_episode(cfg, 2)
+
+    @pytest.mark.parametrize("change", [
+        {"speed": 0.123},
+        {"waypoint": (1.0, -1.0)},
+        {"pause_steps_remaining": 3},
+    ])
+    def test_target_fields_take_part_in_equality(self, change):
+        world = spawn_episode(EpisodeConfig(), 5)
+        other = dataclasses.replace(
+            world, target=dataclasses.replace(world.target, **change))
+        assert other.target.point() == world.target.point()
+        assert other != world
+        assert dataclasses.replace(other, target=world.target) == world
+
+    def test_rng_state_takes_part_in_equality(self):
+        world = spawn_episode(EpisodeConfig(), 5)
+        other = spawn_episode(EpisodeConfig(), 5)
+        assert other == world
+        other.rng.next_u64()
+        assert other != world
 
     def test_zero_obstacles(self):
         assert spawn_episode(EpisodeConfig(n_obstacles=0), 9).obstacles == []
