@@ -20,9 +20,8 @@ from camtrack.controllers import (
     triangulate,
     virtual_tracker_action,
 )
-from camtrack.geometry import CameraPose, angle_error
+from camtrack.geometry import CameraPose, angle_error, bearing_to, wrap_angle
 from camtrack.rng import RngStream
-from camtrack.geometry import bearing_to, wrap_angle
 from camtrack.world import (
     ACTION_DELTAS,
     ALPHA_MAX_DEG,

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from camtrack import nn
+from camtrack import evaluate, nn
 from camtrack.config import EpisodeConfig
+from camtrack.controllers import oracle_switch
 from camtrack.evaluate import (
     StepRecord,
     compare_systems,
@@ -15,7 +16,7 @@ from camtrack.evaluate import (
     success_rate,
 )
 from camtrack.geometry import CameraPose
-from camtrack.world import Visibility
+from camtrack.world import Visibility, visibility_of
 
 
 def synthetic_records(rng, n_cams=3, steps=50):
@@ -71,10 +72,6 @@ class TestRunEpisode:
         equal a fresh classification of each state the episode passes
         through, before the step (seen via the oracle labels) and after it
         (the recorded visibility)."""
-        from camtrack import evaluate
-        from camtrack.controllers import oracle_switch
-        from camtrack.world import visibility_of
-
         cfg = EpisodeConfig()
         for seed in (0, 1, 2):
             before, after = [], []
