@@ -12,7 +12,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, EpisodeConfig, TrainConfig, load_config
+from .config import ConfigError, EpisodeConfig, TrainConfig, check_seed, load_config
 from .evaluate import (
     CONTROLLERS,
     compare_systems,
@@ -109,9 +109,11 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     episode_cfg, _ = _load_configs(args.config)
     parse_switcher(args.switcher)
-    params = _load_params_if_needed([args.controller], args.checkpoint)
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1")
+    check_seed("--seed", args.seed)
+    check_seed("--seed + --episodes - 1", args.seed + args.episodes - 1)
+    params = _load_params_if_needed([args.controller], args.checkpoint)
 
     log_dir = Path(args.episode_log) if args.episode_log else None
     if log_dir is not None:
@@ -163,6 +165,7 @@ def _cmd_compare(args) -> int:
 def _cmd_rollout(args) -> int:
     episode_cfg, _ = _load_configs(args.config)
     parse_switcher(args.switcher)
+    check_seed("--seed", args.seed)
     params = _load_params_if_needed([args.controller], args.checkpoint)
     records = run_episode(episode_cfg, args.controller, switcher=args.switcher,
                           params=params, seed=args.seed)

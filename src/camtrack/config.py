@@ -16,6 +16,18 @@ class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration."""
 
 
+# the (lo, hi) pairs of EpisodeConfig, in declaration order
+_RANGE_KEYS = ("obstacle_size_range", "obstacle_height_range",
+               "target_speed_range", "camera_height_range")
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Reject a seed outside [0, 2**64): the rng streams would reduce it
+    modulo 2**64 and silently replay another seed."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
 def _require_finite(cfg) -> None:
     """Reject NaN and +-Infinity in any float field or range bound."""
     for f in fields(cfg):
@@ -45,8 +57,7 @@ class EpisodeConfig:
             raise ConfigError(f"n_cameras must be in [2, 8], got {self.n_cameras}")
         if not 0 <= self.n_obstacles <= 15:
             raise ConfigError(f"n_obstacles must be in [0, 15], got {self.n_obstacles}")
-        for key in ("obstacle_size_range", "obstacle_height_range",
-                    "target_speed_range", "camera_height_range"):
+        for key in _RANGE_KEYS:
             lo, hi = getattr(self, key)
             if not (0.0 < lo < hi):
                 raise ConfigError(f"{key} must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -87,14 +98,11 @@ class TrainConfig:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if not 0.0 <= self.p_pose <= 1.0:
             raise ConfigError(f"p_pose must be in [0, 1], got {self.p_pose}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed("seed", self.seed)
 
 
 _EPISODE_KEYS = {f.name for f in fields(EpisodeConfig)}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_RANGE_KEYS = {"obstacle_size_range", "obstacle_height_range",
-               "target_speed_range", "camera_height_range"}
 _INT_KEYS = {"n_cameras", "n_obstacles", "rollout_len", "n_envs", "total_steps", "seed"}
 
 

@@ -1,16 +1,19 @@
-"""Per-camera decision policies.
+"""Camera decision policies.
 
 Four ways to pick one of the 11 camera commands:
   * virtual_tracker_action - greedy oracle that reads the true target position;
     stands in for a working image tracker.
-  * geometric_pose_action  - triangulates the target from the cameras that
-    report successful tracking and steers toward the estimate.
-  * learned_pose_action    - forward pass of the trained pose policy.
+  * geometric_pose_action  - steers toward the step's triangulation of the
+    target from the cameras that report successful tracking.
+  * learned_pose_action    - greedy forward pass of the trained pose policy
+    for all pose-controlled cameras of a step.
   * sv_baseline_action     - no collaboration: track when the target is
     visible, freeze otherwise.
 
 Switchers produce the per-camera binary label (1 = tracking trusted) that
-system_action uses to choose between the tracker and a pose controller.
+system_action uses to choose between the tracker and a pose controller. The
+pose controllers read the poses all cameras share, so system_action runs
+them once per step.
 """
 from __future__ import annotations
 
@@ -165,41 +168,30 @@ def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
     return TriangulationResult((float(point[0]), float(point[1])), condition)
 
 
-def geometric_pose_action(self_index: int, messages: list[PoseMessage],
+def geometric_pose_action(pose: CameraPose, result: TriangulationResult,
                           memory: GeometricMemory) -> Action:
-    """Steer toward the triangulated target; fall back to the remembered
+    """Steer toward the step's triangulated target; fall back to the remembered
     estimate, and keep still when there is no information at all."""
-    result = triangulate(messages)
     if result.ok:
         memory.last_estimate = result.estimate
     point = memory.last_estimate
     if point is None:
         return Action.KEEP_STILL
-    return virtual_tracker_action(messages[self_index].pose,
-                                  (point[0], point[1], TARGET_MID_HEIGHT))
+    return virtual_tracker_action(pose, (point[0], point[1], TARGET_MID_HEIGHT))
 
 
-def learned_pose_action(self_index: int, messages: list[PoseMessage],
-                        params: nn.PolicyParams, rng: RngStream | None,
-                        mode: str, arena_half: float
-                        ) -> tuple[Action, float, float]:
-    """Run the pose policy for one camera.
+def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
+                        arena_half: float) -> list[Action]:
+    """Greedy actions of the label-0 cameras, in camera order.
 
-    mode "sample" draws from the action distribution using rng; "greedy"
-    takes the argmax (lowest index on ties). Returns (action, log-probability
-    of that action, value estimate).
+    The step's pose tuples are embedded once and one forward runs over the
+    label-0 rows, as in training; each action is the argmax of the
+    log-probabilities (lowest index on ties).
     """
-    logits, value, _ = nn.policy_forward(params, self_index, messages, arena_half)
-    logp = nn.log_softmax(logits)
-    if mode == "greedy":
-        idx = int(np.argmax(logp))
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode requires an rng")
-        idx = nn.sample_action(np.exp(logp), rng.random())
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Action(idx), float(logp[idx]), value
+    raws = nn.raw_tuples([messages], arena_half)
+    group, cam = np.nonzero(raws[:, :, 6] == 0.0)
+    logits, _, _ = nn.group_forward(params, raws, group, cam)
+    return [_ACTIONS[i] for i in np.argmax(nn.log_softmax(logits), axis=-1).tolist()]
 
 
 def oracle_switch(vis: Visibility) -> int:
@@ -227,25 +219,33 @@ def sv_baseline_action(pose: CameraPose, vis: Visibility,
     return Action.KEEP_STILL
 
 
-def system_action(self_index: int, target: tuple[float, float, float],
+def system_action(target: tuple[float, float, float],
                   messages: list[PoseMessage], kind: str,
                   params: nn.PolicyParams | None = None,
-                  memory: GeometricMemory | None = None,
-                  rng: RngStream | None = None,
-                  arena_half: float | None = None,
-                  mode: str = "greedy") -> Action:
-    """Full per-camera system: cameras whose own label is 1 track directly,
-    the rest defer to the pose controller selected by kind."""
-    if messages[self_index].label == 1:
-        return virtual_tracker_action(messages[self_index].pose, target)
+                  memories: list[GeometricMemory] | None = None,
+                  arena_half: float | None = None) -> list[Action]:
+    """One step of the full system, one action per message in camera order:
+    label-1 cameras track directly, label-0 cameras defer to the pose
+    controller selected by kind, which reads the step's shared poses once for
+    all of them."""
+    pose_cams = [i for i, msg in enumerate(messages) if msg.label == 0]
     if kind == "geometric":
-        if memory is None:
-            raise ValueError("geometric controller needs a GeometricMemory")
-        return geometric_pose_action(self_index, messages, memory)
-    if kind == "learned":
+        if memories is None:
+            raise ValueError("geometric controller needs one GeometricMemory "
+                             "per camera")
+        pose_actions = []
+        if pose_cams:
+            result = triangulate(messages)
+            pose_actions = [geometric_pose_action(messages[i].pose, result,
+                                                  memories[i])
+                            for i in pose_cams]
+    elif kind == "learned":
         if params is None or arena_half is None:
             raise ValueError("learned controller needs params and arena_half")
-        action, _, _ = learned_pose_action(self_index, messages, params, rng,
-                                           mode, arena_half)
-        return action
-    raise ValueError(f"unknown pose controller kind {kind!r}")
+        pose_actions = (learned_pose_action(messages, params, arena_half)
+                        if pose_cams else [])
+    else:
+        raise ValueError(f"unknown pose controller kind {kind!r}")
+    pose_iter = iter(pose_actions)
+    return [next(pose_iter) if msg.label == 0
+            else virtual_tracker_action(msg.pose, target) for msg in messages]

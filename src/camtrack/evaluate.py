@@ -19,7 +19,7 @@ from .controllers import (
 )
 from .geometry import CameraPose
 from .rng import RngStream
-from .world import Action, Visibility, spawn_episode, step, visibility_of
+from .world import Visibility, spawn_episode, step, visibility_of
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
 DEFAULT_EPISODE_STEPS = 500
@@ -100,20 +100,17 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
             labels = [noisy_switch(v, switch_rng, switch_arg) for v in vis_now]
 
         target_point = world.target.point()
-        messages = [PoseMessage(i, world.cameras[i], labels[i])
-                    for i in range(n_cams)]
-        actions: list[Action] = []
-        for i in range(n_cams):
-            if controller == "virtual":
-                actions.append(virtual_tracker_action(world.cameras[i], target_point))
-            elif controller == "sv":
-                actions.append(sv_baseline_action(world.cameras[i], vis_now[i],
-                                                  target_point))
-            else:
-                actions.append(system_action(
-                    i, target_point, messages, controller, params=params,
-                    memory=memories[i], arena_half=config.arena_half,
-                    mode="greedy"))
+        if controller == "virtual":
+            actions = [virtual_tracker_action(c, target_point) for c in world.cameras]
+        elif controller == "sv":
+            actions = [sv_baseline_action(c, v, target_point)
+                       for c, v in zip(world.cameras, vis_now)]
+        else:
+            messages = [PoseMessage(i, c, g)
+                        for i, (c, g) in enumerate(zip(world.cameras, labels))]
+            actions = system_action(target_point, messages, controller,
+                                    params=params, memories=memories,
+                                    arena_half=config.arena_half)
 
         outcome = step(world, actions)
         world = outcome.state

@@ -27,9 +27,6 @@ class CameraPose:
     yaw_deg: float    # (-180, 180]
     zoom: float       # [1.0, 3.3]
 
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
     def validate(self) -> None:
         if not -PITCH_LIMIT_DEG <= self.pitch_deg <= PITCH_LIMIT_DEG:
             raise ValueError(f"pitch {self.pitch_deg} outside [-60, 60]")
@@ -115,17 +112,21 @@ def in_fov(pose: CameraPose, target: tuple[float, float, float]) -> bool:
     return d_beta <= 0.5 * h_fov and d_alpha <= 0.5 * v_fov
 
 
-def segment_box_overlap(p0: tuple[float, float, float],
-                        p1: tuple[float, float, float],
+def segment_box_overlap(origin: tuple[float, float, float],
+                        direction: tuple[float, float, float],
                         box: Obstacle) -> tuple[float, float] | None:
-    """Parametric overlap of the closed segment p0->p1 with the box, via the
-    slab method. Returns (t_enter, t_exit) within [0, 1], or None when the
-    segment misses the box entirely."""
+    """Parametric overlap of the closed segment origin + t * direction,
+    t in [0, 1], with the box, via the slab method. Returns (t_enter, t_exit)
+    within [0, 1], or None when the segment misses the box entirely.
+
+    This is the one slab test: sight lines reach it through segment_hits_box,
+    and the target's ground moves (z = 0, no vertical direction) through
+    world.advance_target."""
     # The three slabs are written out rather than looped over: building the
     # per-slab bounds as tuples on every call cost more than their arithmetic.
     t_min, t_max = 0.0, 1.0
-    a = p0[0]
-    d = p1[0] - a
+    a = origin[0]
+    d = direction[0]
     if d == 0.0:
         if a < box.min_x or a > box.max_x:
             return None
@@ -141,8 +142,8 @@ def segment_box_overlap(p0: tuple[float, float, float],
             t_max = t1
         if t_min > t_max:
             return None
-    a = p0[1]
-    d = p1[1] - a
+    a = origin[1]
+    d = direction[1]
     if d == 0.0:
         if a < box.min_y or a > box.max_y:
             return None
@@ -158,8 +159,8 @@ def segment_box_overlap(p0: tuple[float, float, float],
             t_max = t1
         if t_min > t_max:
             return None
-    a = p0[2]
-    d = p1[2] - a
+    a = origin[2]
+    d = direction[2]
     if d == 0.0:
         if a < 0.0 or a > box.height:
             return None
@@ -182,4 +183,5 @@ def segment_hits_box(p0: tuple[float, float, float],
                      p1: tuple[float, float, float],
                      box: Obstacle) -> bool:
     """True when the closed segment p0->p1 intersects the box (touching counts)."""
-    return segment_box_overlap(p0, p1, box) is not None
+    return segment_box_overlap(
+        p0, (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), box) is not None

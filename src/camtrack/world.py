@@ -19,6 +19,7 @@ from .geometry import (
     ZOOM_MIN,
     angle_error,
     effective_fov,
+    segment_box_overlap,
     segment_hits_box,
     wrap_angle,
 )
@@ -186,31 +187,6 @@ def spawn_episode(config: EpisodeConfig, seed: int) -> WorldState:
                       config.target_speed_range, rng)
 
 
-def _footprint_entry(x: float, y: float, mx: float, my: float,
-                     box: Obstacle) -> float | None:
-    """Earliest parameter t in [0, 1] at which the move (mx, my) from (x, y)
-    meets the box footprint, or None if the move stays clear (2-D slab test)."""
-    t0, t1 = 0.0, 1.0
-    for a, d, lo, hi in ((x, mx, box.min_x, box.max_x),
-                         (y, my, box.min_y, box.max_y)):
-        if d == 0.0:
-            if a < lo or a > hi:
-                return None
-        else:
-            inv = 1.0 / d
-            ta = (lo - a) * inv
-            tb = (hi - a) * inv
-            if ta > tb:
-                ta, tb = tb, ta
-            if ta > t0:
-                t0 = ta
-            if tb < t1:
-                t1 = tb
-            if t0 > t1:
-                return None
-    return t0
-
-
 def advance_target(state: WorldState, rng: RngStream) -> TargetState:
     """One motion step of the target's waypoint walk.
 
@@ -236,10 +212,13 @@ def advance_target(state: WorldState, rng: RngStream) -> TargetState:
 
     mx, my = ux * step_len, uy * step_len
     hit_t = None
+    origin, move = (t.x, t.y, 0.0), (mx, my, 0.0)
     for box in state.obstacles:
-        te = _footprint_entry(t.x, t.y, mx, my, box)
-        if te is not None and (hit_t is None or te < hit_t):
-            hit_t = te
+        # at ground level the z slab always passes, so this is the 2-D
+        # footprint test
+        overlap = segment_box_overlap(origin, move, box)
+        if overlap is not None and (hit_t is None or overlap[0] < hit_t):
+            hit_t = overlap[0]
     if hit_t is not None:
         back = step_len * hit_t - 1e-9
         if back < 0.0:

@@ -33,6 +33,8 @@ from camtrack.world import (
     desired_zoom,
 )
 
+from test_nn import rand_params
+
 
 def tracker_objective(pose, target):
     d_alpha, d_beta = angle_error(pose, target)
@@ -343,20 +345,21 @@ class TestGeometricPoseAction:
             msgs = [PoseMessage(0, me, 0),
                     PoseMessage(1, peers[0].pose, 1),
                     PoseMessage(2, peers[1].pose, 1)]
-            action = geometric_pose_action(0, msgs, GeometricMemory())
+            action = geometric_pose_action(me, triangulate(msgs), GeometricMemory())
             assert action == virtual_tracker_action(me, truth)
 
     def test_no_information_keeps_still(self):
         msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 0, 1.0), 0),
                 PoseMessage(1, CameraPose(5, 0, 2.5, 0, 0, 1.0), 0)]
-        assert geometric_pose_action(0, msgs, GeometricMemory()) == Action.KEEP_STILL
+        assert (geometric_pose_action(msgs[0].pose, triangulate(msgs), GeometricMemory())
+                == Action.KEEP_STILL)
 
     def test_memory_fallback(self):
         me = CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0)
         msgs = [PoseMessage(0, me, 0),
                 PoseMessage(1, CameraPose(5, 0, 2.5, 0, 0, 1.0), 0)]
         memory = GeometricMemory(last_estimate=(5.0, 5.0))
-        action = geometric_pose_action(0, msgs, memory)
+        action = geometric_pose_action(me, triangulate(msgs), memory)
         assert action == virtual_tracker_action(me, (5.0, 5.0, 0.9))
         assert memory.last_estimate == (5.0, 5.0)
 
@@ -365,7 +368,7 @@ class TestGeometricPoseAction:
         peers = [PoseMessage(1, CameraPose(0, 0, 2.5, 0, 45.0, 1.0), 1),
                  PoseMessage(2, CameraPose(10, 0, 2.5, 0, 135.0, 1.0), 1)]
         memory = GeometricMemory()
-        geometric_pose_action(0, [PoseMessage(0, me, 0)] + peers, memory)
+        geometric_pose_action(me, triangulate([PoseMessage(0, me, 0)] + peers), memory)
         assert memory.last_estimate == pytest.approx((5.0, 5.0), abs=1e-9)
 
 
@@ -421,6 +424,32 @@ class TestSvBaseline:
         assert sv_baseline_action(pose, Visibility.VISIBLE, target) == Action.RIGHT
 
 
+def per_camera_system_action(self_index, target, messages, kind, params=None,
+                             memory=None, arena_half=None):
+    """The system rule for one camera, every camera on its own: the tracker
+    for label 1, else a triangulation or a one-camera policy forward."""
+    own = messages[self_index]
+    if own.label == 1:
+        return virtual_tracker_action(own.pose, target)
+    if kind == "geometric":
+        result = triangulate(messages)
+        if result.ok:
+            memory.last_estimate = result.estimate
+        if memory.last_estimate is None:
+            return Action.KEEP_STILL
+        x, y = memory.last_estimate
+        return virtual_tracker_action(own.pose, (x, y, 0.9))
+    logits, _, _ = nn.policy_forward(params, self_index, messages, arena_half)
+    return Action(int(np.argmax(nn.log_softmax(logits))))
+
+
+def random_pose(rng, arena_half=10.0):
+    return CameraPose(rng.uniform(-arena_half, arena_half),
+                      rng.uniform(-arena_half, arena_half), rng.uniform(2, 3),
+                      rng.uniform(-60, 60), rng.uniform(-179.9, 180),
+                      rng.uniform(1, 3.3))
+
+
 class TestSystemAction:
     def _messages(self, own_label):
         poses = [CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0),
@@ -429,30 +458,82 @@ class TestSystemAction:
         labels = [own_label, 1, 1]
         return [PoseMessage(i, p, g) for i, (p, g) in enumerate(zip(poses, labels))]
 
+    def _memories(self):
+        return [GeometricMemory() for _ in range(3)]
+
     def test_own_label_one_uses_tracker(self):
         msgs = self._messages(1)
         target = (5.0, 5.0, 0.9)
-        action = system_action(0, target, msgs, "geometric",
-                               memory=GeometricMemory())
-        assert action == virtual_tracker_action(msgs[0].pose, target)
+        actions = system_action(target, msgs, "geometric", memories=self._memories())
+        assert actions == [virtual_tracker_action(m.pose, target) for m in msgs]
 
     def test_label_zero_geometric(self):
         msgs = self._messages(0)
         target = (5.0, 5.0, 0.9)
-        assert (system_action(0, target, msgs, "geometric", memory=GeometricMemory())
-                == geometric_pose_action(0, msgs, GeometricMemory()))
+        actions = system_action(target, msgs, "geometric", memories=self._memories())
+        assert actions[0] == geometric_pose_action(msgs[0].pose, triangulate(msgs),
+                                                   GeometricMemory())
 
     def test_label_zero_learned_greedy(self):
         msgs = self._messages(0)
         params = nn.init_params(4)
-        got = system_action(0, (5.0, 5.0, 0.9), msgs, "learned", params=params,
-                            arena_half=10.0, mode="greedy")
-        want, _, _ = learned_pose_action(0, msgs, params, None, "greedy", 10.0)
-        assert got == want
+        got = system_action((5.0, 5.0, 0.9), msgs, "learned", params=params,
+                            arena_half=10.0)
+        assert got[0] == learned_pose_action(msgs, params, 10.0)[0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            system_action(0, (5, 5, 0.9), self._messages(0), "nonsense")
+            system_action((5, 5, 0.9), self._messages(0), "nonsense")
+
+    @pytest.mark.parametrize("kind", ["geometric", "learned"])
+    def test_per_step_equals_per_camera_rule(self, kind):
+        """Random steps of 2-6 cameras with every label pattern, the
+        geometric memories carried across steps: the per-step system gives
+        each camera the action the per-camera rule gives it."""
+        rng = np.random.default_rng(53)
+        params = rand_params(rng)
+        n_cams = 4
+        step_memories = [GeometricMemory() for _ in range(n_cams)]
+        camera_memories = [GeometricMemory() for _ in range(n_cams)]
+        remembered = 0
+        for _ in range(300):
+            msgs = [PoseMessage(i, random_pose(rng), int(rng.integers(0, 2)))
+                    for i in range(n_cams)]
+            target = (rng.uniform(-8, 8), rng.uniform(-8, 8), 0.9)
+            want = [per_camera_system_action(i, target, msgs, kind, params=params,
+                                             memory=camera_memories[i],
+                                             arena_half=10.0)
+                    for i in range(n_cams)]
+            got = system_action(target, msgs, kind, params=params,
+                                memories=step_memories, arena_half=10.0)
+            assert got == want
+            assert step_memories == camera_memories
+            remembered += sum(m.last_estimate is not None for m in step_memories)
+        if kind == "geometric":
+            assert remembered > 0
+
+    def test_memory_carries_across_steps(self):
+        """Triangulation succeeds, then fails: the label-0 camera keeps
+        steering toward the first step's estimate."""
+        me = CameraPose(0, 10, 2.5, 0.0, -90.0, 1.0)
+        peers = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0),
+                 CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
+        memories = [GeometricMemory() for _ in range(3)]
+        first = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 1),
+                 PoseMessage(2, peers[1], 1)]
+        system_action((5.0, 5.0, 0.9), first, "geometric", memories=memories)
+        estimate = memories[0].last_estimate
+        assert estimate == pytest.approx((5.0, 5.0), abs=1e-9)
+
+        second = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 0),
+                  PoseMessage(2, peers[1], 1)]
+        actions = system_action((-5.0, -5.0, 0.9), second, "geometric",
+                                memories=memories)
+        assert memories[0].last_estimate == estimate
+        assert memories[1].last_estimate is None
+        assert actions[0] == virtual_tracker_action(me, estimate + (0.9,))
+        assert actions[1] == Action.KEEP_STILL
+        assert actions[2] == virtual_tracker_action(peers[1], (-5.0, -5.0, 0.9))
 
 
 class TestLearnedPoseAction:
@@ -476,22 +557,30 @@ class TestLearnedPoseAction:
 
     def test_greedy_deterministic(self):
         params = nn.init_params(7)
-        results = {learned_pose_action(0, self._messages(), params, None,
-                                       "greedy", 10.0)[0] for _ in range(100)}
+        results = {tuple(learned_pose_action(self._messages(), params, 10.0))
+                   for _ in range(100)}
         assert len(results) == 1
 
-    def test_sample_mode_needs_rng(self):
-        with pytest.raises(ValueError):
-            learned_pose_action(0, self._messages(), nn.init_params(0), None,
-                                "sample", 10.0)
+    def test_zero_params_pick_the_lowest_index(self):
+        # eleven equal logits tie, and the tie goes to action 0
+        assert (learned_pose_action(self._messages(), nn.zeros_like_params(), 10.0)
+                == [Action.KEEP_STILL])
 
-    def test_sample_follows_distribution(self):
-        params = nn.zeros_like_params()  # uniform policy
-        rng = RngStream(5, 0)
-        counts = np.zeros(11)
-        for _ in range(22_000):
-            a, logp, _ = learned_pose_action(0, self._messages(), params, rng,
-                                             "sample", 10.0)
-            counts[int(a)] += 1
-            assert logp == pytest.approx(math.log(1 / 11), abs=1e-12)
-        assert np.all(counts / 22_000 > 0.07) and np.all(counts / 22_000 < 0.12)
+    def test_equals_one_camera_forward_per_label_zero_camera(self):
+        """Random params and steps of 4 cameras with 0-4 label-0 cameras: one
+        action per label-0 camera, in camera order, each the argmax of its
+        own one-camera forward."""
+        rng = np.random.default_rng(59)
+        seen = set()
+        for _ in range(400):
+            params = rand_params(rng, scale=float(rng.uniform(0.1, 2.0)))
+            labels = [int(v) for v in rng.integers(0, 2, size=4)]
+            msgs = [PoseMessage(i, random_pose(rng), g) for i, g in enumerate(labels)]
+            want = []
+            for i, msg in enumerate(msgs):
+                if msg.label == 0:
+                    logits, _, _ = nn.policy_forward(params, i, msgs, 10.0)
+                    want.append(Action(int(np.argmax(nn.log_softmax(logits)))))
+            assert learned_pose_action(msgs, params, 10.0) == want
+            seen.add(labels.count(0))
+        assert seen == {0, 1, 2, 3, 4}

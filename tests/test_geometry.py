@@ -49,6 +49,30 @@ def reference_slab_overlap(p0, p1, box):
     return t_min, t_max
 
 
+def reference_footprint_entry(x, y, mx, my, box):
+    """The 2-D slab method on a ground move: earliest t in [0, 1] at which
+    (x, y) + t * (mx, my) meets the box footprint, or None."""
+    t0, t1 = 0.0, 1.0
+    for a, d, lo, hi in ((x, mx, box.min_x, box.max_x),
+                         (y, my, box.min_y, box.max_y)):
+        if d == 0.0:
+            if a < lo or a > hi:
+                return None
+        else:
+            inv = 1.0 / d
+            ta = (lo - a) * inv
+            tb = (hi - a) * inv
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > t0:
+                t0 = ta
+            if tb < t1:
+                t1 = tb
+            if t0 > t1:
+                return None
+    return t0
+
+
 # Coordinates on a small grid that shares values with the box faces make
 # axis-parallel segments and touching boundaries common.
 GRID = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
@@ -235,7 +259,8 @@ class TestSegmentHitsBox:
             if sampled:
                 assert hit, f"sampler found a hit the slab test missed (pair {k})"
             elif hit:
-                t0, t1 = segment_box_overlap(tuple(p0s[k]), tuple(p1s[k]), box)
+                t0, t1 = segment_box_overlap(tuple(p0s[k]),
+                                             tuple(p1s[k] - p0s[k]), box)
                 assert t1 - t0 <= spacing + 1e-12, \
                     f"sampler missed a traversal longer than its spacing (pair {k})"
                 mismatches += 1
@@ -249,10 +274,23 @@ class TestSegmentHitsBox:
                             Obstacle(-2.0, -1.0, -1.0, 0.0, 1.0)]))
     def test_matches_reference_slab_loop(self, p0, p1, box):
         # repr tells -0.0 from 0.0, so this asserts bit-identical results
-        assert (repr(segment_box_overlap(p0, p1, box))
+        direction = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
+        assert (repr(segment_box_overlap(p0, direction, box))
                 == repr(reference_slab_overlap(p0, p1, box)))
         assert segment_hits_box(p0, p1, box) == (
             reference_slab_overlap(p0, p1, box) is not None)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(COORD, COORD, COORD, COORD,
+           st.sampled_from([Obstacle(-1.0, -1.0, 1.0, 1.0, 2.0),
+                            Obstacle(0.0, 0.5, 2.0, 3.0, 0.5),
+                            Obstacle(-2.0, -1.0, -1.0, 0.0, 1.0)]))
+    def test_ground_move_is_the_footprint_slab_test(self, x, y, mx, my, box):
+        """A move (mx, my) from (x, y) at z = 0 enters the box exactly where
+        the 2-D footprint slab test on the move vector says it does."""
+        overlap = segment_box_overlap((x, y, 0.0), (mx, my, 0.0), box)
+        want = reference_footprint_entry(x, y, mx, my, box)
+        assert repr(None if overlap is None else overlap[0]) == repr(want)
 
     def test_obstacle_validation(self):
         with pytest.raises(ValueError):

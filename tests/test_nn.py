@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from camtrack import nn
 from camtrack.controllers import PoseMessage
 from camtrack.geometry import CameraPose
+from camtrack.rng import RngStream
 
 
 def rand_params(rng, scale=0.5):
@@ -285,6 +286,25 @@ class TestBatchedBackward:
         u = rng.uniform(0.0, 1.0, 200)
         batch = nn.sample_action(probs, u)
         assert [nn.sample_action(p, x) for p, x in zip(probs, u)] == batch.tolist()
+
+
+class TestSampleAction:
+    @pytest.mark.parametrize("weights", [
+        [1.0] * 11,
+        [8.0, 0.5, 0.5, 4.0, 0.5, 0.5, 2.0, 0.5, 0.5, 1.0, 3.0],
+    ], ids=["uniform", "skewed"])
+    def test_sample_follows_distribution(self, weights):
+        """22,000 draws with rng-stream uniforms, the sampler's uniforms in
+        training: every action's frequency is within 4.5 standard errors of
+        its probability."""
+        probs = np.array(weights) / sum(weights)
+        rng = RngStream(5, 0)
+        n = 22_000
+        draws = nn.sample_action(np.broadcast_to(probs, (n, 11)),
+                                 np.array([rng.random() for _ in range(n)]))
+        freq = np.bincount(draws, minlength=11) / n
+        stderr = np.sqrt(probs * (1.0 - probs) / n)
+        assert np.all(np.abs(freq - probs) <= 4.5 * stderr), (freq, probs)
 
 
 class TestComputeReturns:

@@ -333,6 +333,46 @@ class TestCli:
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_exits_two(self, command, seed, tmp_path,
+                                         capsys, monkeypatch):
+        import camtrack.cli
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(camtrack.cli, "run_episode", no_episode)
+        args = {"eval": ["eval", "--controller", "sv"],
+                "rollout": ["rollout", "--out", str(tmp_path / "o.jsonl")]}[command]
+        assert cli_main(args + ["--seed", str(seed)]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_eval_last_episode_seed_out_of_range_exits_two(self, capsys,
+                                                          monkeypatch):
+        import camtrack.cli
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(camtrack.cli, "run_episode", no_episode)
+        code = cli_main(["eval", "--controller", "sv", "--seed", str(2 ** 64 - 1),
+                         "--episodes", "2"])
+        assert code == 2
+        assert "--episodes" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        assert cli_main(["eval", "--controller", "sv", "--seed", str(2 ** 64 - 1),
+                         "--episodes", "1"]) == 0
+        assert cli_main(["rollout", "--controller", "sv", "--seed", str(2 ** 64 - 1),
+                         "--out", str(tmp_path / "o.jsonl")]) == 0
+
+    def test_train_seed_range_is_the_same_check(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ConfigError, match="unsigned 64-bit"):
+                TrainConfig(seed=seed).validate()
+        TrainConfig(seed=2 ** 64 - 1).validate()
+
     def test_rollout_writes_jsonl(self, tmp_path, capsys):
         out = tmp_path / "ep.jsonl"
         assert cli_main(["rollout", "--seed", "3", "--out", str(out)]) == 0

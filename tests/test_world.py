@@ -1,12 +1,17 @@
 """World: episode randomization, target motion, transitions and rewards."""
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from camtrack import nn
 from camtrack.config import ConfigError, EpisodeConfig
+from camtrack.evaluate import run_episode
 from camtrack.geometry import CameraPose, Obstacle, bearing_to, in_fov, wrap_angle
+from camtrack.io import write_episode_log
 from camtrack.world import (
     Action,
     TargetState,
@@ -326,3 +331,55 @@ class TestStep:
             return trail
 
         assert run() == run()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+@st.composite
+def episode_configs(draw):
+    """Valid EpisodeConfigs whose obstacles still leave room to walk."""
+    def pair(lo_min, lo_max, width_max):
+        lo = draw(st.floats(lo_min, lo_max))
+        return lo, lo + draw(st.floats(0.01, width_max))
+
+    return EpisodeConfig(
+        arena_half=draw(st.floats(5.0, 20.0)),
+        n_cameras=draw(st.integers(2, 8)),
+        n_obstacles=draw(st.integers(0, 15)),
+        obstacle_size_range=pair(0.1, 3.0, 3.0),
+        obstacle_height_range=pair(0.1, 3.0, 2.0),
+        target_speed_range=pair(0.01, 0.3, 0.3),
+        camera_height_range=pair(0.5, 4.0, 2.0))
+
+
+class TestEpisodeProperties:
+    """Random seeds, configs, controllers and switchers, 200 steps each."""
+
+    PARAMS = nn.init_params(3)
+
+    @settings(max_examples=12, deadline=None)
+    @given(episode_configs(), st.integers(0, 2 ** 64 - 1),
+           st.sampled_from(["virtual", "sv", "geometric", "learned"]),
+           st.sampled_from(["oracle", "random:0.5", "noisy:0.2"]))
+    def test_episode_invariants(self, tmp_path_factory, cfg, seed, controller,
+                                switcher):
+        obstacles = spawn_episode(cfg, seed).obstacles
+        records = run_episode(cfg, controller, switcher, params=self.PARAMS,
+                              seed=seed, steps=200)
+        for rec in records:
+            x, y, _ = rec.target
+            for box in obstacles:
+                assert not (box.min_x < x < box.max_x and box.min_y < y < box.max_y), \
+                    f"target entered a footprint at t={rec.t}"
+            for pose in rec.poses:
+                pose.validate()
+            assert all(-1.0 <= r <= 1.0 for r in rec.rewards)
+
+        path = tmp_path_factory.mktemp("log") / "episode.jsonl"
+        write_episode_log(records, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(records)
+        for line in lines:
+            json.loads(line, parse_constant=_reject_constant)
