@@ -487,9 +487,9 @@ class TestSystemAction:
 
     @pytest.mark.parametrize("kind", ["geometric", "learned"])
     def test_per_step_equals_per_camera_rule(self, kind):
-        """Random steps of 2-6 cameras with every label pattern, the
-        geometric memories carried across steps: the per-step system gives
-        each camera the action the per-camera rule gives it."""
+        """300 random steps of 4 cameras with random labels, the geometric
+        memories carried across steps: the per-step system gives each camera
+        the action the per-camera rule gives it, and leaves the same memory."""
         rng = np.random.default_rng(53)
         params = rand_params(rng)
         n_cams = 4
