@@ -19,6 +19,13 @@ class ConfigError(ValueError):
 # the (lo, hi) pairs of EpisodeConfig, in declaration order
 _RANGE_KEYS = ("obstacle_size_range", "obstacle_height_range",
                "target_speed_range", "camera_height_range")
+# physical upper bounds of the range keys: heights in m, speed in m per step
+# (obstacle sizes are bounded by the arena instead)
+_RANGE_MAX = {"obstacle_height_range": 20.0, "target_speed_range": 1.0,
+              "camera_height_range": 20.0}
+# the smallest p_pose: it caps the expected env-steps per pose transition
+# of training, which runs until it has collected total_steps of them
+MIN_P_POSE = 0.01
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -61,6 +68,9 @@ class EpisodeConfig:
             lo, hi = getattr(self, key)
             if not (0.0 < lo < hi):
                 raise ConfigError(f"{key} must satisfy 0 < lo < hi, got ({lo}, {hi})")
+            if key in _RANGE_MAX and hi > _RANGE_MAX[key]:
+                raise ConfigError(f"{key} upper bound must be at most "
+                                  f"{_RANGE_MAX[key]}, got {hi}")
         if self.obstacle_size_range[1] >= 2.0 * self.arena_half:
             raise ConfigError("obstacle_size_range upper bound does not fit in the arena")
 
@@ -96,8 +106,8 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.total_steps < 0:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
-        if not 0.0 <= self.p_pose <= 1.0:
-            raise ConfigError(f"p_pose must be in [0, 1], got {self.p_pose}")
+        if not MIN_P_POSE <= self.p_pose <= 1.0:
+            raise ConfigError(f"p_pose must be in [{MIN_P_POSE}, 1], got {self.p_pose}")
         check_seed("seed", self.seed)
 
 

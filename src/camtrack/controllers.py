@@ -14,6 +14,10 @@ Switchers produce the per-camera binary label (1 = tracking trusted) that
 system_action uses to choose between the tracker and a pose controller. The
 pose controllers read the poses all cameras share, so system_action runs
 them once per step.
+
+batch_tracker_action, batch_triangulate and batch_system_action are the same
+rules over the (E, C) arrays of a world.BatchState; their actions equal the
+scalar functions' bit for bit.
 """
 from __future__ import annotations
 
@@ -29,7 +33,11 @@ from .geometry import (
     ZOOM_MIN,
     CameraPose,
     bearing_to,
+    bearings,
+    clamp_pitch,
+    clamp_zoom,
     wrap_angle,
+    wrap_angles,
 )
 from .rng import RngStream
 from .world import (
@@ -41,8 +49,11 @@ from .world import (
     ZOOM_ERROR_NORM,
     ZOOM_STEP,
     Action,
+    BatchOutcome,
+    BatchState,
     Visibility,
     desired_zoom,
+    desired_zooms,
 )
 
 TRIANGULATION_MAX_CONDITION = 1e6
@@ -56,6 +67,7 @@ _ZOOM_DELTAS = (0.0, ZOOM_STEP, -ZOOM_STEP)
 _ACTION_TERMS = tuple((_PITCH_DELTAS.index(dp), _YAW_DELTAS.index(dy),
                        _ZOOM_DELTAS.index(dz)) for dp, dy, dz in ACTION_DELTAS)
 _ACTIONS = tuple(Action)
+_TERMS = np.array(_ACTION_TERMS).T  # (3, 11): pitch, yaw and zoom term indices
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +192,14 @@ def geometric_pose_action(pose: CameraPose, result: TriangulationResult,
     return virtual_tracker_action(pose, (point[0], point[1], TARGET_MID_HEIGHT))
 
 
+def _greedy(params: nn.PolicyParams, raws: np.ndarray) -> np.ndarray:
+    """Greedy action indices of the label-0 cameras of one step's (1, C, 7)
+    pose tuples, in camera order."""
+    group, cam = np.nonzero(raws[:, :, 6] == 0.0)
+    logits, _, _ = nn.group_forward(params, raws, group, cam)
+    return np.argmax(nn.log_softmax(logits), axis=-1)
+
+
 def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
                         arena_half: float) -> list[Action]:
     """Greedy actions of the label-0 cameras, in camera order.
@@ -189,9 +209,7 @@ def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
     log-probabilities (lowest index on ties).
     """
     raws = nn.raw_tuples([messages], arena_half)
-    group, cam = np.nonzero(raws[:, :, 6] == 0.0)
-    logits, _, _ = nn.group_forward(params, raws, group, cam)
-    return [_ACTIONS[i] for i in np.argmax(nn.log_softmax(logits), axis=-1).tolist()]
+    return [_ACTIONS[i] for i in _greedy(params, raws).tolist()]
 
 
 def oracle_switch(vis: Visibility) -> int:
@@ -249,3 +267,124 @@ def system_action(target: tuple[float, float, float],
     pose_iter = iter(pose_actions)
     return [next(pose_iter) if msg.label == 0
             else virtual_tracker_action(msg.pose, target) for msg in messages]
+
+
+def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
+                         bearing_pitch: np.ndarray, bearing_yaw: np.ndarray,
+                         distance: np.ndarray) -> np.ndarray:
+    """virtual_tracker_action for every camera of a batch: poses and the
+    bearing and distance to each camera's target, all of one shape, give
+    action indices of that shape. Same terms, same left-to-right sums, and
+    np.argmin keeps the first of equal scores."""
+    pitch_terms = np.abs(clamp_pitch(pitch[..., None] + _PITCH_DELTAS)
+                         - bearing_pitch[..., None]) / ALPHA_MAX_DEG
+    yaw_terms = np.abs(wrap_angles(yaw[..., None] + _YAW_DELTAS
+                                   - bearing_yaw[..., None])) / BETA_MAX_DEG
+    zoom_terms = np.abs(clamp_zoom(zoom[..., None] + _ZOOM_DELTAS)
+                        - desired_zooms(distance)[..., None]) / ZOOM_ERROR_NORM
+    scores = (pitch_terms[..., _TERMS[0]] + yaw_terms[..., _TERMS[1]]
+              + zoom_terms[..., _TERMS[2]])
+    return np.argmin(scores, axis=-1)
+
+
+def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """triangulate for K steps at once: camera origins (K, C, 3+), yaws and
+    contributor flags (K, C) -> estimates (K, 2) and success flags (K,);
+    failed rows of the estimate are NaN.
+
+    The normal equations are summed one camera at a time in camera order,
+    as triangulate sums them, and the successful rows share one stacked
+    solve."""
+    # cos and sin with math, one element at a time: numpy's may round differently
+    rad = [math.radians(a) for a in yaw.ravel().tolist()]
+    cos = np.array(list(map(math.cos, rad))).reshape(yaw.shape)
+    sin = np.array(list(map(math.sin, rad))).reshape(yaw.shape)
+    a00 = 1.0 - cos * cos
+    a01 = -cos * sin
+    a11 = 1.0 - sin * sin
+    x, y = origin[..., 0], origin[..., 1]
+    terms = np.stack([a00, a01, a11, a00 * x + a01 * y, a01 * x + a11 * y], axis=-1)
+    terms = np.where(contributes[..., None], terms, 0.0)
+    sums = np.zeros((yaw.shape[0], 5))
+    for c in range(yaw.shape[1]):
+        sums += terms[:, c]
+    m00, m01, m11 = sums[:, 0], sums[:, 1], sums[:, 2]
+    det = m00 * m11 - m01 * m01
+    l_max = 0.5 * (m00 + m11) + np.array(
+        list(map(math.hypot, (0.5 * (m00 - m11)).tolist(), m01.tolist())))
+    condition = np.divide(l_max * l_max, det, out=np.full(det.shape, math.inf),
+                          where=det > 0.0)
+    ok = (contributes.sum(axis=1) >= 2) & (condition <= TRIANGULATION_MAX_CONDITION)
+    estimate = np.full((yaw.shape[0], 2), np.nan)
+    if ok.any():
+        normal = sums[ok][:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+        estimate[ok] = np.linalg.solve(normal, sums[ok][:, 3:, None])[..., 0]
+    return estimate, ok
+
+
+@dataclass(slots=True)
+class BatchMemory:
+    """The GeometricMemory of every camera of a batch: the last successful
+    estimate (E, C, 2), and whether there is one (E, C)."""
+
+    estimate: np.ndarray
+    known: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple[int, int]) -> "BatchMemory":
+        return cls(np.zeros(shape + (2,)), np.zeros(shape, dtype=bool))
+
+
+def batch_system_action(state: BatchState, outcome: BatchOutcome,
+                        labels: np.ndarray, kind: str,
+                        params: nn.PolicyParams | None = None,
+                        memory: BatchMemory | None = None) -> np.ndarray:
+    """system_action for every episode of a batch -> (E, C) action indices.
+
+    outcome is the latest observation of state, whose bearings and
+    distances the label-1 cameras' tracker reuses. geometric triangulates
+    every episode that has a label-0 camera; learned runs one forward per
+    such episode, since one forward over all of them would round
+    differently."""
+    pose = labels == 0
+    envs = np.flatnonzero(pose.any(axis=1))
+    b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
+                                outcome.distance)
+    if kind == "geometric":
+        if memory is None:
+            raise ValueError("geometric controller needs a BatchMemory")
+        if envs.size:
+            estimate, ok = batch_triangulate(state.origin[envs], state.yaw[envs],
+                                             labels[envs] == 1)
+            update = pose[envs] & ok[:, None]
+            memory.estimate[envs] = np.where(update[..., None], estimate[:, None, :],
+                                             memory.estimate[envs])
+            memory.known[envs] |= update
+        aim = pose & memory.known
+        if aim.any():
+            # label-0 cameras aim at their estimate, at the target's mid-height
+            origin = state.origin[aim]
+            points = np.empty_like(origin)
+            points[:, :2] = memory.estimate[aim]
+            points[:, 2] = TARGET_MID_HEIGHT
+            b_pitch, b_yaw, distance = b_pitch.copy(), b_yaw.copy(), distance.copy()
+            b_pitch[aim], b_yaw[aim] = bearings(points - origin)
+            distance[aim] = list(map(math.dist, origin.tolist(), points.tolist()))
+        actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
+                                       b_pitch, b_yaw, distance)
+        actions[pose & ~memory.known] = Action.KEEP_STILL
+    elif kind == "learned":
+        if params is None:
+            raise ValueError("learned controller needs params")
+        actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
+                                       b_pitch, b_yaw, distance)
+        for e in envs.tolist():
+            one = slice(e, e + 1)
+            raws = nn.pose_tuples(state.origin[one], state.pitch[one],
+                                  state.yaw[one], labels[one],
+                                  state.envs[e].arena_half)
+            actions[e, pose[e]] = _greedy(params, raws)
+    else:
+        raise ValueError(f"unknown pose controller kind {kind!r}")
+    return actions

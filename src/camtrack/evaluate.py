@@ -1,15 +1,26 @@
 """Episode rollout under a chosen controller/switcher pair, tracking metrics,
-and paired multi-seed system comparisons."""
+and paired multi-seed system comparisons.
+
+run_episode rolls one episode and records every step; it serves eval,
+rollout and the JSONL logs. compare_systems steps all of a system's seeds in
+lockstep through run_lockstep, which keeps only what the metrics need; at
+one episode the scalar path is the faster one.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import nn
 from .config import ConfigError, EpisodeConfig
 from .controllers import (
+    BatchMemory,
     GeometricMemory,
     PoseMessage,
+    batch_system_action,
+    batch_tracker_action,
     noisy_switch,
     oracle_switch,
     random_switch,
@@ -19,7 +30,19 @@ from .controllers import (
 )
 from .geometry import CameraPose
 from .rng import RngStream
-from .world import Visibility, spawn_episode, step, visibility_of
+from .world import (
+    VIS_OUT_OF_VIEW,
+    VIS_VISIBLE,
+    VISIBILITIES,
+    Action,
+    Visibility,
+    batch_observe,
+    batch_step,
+    batch_world,
+    spawn_episode,
+    step,
+    visibility_of,
+)
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
 DEFAULT_EPISODE_STEPS = 500
@@ -193,28 +216,81 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
+                 switcher: str = "oracle", params: nn.PolicyParams | None = None,
+                 steps: int = DEFAULT_EPISODE_STEPS) -> tuple[np.ndarray, np.ndarray]:
+    """Roll one episode per seed in lockstep, as run_episode would roll each.
+
+    Returns each step's pose error (d_alpha + d_beta) / 2 and whether the
+    target is in view, both (steps, episodes, cameras). Each episode keeps
+    its own rng streams in run_episode's draw order, so its values equal
+    run_episode's records bit for bit."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}")
+    if controller == "learned" and params is None:
+        raise ValueError("the learned controller requires policy params")
+    switch_kind, switch_arg = parse_switcher(switcher)
+
+    state = batch_world([spawn_episode(config, seed) for seed in seeds])
+    switch_rngs = [RngStream(seed, 1) for seed in seeds]
+    n_cams = config.n_cameras
+    memory = BatchMemory.empty(state.pitch.shape)
+    error = np.empty((steps,) + state.pitch.shape)
+    in_view = np.empty((steps,) + state.pitch.shape, dtype=bool)
+    outcome = batch_observe(state)
+    for t in range(steps):
+        vis = outcome.visibility
+        if switch_kind == "oracle":
+            labels = (vis == VIS_VISIBLE).astype(int)
+        elif switch_kind == "random":
+            labels = np.array([[random_switch(rng, switch_arg) for _ in range(n_cams)]
+                               for rng in switch_rngs])
+        else:
+            labels = np.array([[noisy_switch(VISIBILITIES[v], rng, switch_arg)
+                                for v in row]
+                               for rng, row in zip(switch_rngs, vis.tolist())])
+
+        if controller in ("virtual", "sv"):
+            actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
+                                           outcome.bearing_pitch,
+                                           outcome.bearing_yaw, outcome.distance)
+            if controller == "sv":
+                actions[vis != VIS_VISIBLE] = Action.KEEP_STILL
+        else:
+            actions = batch_system_action(state, outcome, labels, controller,
+                                          params=params, memory=memory)
+
+        outcome = batch_step(state, actions)
+        error[t] = (outcome.d_alpha + outcome.d_beta) * 0.5
+        in_view[t] = outcome.visibility != VIS_OUT_OF_VIEW
+    return error, in_view
+
+
 def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
                     steps: int = DEFAULT_EPISODE_STEPS,
                     params: nn.PolicyParams | None = None,
-                    switcher: str = "oracle", base_seed: int = 0,
-                    burn_in: int = 0) -> list[SystemSummary]:
+                    switcher: str = "oracle", base_seed: int = 0
+                    ) -> list[SystemSummary]:
     """Run every system on the same seeds and summarize both metrics.
 
-    Pairing the seeds removes layout variance from the comparison. burn_in
-    steps at the start of each episode are excluded from the metrics.
+    Pairing the seeds removes layout variance from the comparison. Each
+    system's episodes run in lockstep; the per-episode metrics are those of
+    per_camera_mean_error and per_camera_success_rate on run_episode's
+    records, exactly rounded over time the same way.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if steps < 1:
+        raise ValueError("metrics need at least one step record")
+    seeds = list(range(base_seed, base_seed + n_seeds))
     summaries = []
     for name in systems:
-        episode_me: list[list[float]] = []
-        episode_sr: list[list[float]] = []
-        for k in range(n_seeds):
-            records = run_episode(config, name, switcher=switcher, params=params,
-                                  seed=base_seed + k, steps=steps)
-            body = records[burn_in:]
-            episode_me.append(per_camera_mean_error(body))
-            episode_sr.append(per_camera_success_rate(body))
+        error, in_view = run_lockstep(config, name, seeds, switcher=switcher,
+                                      params=params, steps=steps)
+        episode_me = [[math.fsum(per_step) / steps for per_step in episode]
+                      for episode in error.transpose(1, 2, 0).tolist()]
+        episode_sr = [[count / steps for count in episode]
+                      for episode in in_view.sum(axis=0).tolist()]
         n_cams = config.n_cameras
         per_cam_me = [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)]
         per_cam_sr = [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)]

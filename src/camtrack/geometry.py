@@ -2,12 +2,15 @@
 
 All angles are degrees. Yaw is measured counterclockwise from +x in the
 ground plane and kept in (-180, 180]; pitch is positive upward. Everything
-here is a pure function of its inputs.
+here is a pure function of its inputs. The array helpers at the end serve
+the lockstep world; each equals its scalar counterpart bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 PITCH_LIMIT_DEG = 60.0
 ZOOM_MIN = 1.0
@@ -185,3 +188,35 @@ def segment_hits_box(p0: tuple[float, float, float],
     """True when the closed segment p0->p1 intersects the box (touching counts)."""
     return segment_box_overlap(
         p0, (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), box) is not None
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle over an array: np.mod rounds exactly like Python's %."""
+    r = np.mod(a, 360.0)
+    return np.where(r > 180.0, r - 360.0, r)
+
+
+def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bearing_to over an array of target-minus-origin vectors (..., 3) ->
+    (pitch, yaw) arrays; raises for coincident points. hypot and atan2 are
+    taken with math, one element at a time, because numpy's round
+    differently; the degree conversion is one multiplication in both."""
+    if not delta.any(axis=-1).all():
+        raise ValueError("bearing undefined for coincident points")
+    dx, dy, dz = (delta[..., i].ravel().tolist() for i in range(3))
+    horizontal = list(map(math.hypot, dx, dy))
+    shape = delta.shape[:-1]
+    yaw = np.degrees(np.array(list(map(math.atan2, dy, dx)))).reshape(shape)
+    pitch = np.degrees(np.array(list(map(math.atan2, dz, horizontal)))).reshape(shape)
+    return pitch, wrap_angles(yaw)
+
+
+def clamp_pitch(pitch: np.ndarray) -> np.ndarray:
+    """Pitch clamped to [-PITCH_LIMIT_DEG, PITCH_LIMIT_DEG]."""
+    return np.minimum(np.maximum(pitch, -PITCH_LIMIT_DEG), PITCH_LIMIT_DEG)
+
+
+def clamp_zoom(zoom: np.ndarray) -> np.ndarray:
+    """Zoom clamped to [ZOOM_MIN, ZOOM_MAX]."""
+    return np.minimum(np.maximum(zoom, ZOOM_MIN), ZOOM_MAX)
+

@@ -114,20 +114,27 @@ class ForwardCache:
     group: np.ndarray | None = None
 
 
+def _pose_tuple(origin, pitch: float, yaw: float, label, arena_half: float) -> tuple:
+    yaw = math.radians(yaw)
+    return (origin[0] / arena_half, origin[1] / arena_half, origin[2] / 3.0,
+            math.sin(yaw), math.cos(yaw), pitch / 60.0, float(label))
+
+
+def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
+                labels: np.ndarray, arena_half: float) -> np.ndarray:
+    """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples (..., 7)
+    of camera origins (..., 3), pitches, yaws and labels (...)."""
+    rows = zip(origin.reshape(-1, 3).tolist(), pitch.ravel().tolist(),
+               yaw.ravel().tolist(), labels.ravel().tolist())
+    return np.array([_pose_tuple(o, p, y, g, arena_half) for o, p, y, g in rows],
+                    dtype=float).reshape(pitch.shape + (RAW_SIZE,))
+
+
 def raw_tuples(groups, arena_half: float) -> np.ndarray:
-    """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples, shape
-    (G, C, 7), of G groups of C pose messages each."""
-    rows = []
-    for messages in groups:
-        row = []
-        for msg in messages:
-            p = msg.pose
-            yaw = math.radians(p.yaw_deg)
-            row.append((p.x / arena_half, p.y / arena_half, p.z / 3.0,
-                        math.sin(yaw), math.cos(yaw), p.pitch_deg / 60.0,
-                        float(msg.label)))
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    """pose_tuples of G groups of C pose messages each -> (G, C, 7)."""
+    return np.array([[_pose_tuple((m.pose.x, m.pose.y, m.pose.z), m.pose.pitch_deg,
+                                  m.pose.yaw_deg, m.label, arena_half)
+                      for m in messages] for messages in groups], dtype=float)
 
 
 def encode(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import ConfigError, EpisodeConfig, TrainConfig
-from .controllers import PoseMessage, random_switch, virtual_tracker_action
+from .config import EpisodeConfig, TrainConfig
+from .controllers import batch_tracker_action, random_switch
 from .evaluate import DEFAULT_EPISODE_STEPS
 from .rng import RngStream
-from .world import Action, spawn_episode, step
+from .world import batch_observe, batch_reset, batch_step, batch_world, spawn_episode
 
 
 @dataclass
@@ -58,12 +58,6 @@ def _draw_labels(rng: RngStream, n_cams: int, p_pose: float) -> list[int]:
     return [random_switch(rng, p_pose) for _ in range(n_cams)]
 
 
-def _raws(worlds, labels, arena_half: float) -> np.ndarray:
-    return nn.raw_tuples([[PoseMessage(i, cam, lab)
-                           for i, (cam, lab) in enumerate(zip(w.cameras, labs))]
-                          for w, labs in zip(worlds, labels)], arena_half)
-
-
 def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                           ) -> tuple[nn.PolicyParams, list[UpdateStats]]:
     """Train the pose policy; returns the final parameters and per-update log.
@@ -72,17 +66,16 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     the action sampler own fixed derived rng streams, and updates are applied
     sequentially.
 
-    Each rollout step embeds all environments' pose tuples at once and runs
-    one policy forward over the label-0 cameras. The window keeps only the
-    tuples, actions and rewards; the update recomputes the forward one
-    rollout step at a time and adds one batched backward per step into the
-    window's gradient.
+    The environments step in lockstep through world.batch_step. Each
+    rollout step builds all environments' pose tuples from the pose arrays
+    at once and runs one policy forward over the label-0 cameras; the
+    label-1 cameras' tracker reuses the bearings the previous step returned.
+    The window keeps only the tuples, actions and rewards; the update
+    recomputes the forward one rollout step at a time and adds one batched
+    backward per step into the window's gradient.
     """
     train_cfg.validate()
     episode_cfg.validate()
-    if train_cfg.total_steps > 0 and train_cfg.p_pose <= 0.0:
-        raise ConfigError("p_pose must be positive, otherwise no pose-controller "
-                          "steps are ever collected")
 
     params = nn.init_params(train_cfg.seed)
     n_envs = train_cfg.n_envs
@@ -92,7 +85,9 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
 
     reseed = [RngStream(train_cfg.seed, 1000 + e) for e in range(n_envs)]
     agent_rng = [RngStream(train_cfg.seed, 2000 + e) for e in range(n_envs)]
-    worlds = [spawn_episode(episode_cfg, reseed[e].next_u64()) for e in range(n_envs)]
+    state = batch_world([spawn_episode(episode_cfg, reseed[e].next_u64())
+                         for e in range(n_envs)])
+    outcome = batch_observe(state)
     # labels pre-drawn at the previous window's bootstrap, if any
     pending_labels: list[list[int] | None] = [None] * n_envs
 
@@ -106,29 +101,31 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
         for k in range(train_cfg.rollout_len):
             # each env's stream draws its labels, then one uniform per label-0
             # camera in camera order
-            labels = [pending_labels[e] or _draw_labels(agent_rng[e], n_cams, p_pose)
-                      for e in range(n_envs)]
+            labels = np.array([pending_labels[e]
+                               or _draw_labels(agent_rng[e], n_cams, p_pose)
+                               for e in range(n_envs)])
             pending_labels = [None] * n_envs
-            raws = _raws(worlds, labels, arena_half)
-            env, cam = np.nonzero(raws[:, :, 6] == 0.0)
+            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
+                                  arena_half)
+            env, cam = np.nonzero(labels == 0)
             logits, _, _ = nn.group_forward(params, raws, env, cam)
             u = [agent_rng[e].random() for e in env.tolist()]
             sampled = nn.sample_action(np.exp(nn.log_softmax(logits)), np.array(u))
 
-            rewards = np.empty((n_envs, n_cams))
-            pose_actions = iter(sampled.tolist())
-            for e, world in enumerate(worlds):
-                target_point = world.target.point()
-                actions = [virtual_tracker_action(world.cameras[i], target_point)
-                           if labels[e][i] == 1 else Action(next(pose_actions))
-                           for i in range(n_cams)]
-                outcome = step(world, actions)
-                worlds[e] = outcome.state
-                rewards[e] = outcome.reward
-                if outcome.state.t >= DEFAULT_EPISODE_STEPS:
-                    worlds[e] = spawn_episode(episode_cfg, reseed[e].next_u64())
+            # label-1 cameras track the target, label-0 cameras take the sample
+            actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
+                                           outcome.bearing_pitch, outcome.bearing_yaw,
+                                           outcome.distance)
+            actions[env, cam] = sampled
+            outcome = batch_step(state, actions)
+            window.append(_RolloutStep(raws, env, cam, sampled, outcome.reward))
+            for e, world in enumerate(state.envs):
+                if world.t >= DEFAULT_EPISODE_STEPS:
+                    batch_reset(state, e, spawn_episode(episode_cfg,
+                                                        reseed[e].next_u64()))
                     done[k, e] = True
-            window.append(_RolloutStep(raws, env, cam, sampled, rewards))
+            if done[k].any():
+                outcome = batch_observe(state)
         env_steps += train_cfg.rollout_len * n_envs
 
         # bootstrap with the value of the actual next observation (its labels
@@ -141,9 +138,11 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                 pending_labels[e] = _draw_labels(agent_rng[e], n_cams, p_pose)
                 live.append(e)
         if live:
-            features, _ = nn.encode(params, _raws([worlds[e] for e in live],
-                                                  [pending_labels[e] for e in live],
-                                                  arena_half))
+            raws = nn.pose_tuples(state.origin[live], state.pitch[live],
+                                  state.yaw[live],
+                                  np.array([pending_labels[e] for e in live]),
+                                  arena_half)
+            features, _ = nn.encode(params, raws)
             bootstrap[live] = nn.forward(params, features)[1]
         returns = nn.compute_returns(np.array([s.rewards for s in window]),
                                      bootstrap, train_cfg.gamma,

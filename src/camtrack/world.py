@@ -3,6 +3,10 @@
 The world is purely numerical: cameras are poses, the target is a point at
 mid-height, obstacles are boxes. Cameras never move, they only rotate and
 zoom; one discrete action per camera is applied per step.
+
+step advances one episode. batch_step advances E episodes in lockstep, with
+the camera poses, sight lines and rewards held as (E, C) arrays; it equals E
+step calls bit for bit, but costs more than step for a single episode.
 """
 from __future__ import annotations
 
@@ -10,18 +14,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
+import numpy as np
+
 from .config import ConfigError, EpisodeConfig
 from .geometry import (
+    BASE_H_FOV_DEG,
+    BASE_V_FOV_DEG,
     CameraPose,
     Obstacle,
     PITCH_LIMIT_DEG,
     ZOOM_MAX,
     ZOOM_MIN,
     angle_error,
+    bearings,
+    clamp_pitch,
+    clamp_zoom,
     effective_fov,
     segment_box_overlap,
     segment_hits_box,
     wrap_angle,
+    wrap_angles,
 )
 from .rng import RngStream
 
@@ -332,3 +344,147 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
         d_xis.append(d_xi)
 
     return StepOutcome(nxt, visibility, reward, d_alphas, d_betas, d_xis)
+
+
+# The array world's visibility codes: VISIBILITIES[code] is the Visibility.
+VIS_VISIBLE, VIS_OCCLUDED, VIS_OUT_OF_VIEW = range(3)
+VISIBILITIES = (Visibility.VISIBLE, Visibility.OCCLUDED, Visibility.OUT_OF_VIEW)
+_DELTA_ARRAY = np.array(ACTION_DELTAS)
+
+
+@dataclass(slots=True)
+class BatchState:
+    """E episodes of C cameras and O obstacles, stepped in lockstep.
+
+    The camera poses are arrays. envs[e] holds episode e's target,
+    obstacles, rng and t; its cameras list is empty. box_lo and box_hi are
+    every obstacle's lower and upper corner minus every camera's origin,
+    (E, C, O, 3): the subtractions the slab test makes, done once per
+    episode because the cameras never move."""
+
+    envs: list[WorldState]
+    origin: np.ndarray   # (E, C, 3)
+    pitch: np.ndarray    # (E, C)
+    yaw: np.ndarray      # (E, C)
+    zoom: np.ndarray     # (E, C)
+    box_lo: np.ndarray   # (E, C, O, 3)
+    box_hi: np.ndarray   # (E, C, O, 3)
+
+
+@dataclass(slots=True)
+class BatchOutcome:
+    """StepOutcome's per-camera quantities as (E, C) arrays, plus each
+    camera's bearing and distance to its episode's target, which the next
+    step's tracker reuses. visibility holds VIS_* codes."""
+
+    visibility: np.ndarray
+    reward: np.ndarray
+    d_alpha: np.ndarray
+    d_beta: np.ndarray
+    d_xi: np.ndarray
+    bearing_pitch: np.ndarray
+    bearing_yaw: np.ndarray
+    distance: np.ndarray
+
+
+def desired_zooms(distance: np.ndarray) -> np.ndarray:
+    """desired_zoom over an array of distances."""
+    return clamp_zoom(distance / ZOOM_DISTANCE_SCALE)
+
+
+def batch_world(worlds: list[WorldState]) -> BatchState:
+    """Lockstep state of the given episodes (from spawn_episode), which must
+    share their camera and obstacle counts."""
+    n_cams = len(worlds[0].cameras)
+    n_obs = len(worlds[0].obstacles)
+    if any(len(w.cameras) != n_cams or len(w.obstacles) != n_obs for w in worlds):
+        raise ValueError("lockstep episodes need equal camera and obstacle counts")
+    shape = (len(worlds), n_cams)
+    state = BatchState([None] * len(worlds), np.empty(shape + (3,)), np.empty(shape),
+                       np.empty(shape), np.empty(shape),
+                       np.empty(shape + (n_obs, 3)), np.empty(shape + (n_obs, 3)))
+    for e, world in enumerate(worlds):
+        batch_reset(state, e, world)
+    return state
+
+
+def batch_reset(state: BatchState, e: int, world: WorldState) -> None:
+    """Replace episode e of the batch by world, a fresh episode."""
+    cams = world.cameras
+    state.origin[e] = [(c.x, c.y, c.z) for c in cams]
+    state.pitch[e] = [c.pitch_deg for c in cams]
+    state.yaw[e] = [c.yaw_deg for c in cams]
+    state.zoom[e] = [c.zoom for c in cams]
+    lo = np.array([(b.min_x, b.min_y, 0.0) for b in world.obstacles]).reshape(-1, 3)
+    hi = np.array([(b.max_x, b.max_y, b.height) for b in world.obstacles]).reshape(-1, 3)
+    origin = state.origin[e][:, None, :]
+    state.box_lo[e] = lo - origin
+    state.box_hi[e] = hi - origin
+    state.envs[e] = WorldState([], world.target, world.obstacles, world.t,
+                               world.arena_half, world.speed_range, world.rng)
+
+
+def batch_observe(state: BatchState) -> BatchOutcome:
+    """Score every camera on the current state, as step does on the state it
+    returns: angle errors, visibility (field of view first, then one slab
+    test per obstacle along the sight line) and the clipped reward."""
+    n_cams = state.pitch.shape[1]
+    targets = [env.target.point() for env in state.envs]
+    direction = np.array(targets)[:, None, :] - state.origin
+    b_pitch, b_yaw = bearings(direction)
+    distance = np.array(list(map(
+        math.dist, state.origin.reshape(-1, 3).tolist(),
+        [tp for tp in targets for _ in range(n_cams)]))).reshape(state.pitch.shape)
+
+    d_alpha = np.abs(state.pitch - b_pitch)
+    d_beta = np.abs(wrap_angles(state.yaw - b_yaw))
+    d_xi = np.abs(state.zoom - desired_zooms(distance))
+    out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
+           | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
+
+    # The slab test of segment_box_overlap over all sight lines and boxes. A
+    # slab whose direction component is 0 passes exactly when the origin
+    # lies within it (box_lo <= 0 <= box_hi), and sets no bound on t.
+    flat = direction == 0.0
+    inv = np.divide(1.0, direction, out=np.zeros_like(direction), where=~flat)
+    t0 = state.box_lo * inv[:, :, None, :]
+    t1 = state.box_hi * inv[:, :, None, :]
+    near = np.minimum(t0, t1)
+    far = np.maximum(t0, t1)
+    if flat.any():
+        flat = flat[:, :, None, :]
+        inside = (state.box_lo <= 0.0) & (state.box_hi >= 0.0)
+        near = np.where(flat, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(flat, np.where(inside, np.inf, -np.inf), far)
+    hits = np.maximum(near.max(axis=-1), 0.0) <= np.minimum(far.min(axis=-1), 1.0)
+    occluded = hits.any(axis=-1)
+
+    visibility = np.where(out, VIS_OUT_OF_VIEW,
+                          np.where(occluded, VIS_OCCLUDED, VIS_VISIBLE))
+    # direction_reward + zoom_reward, clipped
+    tracked = ((1.0 - d_alpha / ALPHA_MAX_DEG - d_beta / BETA_MAX_DEG)
+               + (1.0 - d_xi / ZOOM_ERROR_NORM))
+    reward = np.where(visibility == VIS_VISIBLE, tracked,
+                      np.where(out, -1.0, 0.0))
+    reward = np.minimum(np.maximum(reward, -1.0), 1.0)
+    return BatchOutcome(visibility, reward, d_alpha, d_beta, d_xi,
+                        b_pitch, b_yaw, distance)
+
+
+def batch_step(state: BatchState, actions: np.ndarray) -> BatchOutcome:
+    """step for every episode of the batch, in place: apply the (E, C)
+    action indices, move each target with its own rng, and score every
+    camera on the resulting state."""
+    actions = np.asarray(actions)
+    if actions.shape != state.pitch.shape:
+        raise ValueError(f"expected actions of shape {state.pitch.shape}, "
+                         f"got {actions.shape}")
+    delta = _DELTA_ARRAY[actions]
+    state.pitch = clamp_pitch(state.pitch + delta[..., 0])
+    d_yaw = delta[..., 1]
+    state.yaw = np.where(d_yaw != 0.0, wrap_angles(state.yaw + d_yaw), state.yaw)
+    state.zoom = clamp_zoom(state.zoom + delta[..., 2])
+    for env in state.envs:
+        env.target = advance_target(env, env.rng)
+        env.t += 1
+    return batch_observe(state)

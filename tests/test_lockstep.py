@@ -1,0 +1,373 @@
+"""The lockstep array world against the scalar one-episode path, bit for bit:
+batch_step against E step calls, the array tracker and triangulation against
+virtual_tracker_action and triangulate, batch_system_action against
+system_action, and compare_systems against per-seed run_episode summaries."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from camtrack import nn
+from camtrack.config import EpisodeConfig
+from camtrack.controllers import (
+    BatchMemory,
+    GeometricMemory,
+    PoseMessage,
+    batch_system_action,
+    batch_tracker_action,
+    batch_triangulate,
+    system_action,
+    triangulate,
+    virtual_tracker_action,
+)
+from camtrack.evaluate import (
+    SystemSummary,
+    _mean_std,
+    compare_systems,
+    per_camera_mean_error,
+    per_camera_success_rate,
+    run_episode,
+    run_lockstep,
+)
+from camtrack.geometry import CameraPose, Obstacle, bearing_to
+from camtrack.world import (
+    VISIBILITIES,
+    Action,
+    Visibility,
+    batch_observe,
+    batch_step,
+    batch_world,
+    spawn_episode,
+    step,
+    visibility_of,
+)
+
+from test_world import episode_configs
+
+PARAMS = nn.init_params(3)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def tweaked_episode(cfg, seed, level, aligned, pause):
+    """spawn_episode with some cameras moved to the target's height (a
+    sight line with dz = 0) and some onto the target's x or y (an
+    axis-parallel sight line), the target paused so those lines persist."""
+    world = spawn_episode(cfg, seed)
+    tx, ty, _ = world.target.point()
+    cams = []
+    for i, cam in enumerate(world.cameras):
+        if level[i % len(level)]:
+            cam = dataclasses.replace(cam, z=0.9)
+        axis = aligned[i % len(aligned)]
+        if axis == 1:
+            cam = dataclasses.replace(cam, x=tx)
+        elif axis == 2:
+            cam = dataclasses.replace(cam, y=ty)
+        cams.append(cam)
+    world.cameras = cams
+    world.target.pause_steps_remaining = pause
+    return world
+
+
+def assert_outcome_equal(state, e, outcome, scalar_world, scalar=None):
+    """Env e of a batch outcome equals the scalar state's own quantities."""
+    cams = scalar_world.cameras
+    tp = scalar_world.target.point()
+    assert bits([c.pitch_deg for c in cams]) == state.pitch[e].tobytes()
+    assert bits([c.yaw_deg for c in cams]) == state.yaw[e].tobytes()
+    assert bits([c.zoom for c in cams]) == state.zoom[e].tobytes()
+    assert state.envs[e].target.point() == tp
+    assert state.envs[e].t == scalar_world.t
+    assert state.envs[e].rng == scalar_world.rng
+    bearings = [bearing_to((c.x, c.y, c.z), tp) for c in cams]
+    assert bits([b.pitch_deg for b in bearings]) == outcome.bearing_pitch[e].tobytes()
+    assert bits([b.yaw_deg for b in bearings]) == outcome.bearing_yaw[e].tobytes()
+    assert bits([math.dist((c.x, c.y, c.z), tp) for c in cams]) \
+        == outcome.distance[e].tobytes()
+    codes = [VISIBILITIES.index(visibility_of(scalar_world, i)) for i in range(len(cams))]
+    assert outcome.visibility[e].tolist() == codes
+    if scalar is not None:
+        assert [VISIBILITIES[c] for c in outcome.visibility[e].tolist()] \
+            == scalar.visibility
+        assert bits(scalar.reward) == outcome.reward[e].tobytes()
+        assert bits(scalar.d_alpha) == outcome.d_alpha[e].tobytes()
+        assert bits(scalar.d_beta) == outcome.d_beta[e].tobytes()
+        assert bits(scalar.d_xi) == outcome.d_xi[e].tobytes()
+
+
+class TestBatchStep:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=episode_configs(), seed=st.integers(0, 2 ** 64 - 40),
+           n_envs=st.integers(1, 4), action_seed=st.integers(0, 2 ** 32 - 1),
+           level=st.lists(st.booleans(), min_size=1, max_size=8),
+           aligned=st.lists(st.sampled_from([0, 0, 1, 2]), min_size=1, max_size=8),
+           pause=st.sampled_from([0, 5, 30]))
+    def test_equals_scalar_steps(self, cfg, seed, n_envs, action_seed, level,
+                                 aligned, pause):
+        worlds = [tweaked_episode(cfg, seed + e, level, aligned, pause)
+                  for e in range(n_envs)]
+        state = batch_world([tweaked_episode(cfg, seed + e, level, aligned, pause)
+                             for e in range(n_envs)])
+        try:
+            for world in worlds:
+                for i in range(cfg.n_cameras):
+                    visibility_of(world, i)
+        except ValueError:
+            # a camera sits on its target: the scalar path raises, so must this
+            with pytest.raises(ValueError):
+                batch_observe(state)
+            return
+        outcome = batch_observe(state)
+        for e, world in enumerate(worlds):
+            assert_outcome_equal(state, e, outcome, world)
+
+        rng = np.random.default_rng(action_seed)
+        for _ in range(25):
+            actions = rng.integers(0, len(Action), size=(n_envs, cfg.n_cameras))
+            try:
+                outcomes = [step(w, [Action(a) for a in row])
+                            for w, row in zip(worlds, actions.tolist())]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    batch_step(state, actions)
+                return
+            worlds = [o.state for o in outcomes]
+            outcome = batch_step(state, actions)
+            for e, (world, scalar) in enumerate(zip(worlds, outcomes)):
+                assert_outcome_equal(state, e, outcome, world, scalar)
+
+    def test_flat_sight_lines_are_exercised(self):
+        # at the target's height and on its x, a camera looks along y only
+        cfg = EpisodeConfig(n_obstacles=15)
+        world = tweaked_episode(cfg, 4, [True], [1], 30)
+        state = batch_world([tweaked_episode(cfg, 4, [True], [1], 30)])
+        direction = np.array(world.target.point()) - state.origin[0]
+        assert (direction[:, 0] == 0.0).all() and (direction[:, 2] == 0.0).all()
+        outcome = batch_observe(state)
+        assert_outcome_equal(state, 0, outcome, world)
+
+    @pytest.mark.parametrize("camera, target, box", [
+        # along y at x = 0, grazing the face x = 0 of the box
+        ((0.0, -5.0, 0.9), (0.0, 5.0, 0.9), Obstacle(0.0, -1.0, 1.0, 1.0, 2.5)),
+        # diagonal through the box's corner (0, 0): t_enter == t_exit == 0.5
+        ((-2.0, -2.0, 0.9), (2.0, 2.0, 0.9), Obstacle(0.0, -1.0, 1.0, 0.0, 2.5)),
+        # level sight line along the box's top face
+        ((-5.0, 0.5, 2.5), (5.0, 0.5, 2.5), Obstacle(-1.0, 0.0, 1.0, 1.0, 2.5)),
+    ])
+    def test_touching_counts(self, camera, target, box):
+        world = spawn_episode(EpisodeConfig(n_cameras=2, n_obstacles=1), 0)
+        b = bearing_to(camera, target)
+        world.cameras = [CameraPose(*camera, b.pitch_deg, b.yaw_deg, 1.0)] * 2
+        world.obstacles = [box]
+        world.target.x, world.target.y, world.target.z = target
+        assert visibility_of(world, 0) is Visibility.OCCLUDED
+        state = batch_world([world])
+        assert_outcome_equal(state, 0, batch_observe(state), world)
+
+    @pytest.mark.parametrize("yaw", [-1e-20, -37.123456789012345, 180.0])
+    def test_yaw_is_wrapped_only_when_turning(self, yaw):
+        # wrap_angle(yaw + 0.0) rounds these negative yaws, so a camera that
+        # does not turn must keep its yaw as it is
+        world = spawn_episode(EpisodeConfig(n_cameras=2), 1)
+        world.cameras = [dataclasses.replace(c, yaw_deg=yaw) for c in world.cameras]
+        state = batch_world([world])
+        actions = [Action.KEEP_STILL, Action.UP]
+        scalar = step(world, actions)
+        assert_outcome_equal(state, 0, batch_step(state, np.array([actions])),
+                             scalar.state, scalar)
+        assert state.yaw[0].tolist() == [yaw, yaw]
+
+    def test_no_obstacles(self):
+        cfg = EpisodeConfig(n_obstacles=0)
+        world = spawn_episode(cfg, 9)
+        state = batch_world([spawn_episode(cfg, 9)])
+        assert state.box_lo.shape == (1, 4, 0, 3)
+        for _ in range(50):
+            actions = [Action.LEFT, Action.ZOOM_IN, Action.TOP_RIGHT, Action.KEEP_STILL]
+            scalar = step(world, actions)
+            world = scalar.state
+            outcome = batch_step(state, np.array([actions]))
+            assert_outcome_equal(state, 0, outcome, world, scalar)
+        assert Visibility.OCCLUDED not in scalar.visibility
+
+    def test_coincident_camera_and_target_raises(self):
+        world = spawn_episode(EpisodeConfig(), 2)
+        tx, ty, tz = world.target.point()
+        world.cameras = [dataclasses.replace(world.cameras[0], x=tx, y=ty, z=tz)] \
+            + world.cameras[1:]
+        with pytest.raises(ValueError):
+            visibility_of(world, 0)
+        with pytest.raises(ValueError):
+            batch_observe(batch_world([world]))
+
+    def test_action_shape_checked(self):
+        state = batch_world([spawn_episode(EpisodeConfig(), 0)])
+        with pytest.raises(ValueError):
+            batch_step(state, np.zeros((1, 3), dtype=int))
+
+    def test_unequal_layouts_rejected(self):
+        with pytest.raises(ValueError):
+            batch_world([spawn_episode(EpisodeConfig(), 0),
+                         spawn_episode(EpisodeConfig(n_obstacles=3), 0)])
+
+
+def tracker_inputs(poses, targets):
+    """The array tracker's inputs for camera poses and their targets."""
+    bearings = [bearing_to((p.x, p.y, p.z), t) for p, t in zip(poses, targets)]
+    return (np.array([p.pitch_deg for p in poses]), np.array([p.yaw_deg for p in poses]),
+            np.array([p.zoom for p in poses]), np.array([b.pitch_deg for b in bearings]),
+            np.array([b.yaw_deg for b in bearings]),
+            np.array([math.dist((p.x, p.y, p.z), t) for p, t in zip(poses, targets)]))
+
+
+class TestBatchTracker:
+    def test_equals_scalar_on_random_poses(self):
+        rng = np.random.default_rng(5)
+        poses = [CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0.5, 4),
+                            rng.uniform(-60, 60), rng.uniform(-179.9, 180),
+                            rng.uniform(1, 3.3)) for _ in range(5000)]
+        targets = [(rng.uniform(-10, 10), rng.uniform(-10, 10), 0.9) for _ in poses]
+        got = batch_tracker_action(*tracker_inputs(poses, targets)).tolist()
+        assert got == [virtual_tracker_action(p, t) for p, t in zip(poses, targets)]
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # bearing exactly (0, 0) and desired zoom exactly 2: half-step pitch
+        # and yaw offsets tie two or four actions exactly
+        offsets = [-7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5]
+        poses = [CameraPose(0.0, 0.0, 0.9, p, y, z) for p in offsets for y in offsets
+                 for z in (1.95, 2.0, 2.05)]
+        targets = [(12.0, 0.0, 0.9)] * len(poses)
+        got = batch_tracker_action(*tracker_inputs(poses, targets)).tolist()
+        want = [virtual_tracker_action(p, t) for p, t in zip(poses, targets)]
+        assert got == want
+        assert Action.KEEP_STILL in want and Action.LEFT in want
+
+
+def random_messages(rng, n_cams, parallel=False):
+    yaw0 = rng.uniform(-180, 180)
+    return [PoseMessage(i, CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10), 2.5,
+                                      rng.uniform(-60, 60),
+                                      yaw0 if parallel else rng.uniform(-179.9, 180),
+                                      1.0),
+                        int(rng.random() < 0.6)) for i in range(n_cams)]
+
+
+class TestBatchTriangulate:
+    @pytest.mark.parametrize("n_cams", [2, 3, 4, 8])
+    def test_equals_scalar(self, n_cams):
+        rng = np.random.default_rng(n_cams)
+        groups = [random_messages(rng, n_cams, parallel=k % 7 == 0) for k in range(1500)]
+        origin = np.array([[(m.pose.x, m.pose.y, m.pose.z) for m in g] for g in groups])
+        yaw = np.array([[m.pose.yaw_deg for m in g] for g in groups])
+        labels = np.array([[m.label for m in g] for g in groups])
+        estimate, ok = batch_triangulate(origin, yaw, labels == 1)
+        results = [triangulate(g) for g in groups]
+        assert ok.tolist() == [r.ok for r in results]
+        for est, r in zip(estimate.tolist(), results):
+            if r.ok:
+                assert bits(est) == bits(r.estimate)
+        assert 0 < ok.sum() < len(groups)
+
+
+def batch_of(messages_per_env):
+    """A BatchState whose cameras are the messages' poses."""
+    worlds = []
+    for k, messages in enumerate(messages_per_env):
+        world = spawn_episode(EpisodeConfig(n_cameras=len(messages)), k)
+        world.cameras = [m.pose for m in messages]
+        worlds.append(world)
+    return batch_world(worlds), worlds
+
+
+class TestBatchSystemAction:
+    @pytest.mark.parametrize("kind", ["geometric", "learned"])
+    def test_equals_system_action_over_steps(self, kind):
+        cfg = EpisodeConfig(n_cameras=5)
+        seeds = range(6)
+        worlds = [spawn_episode(cfg, s) for s in seeds]
+        state = batch_world([spawn_episode(cfg, s) for s in seeds])
+        memories = [[GeometricMemory() for _ in range(5)] for _ in seeds]
+        memory = BatchMemory.empty(state.pitch.shape)
+        outcome = batch_observe(state)
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
+            got = batch_system_action(state, outcome, labels, kind, params=PARAMS,
+                                      memory=memory)
+            want = [system_action(w.target.point(),
+                                  [PoseMessage(i, c, g) for i, (c, g)
+                                   in enumerate(zip(w.cameras, row))],
+                                  kind, params=PARAMS, memories=mems,
+                                  arena_half=cfg.arena_half)
+                    for w, row, mems in zip(worlds, labels.tolist(), memories)]
+            assert got.tolist() == want
+            worlds = [step(w, a).state for w, a in zip(worlds, want)]
+            outcome = batch_step(state, got)
+        if kind == "geometric":
+            assert memory.known.any()
+            for e, mems in enumerate(memories):
+                for c, m in enumerate(mems):
+                    assert memory.known[e, c] == (m.last_estimate is not None)
+                    if m.last_estimate is not None:
+                        assert bits(m.last_estimate) == memory.estimate[e, c].tobytes()
+
+    def test_unknown_kind_rejected(self):
+        state = batch_world([spawn_episode(EpisodeConfig(), 0)])
+        with pytest.raises(ValueError):
+            batch_system_action(state, batch_observe(state), np.zeros((1, 4), int), "sv")
+
+
+def reference_summaries(cfg, name, n_seeds, steps, params, switcher, base_seed):
+    """compare_systems as per-seed run_episode calls."""
+    episode_me, episode_sr = [], []
+    for k in range(n_seeds):
+        records = run_episode(cfg, name, switcher=switcher, params=params,
+                              seed=base_seed + k, steps=steps)
+        episode_me.append(per_camera_mean_error(records))
+        episode_sr.append(per_camera_success_rate(records))
+    n_cams = cfg.n_cameras
+    return SystemSummary(
+        name, n_seeds,
+        [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)],
+        [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)],
+        _mean_std([math.fsum(ep) / n_cams for ep in episode_me]),
+        _mean_std([math.fsum(ep) / n_cams for ep in episode_sr]))
+
+
+class TestCompareLockstep:
+    @pytest.mark.parametrize("switcher", ["oracle", "random:0.5", "noisy:0.2"])
+    @pytest.mark.parametrize("system", ["virtual", "sv", "geometric", "learned"])
+    def test_equals_per_seed_episodes(self, system, switcher):
+        cfg = EpisodeConfig()
+        got = compare_systems(cfg, [system], 4, steps=80, params=PARAMS,
+                              switcher=switcher, base_seed=21)[0]
+        want = reference_summaries(cfg, system, 4, 80, PARAMS, switcher, 21)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("cfg", [EpisodeConfig(n_cameras=8, n_obstacles=15),
+                                     EpisodeConfig(n_cameras=2, n_obstacles=0)])
+    @pytest.mark.parametrize("system", ["sv", "geometric", "learned"])
+    def test_lockstep_steps_equal_records(self, cfg, system):
+        seeds = [3, 40, 41]
+        error, in_view = run_lockstep(cfg, system, seeds, switcher="noisy:0.2",
+                                      params=PARAMS, steps=120)
+        for e, seed in enumerate(seeds):
+            records = run_episode(cfg, system, "noisy:0.2", params=PARAMS,
+                                  seed=seed, steps=120)
+            assert bits([[(a + b) * 0.5 for a, b in zip(r.d_alpha, r.d_beta)]
+                         for r in records]) == error[:, e].tobytes()
+            assert [[v is not Visibility.OUT_OF_VIEW for v in r.visibility]
+                    for r in records] == in_view[:, e].tolist()
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError):
+            compare_systems(EpisodeConfig(), ["sv"], 2, steps=0)
+
+    def test_learned_requires_params(self):
+        with pytest.raises(ValueError):
+            compare_systems(EpisodeConfig(), ["learned"], 2, steps=5)

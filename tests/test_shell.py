@@ -87,6 +87,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="camera_height_range"):
             EpisodeConfig(camera_height_range=(2.0, float("inf"))).validate()
 
+    @pytest.mark.parametrize("key, hi", [("camera_height_range", 20.5),
+                                         ("obstacle_height_range", 1e308),
+                                         ("target_speed_range", 1.5)])
+    def test_range_upper_bounds(self, key, hi):
+        with pytest.raises(ConfigError, match=key):
+            EpisodeConfig(**{key: (0.5, hi)}).validate()
+
+    def test_range_upper_bounds_are_inclusive(self):
+        EpisodeConfig(camera_height_range=(2.0, 20.0),
+                      obstacle_height_range=(1.0, 20.0),
+                      target_speed_range=(0.05, 1.0)).validate()
+
+    def test_p_pose_lower_bound(self):
+        with pytest.raises(ConfigError, match="p_pose"):
+            TrainConfig(p_pose=0.009).validate()
+        TrainConfig(p_pose=0.01).validate()
+
     def test_round_trip_is_canonical(self, tmp_path):
         src = tmp_path / "src.json"
         src.write_text('{"n_cameras": 5, "seed": 7}')
@@ -317,6 +334,30 @@ class TestCli:
         code = cli_main(["rollout", "--config", str(cfg),
                          "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
+
+    def test_unphysical_camera_height_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"camera_height_range": [2, 1e308]}')
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["rollout", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "camera_height_range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_with_rare_pose_steps_exits_two(self, tmp_path, capsys,
+                                                  monkeypatch):
+        import camtrack.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(camtrack.cli, "train_pose_controller", no_training)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"p_pose": 1e-9, "n_envs": 1, "rollout_len": 1}')
+        out = tmp_path / "policy.ckpt"
+        assert cli_main(["train", "--config", str(cfg), "--steps", "1",
+                         "--out", str(out)]) == 2
+        assert "p_pose" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_rejects_non_finite_config_before_training(self, tmp_path,
                                                              capsys, monkeypatch):

@@ -96,13 +96,13 @@ class TestTrainPoseController:
 
     def test_env_steps_count_windows_without_updates(self, monkeypatch):
         simulated = []
-        real_step = training.step
+        real_step = training.batch_step
 
-        def counting_step(*args, **kwargs):
-            simulated.append(1)
-            return real_step(*args, **kwargs)
+        def counting_step(state, actions):
+            simulated.extend(state.envs)
+            return real_step(state, actions)
 
-        monkeypatch.setattr(training, "step", counting_step)
+        monkeypatch.setattr(training, "batch_step", counting_step)
         cfg = TrainConfig(p_pose=0.05, n_envs=1, rollout_len=1, total_steps=40)
         _, log = train_pose_controller(cfg, EpisodeConfig())
         assert sum(r.n_g0 for r in log) >= 40
@@ -114,14 +114,14 @@ class TestTrainPoseController:
     def test_episodes_stop_at_the_evaluation_length(self, monkeypatch):
         # 30 does not divide 500, so episodes end inside a rollout window
         times = []
-        real_step = training.step
+        real_step = training.batch_step
 
         def counting_step(state, actions):
             outcome = real_step(state, actions)
-            times.append(outcome.state.t)
+            times.extend(env.t for env in state.envs)
             return outcome
 
-        monkeypatch.setattr(training, "step", counting_step)
+        monkeypatch.setattr(training, "batch_step", counting_step)
         cfg = TrainConfig(rollout_len=30, n_envs=1, total_steps=4000)
         train_pose_controller(cfg, EpisodeConfig())
         assert max(times) == training.DEFAULT_EPISODE_STEPS == 500
