@@ -287,11 +287,14 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     for name in systems:
         error, in_view = run_lockstep(config, name, seeds, switcher=switcher,
                                       params=params, steps=steps)
-        episode_me = [[math.fsum(per_step) / steps for per_step in episode]
-                      for episode in error.transpose(1, 2, 0).tolist()]
+        n_cams = config.n_cameras
+        # one (episode, camera) column at a time, so that only one of them is
+        # ever held as Python floats
+        lane_me = [math.fsum(lane.tolist()) / steps
+                   for lane in error.reshape(steps, -1).T]
+        episode_me = [lane_me[k:k + n_cams] for k in range(0, len(lane_me), n_cams)]
         episode_sr = [[count / steps for count in episode]
                       for episode in in_view.sum(axis=0).tolist()]
-        n_cams = config.n_cameras
         per_cam_me = [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)]
         per_cam_sr = [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)]
         overall_me = _mean_std([math.fsum(ep) / n_cams for ep in episode_me])
