@@ -99,9 +99,9 @@ def _cmd_train(args) -> int:
     save_checkpoint(params, args.out)
     if args.log:
         write_train_log(log, args.log)
-    final = log[-1].mean_reward_g0 if log else float("nan")
-    print(f"trained {train_cfg.total_steps} pose-controller steps "
-          f"({len(log)} updates, final mean reward {final:.3f})")
+    summary = (f"{len(log)} updates, final mean reward {log[-1].mean_reward_g0:.3f}"
+               if log else "no update ran")
+    print(f"trained {train_cfg.total_steps} pose-controller steps ({summary})")
     print(f"checkpoint written to {args.out}")
     return 0
 

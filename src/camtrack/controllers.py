@@ -222,6 +222,11 @@ def random_switch(rng: RngStream, p_pose: float) -> int:
     return 0 if rng.random() < p_pose else 1
 
 
+def random_labels(u: np.ndarray, p_pose: float) -> np.ndarray:
+    """random_switch's labels for an array of its uniform draws u."""
+    return np.where(u < p_pose, 0, 1)
+
+
 def noisy_switch(vis: Visibility, rng: RngStream, eps: float) -> int:
     """Oracle switcher whose output flips with probability eps."""
     g = oracle_switch(vis)

@@ -23,17 +23,17 @@ from .controllers import (
     batch_tracker_action,
     noisy_switch,
     oracle_switch,
+    random_labels,
     random_switch,
     sv_baseline_action,
     system_action,
     virtual_tracker_action,
 )
 from .geometry import CameraPose
-from .rng import RngStream
+from .rng import RngStream, advance, peek_randoms, stream_states
 from .world import (
     VIS_OUT_OF_VIEW,
     VIS_VISIBLE,
-    VISIBILITIES,
     Action,
     Visibility,
     batch_observe,
@@ -224,7 +224,9 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
     Returns each step's pose error (d_alpha + d_beta) / 2 and whether the
     target is in view, both (steps, episodes, cameras). Each episode keeps
     its own rng streams in run_episode's draw order, so its values equal
-    run_episode's records bit for bit."""
+    run_episode's records bit for bit. The random and noisy switchers draw
+    every episode's labels of a step in one array call, with the values of
+    random_switch and noisy_switch."""
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
     if controller == "learned" and params is None:
@@ -232,7 +234,7 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
     switch_kind, switch_arg = parse_switcher(switcher)
 
     state = batch_world([spawn_episode(config, seed) for seed in seeds])
-    switch_rngs = [RngStream(seed, 1) for seed in seeds]
+    switch_states = stream_states(RngStream(seed, 1) for seed in seeds)
     n_cams = config.n_cameras
     memory = BatchMemory.empty(state.pitch.shape)
     error = np.empty((steps,) + state.pitch.shape)
@@ -240,15 +242,15 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
     outcome = batch_observe(state)
     for t in range(steps):
         vis = outcome.visibility
-        if switch_kind == "oracle":
-            labels = (vis == VIS_VISIBLE).astype(int)
-        elif switch_kind == "random":
-            labels = np.array([[random_switch(rng, switch_arg) for _ in range(n_cams)]
-                               for rng in switch_rngs])
-        else:
-            labels = np.array([[noisy_switch(VISIBILITIES[v], rng, switch_arg)
-                                for v in row]
-                               for rng, row in zip(switch_rngs, vis.tolist())])
+        labels = (vis == VIS_VISIBLE).astype(int)
+        if switch_kind != "oracle":
+            u = peek_randoms(switch_states, n_cams)
+            switch_states = advance(switch_states, n_cams)
+            if switch_kind == "random":
+                labels = random_labels(u, switch_arg)
+            else:
+                # noisy_switch flips the oracle's label
+                labels = np.where(u < switch_arg, 1 - labels, labels)
 
         if controller in ("virtual", "sv"):
             actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,

@@ -108,7 +108,8 @@ def write_episode_log(records: list[StepRecord], path: str | Path) -> None:
         obj = {"t": rec.t,
                "target": [_round9(v) for v in rec.target],
                "cams": cams}
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        # strict JSON: a non-finite value is a fault, not a bare NaN token
+        lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
     text = "\n".join(lines)
     if lines:
         text += "\n"

@@ -21,6 +21,10 @@ RAW_SIZE = 7          # per-camera tuple: x, y, z, sin yaw, cos yaw, pitch, labe
 EMBED_SIZE = 16
 FEATURE_SIZE = RAW_SIZE + EMBED_SIZE  # self tuple + pooled embedding = 23
 HIDDEN_SIZE = 64
+# pose-tuple normalizers besides arena_half: camera height in meters and
+# pitch in degrees
+HEIGHT_NORM = 3.0
+PITCH_NORM = 60.0
 
 # (name, shape, fan_in, fan_out) in fixed declaration order; this order is
 # also the checkpoint serialization order.
@@ -89,8 +93,7 @@ def init_params(seed: int) -> PolicyParams:
             arrays[name] = np.zeros(shape)
         else:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            flat = [rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))]
-            arrays[name] = np.array(flat).reshape(shape)
+            arrays[name] = rng.uniforms(-bound, bound, math.prod(shape)).reshape(shape)
     return PolicyParams(**arrays)
 
 
@@ -115,23 +118,33 @@ class ForwardCache:
 
 
 def _pose_tuple(origin, pitch: float, yaw: float, label, arena_half: float) -> tuple:
+    """One camera's pose tuple; pose_tuples builds the same values as arrays."""
     yaw = math.radians(yaw)
-    return (origin[0] / arena_half, origin[1] / arena_half, origin[2] / 3.0,
-            math.sin(yaw), math.cos(yaw), pitch / 60.0, float(label))
+    return (origin[0] / arena_half, origin[1] / arena_half, origin[2] / HEIGHT_NORM,
+            math.sin(yaw), math.cos(yaw), pitch / PITCH_NORM, float(label))
 
 
 def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
                 labels: np.ndarray, arena_half: float) -> np.ndarray:
     """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples (..., 7)
-    of camera origins (..., 3), pitches, yaws and labels (...)."""
-    rows = zip(origin.reshape(-1, 3).tolist(), pitch.ravel().tolist(),
-               yaw.ravel().tolist(), labels.ravel().tolist())
-    return np.array([_pose_tuple(o, p, y, g, arena_half) for o, p, y, g in rows],
-                    dtype=float).reshape(pitch.shape + (RAW_SIZE,))
+    of camera origins (..., 3), pitches, yaws and labels (...), filled one
+    column at a time with _pose_tuple's arithmetic. sin and cos stay in
+    math: numpy's vectorized kernels need not round as libm does."""
+    raws = np.empty(pitch.shape + (RAW_SIZE,))
+    raws[..., :2] = origin[..., :2] / arena_half
+    raws[..., 2] = origin[..., 2] / HEIGHT_NORM
+    yaw = list(map(math.radians, yaw.ravel().tolist()))
+    raws[..., 3] = np.reshape(list(map(math.sin, yaw)), pitch.shape)
+    raws[..., 4] = np.reshape(list(map(math.cos, yaw)), pitch.shape)
+    raws[..., 5] = pitch / PITCH_NORM
+    raws[..., 6] = labels
+    return raws
 
 
 def raw_tuples(groups, arena_half: float) -> np.ndarray:
-    """pose_tuples of G groups of C pose messages each -> (G, C, 7)."""
+    """pose_tuples of G groups of C pose messages each -> (G, C, 7), one
+    _pose_tuple per message: cheaper than the array builder for one step
+    of one episode."""
     return np.array([[_pose_tuple((m.pose.x, m.pose.y, m.pose.z), m.pose.pitch_deg,
                                   m.pose.yaw_deg, m.label, arena_half)
                       for m in messages] for messages in groups], dtype=float)

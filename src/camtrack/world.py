@@ -359,16 +359,16 @@ class BatchState:
     The camera poses are arrays. envs[e] holds episode e's target,
     obstacles, rng and t; its cameras list is empty. box_lo and box_hi are
     every obstacle's lower and upper corner minus every camera's origin,
-    (E, C, O, 3): the subtractions the slab test makes, done once per
-    episode because the cameras never move."""
+    axis first (3, E, C, O): the subtractions the slab test makes, done once
+    per episode because the cameras never move."""
 
     envs: list[WorldState]
     origin: np.ndarray   # (E, C, 3)
     pitch: np.ndarray    # (E, C)
     yaw: np.ndarray      # (E, C)
     zoom: np.ndarray     # (E, C)
-    box_lo: np.ndarray   # (E, C, O, 3)
-    box_hi: np.ndarray   # (E, C, O, 3)
+    box_lo: np.ndarray   # (3, E, C, O)
+    box_hi: np.ndarray   # (3, E, C, O)
 
 
 @dataclass(slots=True)
@@ -402,7 +402,7 @@ def batch_world(worlds: list[WorldState]) -> BatchState:
     shape = (len(worlds), n_cams)
     state = BatchState([None] * len(worlds), np.empty(shape + (3,)), np.empty(shape),
                        np.empty(shape), np.empty(shape),
-                       np.empty(shape + (n_obs, 3)), np.empty(shape + (n_obs, 3)))
+                       np.empty((3,) + shape + (n_obs,)), np.empty((3,) + shape + (n_obs,)))
     for e, world in enumerate(worlds):
         batch_reset(state, e, world)
     return state
@@ -417,9 +417,10 @@ def batch_reset(state: BatchState, e: int, world: WorldState) -> None:
     state.zoom[e] = [c.zoom for c in cams]
     lo = np.array([(b.min_x, b.min_y, 0.0) for b in world.obstacles]).reshape(-1, 3)
     hi = np.array([(b.max_x, b.max_y, b.height) for b in world.obstacles]).reshape(-1, 3)
-    origin = state.origin[e][:, None, :]
-    state.box_lo[e] = lo - origin
-    state.box_hi[e] = hi - origin
+    # (3, 1, O) corners minus (3, C, 1) origins
+    origin = state.origin[e].T[:, :, None]
+    state.box_lo[:, e] = lo.T[:, None, :] - origin
+    state.box_hi[:, e] = hi.T[:, None, :] - origin
     state.envs[e] = WorldState([], world.target, world.obstacles, world.t,
                                world.arena_half, world.speed_range, world.rng)
 
@@ -442,22 +443,24 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
            | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
 
-    # The slab test of segment_box_overlap over all sight lines and boxes. A
-    # slab whose direction component is 0 passes exactly when the origin
-    # lies within it (box_lo <= 0 <= box_hi), and sets no bound on t.
-    flat = direction == 0.0
-    inv = np.divide(1.0, direction, out=np.zeros_like(direction), where=~flat)
-    t0 = state.box_lo * inv[:, :, None, :]
-    t1 = state.box_hi * inv[:, :, None, :]
+    # The slab test of segment_box_overlap over all sight lines and boxes,
+    # axis first so that the three slabs combine element-wise. A slab whose
+    # direction component is 0 passes exactly when the origin lies within it
+    # (box_lo <= 0 <= box_hi), and sets no bound on t.
+    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, E, C, 1)
+    flat = axis_dir == 0.0
+    inv = np.divide(1.0, axis_dir, out=np.zeros_like(axis_dir), where=~flat)
+    t0 = state.box_lo * inv
+    t1 = state.box_hi * inv
     near = np.minimum(t0, t1)
     far = np.maximum(t0, t1)
     if flat.any():
-        flat = flat[:, :, None, :]
         inside = (state.box_lo <= 0.0) & (state.box_hi >= 0.0)
         near = np.where(flat, np.where(inside, -np.inf, np.inf), near)
         far = np.where(flat, np.where(inside, np.inf, -np.inf), far)
-    hits = np.maximum(near.max(axis=-1), 0.0) <= np.minimum(far.min(axis=-1), 1.0)
-    occluded = hits.any(axis=-1)
+    enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)
+    leave = np.minimum(np.minimum(np.minimum(far[0], far[1]), far[2]), 1.0)
+    occluded = (enter <= leave).any(axis=-1)
 
     visibility = np.where(out, VIS_OUT_OF_VIEW,
                           np.where(occluded, VIS_OCCLUDED, VIS_VISIBLE))

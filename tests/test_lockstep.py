@@ -186,7 +186,7 @@ class TestBatchStep:
         cfg = EpisodeConfig(n_obstacles=0)
         world = spawn_episode(cfg, 9)
         state = batch_world([spawn_episode(cfg, 9)])
-        assert state.box_lo.shape == (1, 4, 0, 3)
+        assert state.box_lo.shape == (3, 1, 4, 0)
         for _ in range(50):
             actions = [Action.LEFT, Action.ZOOM_IN, Action.TOP_RIGHT, Action.KEEP_STILL]
             scalar = step(world, actions)
@@ -255,6 +255,28 @@ def random_messages(rng, n_cams, parallel=False):
                                       yaw0 if parallel else rng.uniform(-179.9, 180),
                                       1.0),
                         int(rng.random() < 0.6)) for i in range(n_cams)]
+
+
+class TestPoseTuples:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 7.5, 10.0, 23.3]))
+    def test_array_builder_equals_scalar_builder(self, n_groups, n_cams, seed,
+                                                 arena_half):
+        rng = np.random.default_rng(seed)
+        groups = [random_messages(rng, n_cams) for _ in range(n_groups)]
+        # yaws on the seam and exact multiples of the rotation step
+        seam = [-180.0, -1e-20, 0.0, 90.0, 180.0, -37.123456789012345]
+        groups[0][0] = dataclasses.replace(
+            groups[0][0], pose=dataclasses.replace(groups[0][0].pose,
+                                                   yaw_deg=seam[seed % len(seam)]))
+        origin = np.array([[(m.pose.x, m.pose.y, m.pose.z) for m in g] for g in groups])
+        pitch = np.array([[m.pose.pitch_deg for m in g] for g in groups])
+        yaw = np.array([[m.pose.yaw_deg for m in g] for g in groups])
+        labels = np.array([[m.label for m in g] for g in groups])
+        got = nn.pose_tuples(origin, pitch, yaw, labels, arena_half)
+        assert got.shape == (n_groups, n_cams, nn.RAW_SIZE)
+        assert got.tobytes() == nn.raw_tuples(groups, arena_half).tobytes()
 
 
 class TestBatchTriangulate:

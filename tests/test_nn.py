@@ -1,4 +1,5 @@
 """Policy network: features, forward, analytic gradients, returns, init."""
+import hashlib
 import math
 
 import numpy as np
@@ -366,6 +367,15 @@ class TestInitParams:
             assert np.array_equal(x, y)
         c = nn.init_params(13)
         assert not np.array_equal(a.trunk1_w, c.trunk1_w)
+
+    def test_pinned_arrays(self):
+        # the bytes of the scalar draws, before init_params drew each array
+        # in one call
+        digest = hashlib.sha256()
+        for _, arr in nn.init_params(0).arrays():
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "0db56153c9272bb2d3a6d653afdc427002c7b2bf4f48c1c2748eb26be66b8b25")
 
     def test_trunk1_bound(self):
         params = nn.init_params(3)

@@ -1,4 +1,5 @@
 """Config files, rng streams, checkpoints, episode logs, and the CLI."""
+import dataclasses
 import json
 import struct
 
@@ -244,6 +245,15 @@ class TestEpisodeLog:
                 assert cam["pose"][4] == pytest.approx(pose.yaw_deg, rel=1e-8, abs=1e-8)
                 assert 0 <= cam["action"] < 11
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        records = run_episode(EpisodeConfig(), "sv", seed=2, steps=3)
+        records[1] = dataclasses.replace(
+            records[1], rewards=[float("nan")] + records[1].rewards[1:])
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(ValueError):
+            write_episode_log(records, path)
+        assert not path.exists()
+
     def test_nine_significant_digits(self, tmp_path):
         records = run_episode(EpisodeConfig(), "virtual", seed=1, steps=10)
         path = tmp_path / "e.jsonl"
@@ -311,6 +321,28 @@ class TestCli:
         code = cli_main(["rollout", "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "internal fault" in capsys.readouterr().err
+
+    def test_non_finite_episode_log_exits_one(self, tmp_path, capsys, monkeypatch):
+        import camtrack.cli
+
+        def nan_episode(*args, **kwargs):
+            records = run_episode(*args, **kwargs)
+            records[0].d_xi[0] = float("inf")
+            return records
+
+        monkeypatch.setattr(camtrack.cli, "run_episode", nan_episode)
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["rollout", "--out", str(out)]) == 1
+        assert "Out of range float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_zero_steps_reports_no_update(self, tmp_path, capsys):
+        out = tmp_path / "policy.ckpt"
+        assert cli_main(["train", "--steps", "0", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "no update ran" in printed
+        assert "nan" not in printed.lower()
+        assert load_checkpoint(out) is not None
 
     def test_non_finite_checkpoint_exits_two(self, tmp_path, capsys):
         params = nn.init_params(0)

@@ -1,4 +1,5 @@
 """Actor-critic training loop: determinism, logging, guards."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from camtrack import nn, training
 from camtrack.cli import cli_main
 from camtrack.config import ConfigError, EpisodeConfig, TrainConfig
+from camtrack.io import save_checkpoint
 from camtrack.training import train_pose_controller
 
 
@@ -130,9 +132,14 @@ class TestTrainPoseController:
         for prev, t in zip(times, times[1:]):
             assert t == (1 if prev == 500 else prev + 1)
 
-    def test_pinned_replay_of_a_default_slice(self):
-        _, log = train_pose_controller(TrainConfig(seed=0, total_steps=9000),
-                                       EpisodeConfig())
+    def test_pinned_replay_of_a_default_slice(self, tmp_path):
+        params, log = train_pose_controller(TrainConfig(seed=0, total_steps=9000),
+                                            EpisodeConfig())
+        # the checkpoint bytes of the scalar rng draws, before training drew
+        # its random numbers as arrays
+        save_checkpoint(params, tmp_path / "p.ckpt")
+        assert hashlib.sha256((tmp_path / "p.ckpt").read_bytes()).hexdigest() == (
+            "b68ae290db1bc1bef5110e77fe7ddcfb1889c325e0cc18378ab23018fa3729f1")
         assert [r.n_g0 for r in log] == [2313, 2299, 2306, 2300]
         assert [r.env_steps for r in log] == [640, 1280, 1920, 2560]
         # the per-transition implementation's values, to full precision
