@@ -133,9 +133,9 @@ def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
     raws = np.empty(pitch.shape + (RAW_SIZE,))
     raws[..., :2] = origin[..., :2] / arena_half
     raws[..., 2] = origin[..., 2] / HEIGHT_NORM
-    yaw = list(map(math.radians, yaw.ravel().tolist()))
-    raws[..., 3] = np.reshape(list(map(math.sin, yaw)), pitch.shape)
-    raws[..., 4] = np.reshape(list(map(math.cos, yaw)), pitch.shape)
+    radians = list(map(math.radians, yaw.ravel().tolist()))
+    raws[..., 3] = np.reshape(list(map(math.sin, radians)), pitch.shape)
+    raws[..., 4] = np.reshape(list(map(math.cos, radians)), pitch.shape)
     raws[..., 5] = pitch / PITCH_NORM
     raws[..., 6] = labels
     return raws

@@ -27,7 +27,7 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix(z: np.ndarray) -> np.ndarray:
+def _mix_u64(z: np.ndarray) -> np.ndarray:
     """_mix of every element of a uint64 array; numpy's uint64 arithmetic
     wraps mod 2**64, as _mix's masks do."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -44,7 +44,7 @@ def peek_randoms(states: np.ndarray, n: int) -> np.ndarray:
     """The next n random() values of each stream state in states (...),
     as (..., n). states is not advanced; see advance."""
     steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_U64
-    z = mix(np.asarray(states, dtype=np.uint64)[..., None] + steps)
+    z = _mix_u64(np.asarray(states, dtype=np.uint64)[..., None] + steps)
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
