@@ -1,8 +1,8 @@
 """Episode and training configuration with strict JSON loading.
 
 A config file is one flat JSON object; every key is optional and falls back
-to the defaults below, unknown keys are rejected outright so typos cannot
-silently change an experiment.
+to the defaults below, unknown and repeated keys are rejected outright so
+typos cannot silently change an experiment.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ _RANGE_MAX = {"obstacle_height_range": 20.0, "target_speed_range": 1.0,
 # the smallest p_pose: training runs until it has collected total_steps pose
 # transitions, and at 0.01 with two cameras one takes 50 env-steps on average
 MIN_P_POSE = 0.01
+# the length of an evaluation episode; training resets an env at it too
+DEFAULT_EPISODE_STEPS = 500
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -104,6 +106,11 @@ class TrainConfig:
         for key in ("rollout_len", "n_envs"):
             if not getattr(self, key) >= 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # returns stop at the episode boundary, so a longer window would only
+        # delay the first update
+        if self.rollout_len > DEFAULT_EPISODE_STEPS:
+            raise ConfigError(f"rollout_len must be at most the episode length "
+                              f"{DEFAULT_EPISODE_STEPS}, got {self.rollout_len}")
         if self.total_steps < 0:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if not MIN_P_POSE <= self.p_pose <= 1.0:
@@ -131,18 +138,29 @@ def _coerce(key: str, value):
     return float(value)
 
 
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for json: json keeps the last of a repeated key,
+    which would let a pasted line silently override an earlier one."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate config key: {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
     """Parse a flat JSON config into (EpisodeConfig, TrainConfig).
 
-    Missing keys take defaults; unknown keys and out-of-range values raise
-    ConfigError naming the offending key.
+    Missing keys take defaults; unknown, repeated and out-of-range keys
+    raise ConfigError naming the offending key.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import ConfigError, EpisodeConfig
+from .config import DEFAULT_EPISODE_STEPS, ConfigError, EpisodeConfig
 from .controllers import (
     BatchMemory,
     GeometricMemory,
@@ -45,7 +45,6 @@ from .world import (
 )
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
-DEFAULT_EPISODE_STEPS = 500
 
 
 @dataclass(slots=True)

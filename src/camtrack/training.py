@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import EpisodeConfig, TrainConfig
+from .config import DEFAULT_EPISODE_STEPS, EpisodeConfig, TrainConfig
 from .controllers import batch_tracker_action, random_labels
-from .evaluate import DEFAULT_EPISODE_STEPS
 from .rng import RngStream, advance, peek_randoms, stream_states
 from .world import batch_observe, batch_reset, batch_step, batch_world, spawn_episode
 
@@ -54,6 +53,13 @@ def _global_norm(grads: nn.PolicyParams) -> float:
     return math.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.arrays()))
 
 
+def _draw_labels(agent: np.ndarray, n_cams: int, p_pose: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every env's (n_cams,) switcher labels for its next step, and the agent
+    stream states advanced past them."""
+    return random_labels(peek_randoms(agent, n_cams), p_pose), advance(agent, n_cams)
+
+
 def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                           ) -> tuple[nn.PolicyParams, list[UpdateStats]]:
     """Train the pose policy; returns the final parameters and per-update log.
@@ -63,11 +69,13 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     sequentially.
 
     The environments step in lockstep through world.batch_step. Each
-    rollout step draws every environment's labels and sampling uniforms in
-    one array call on the agent streams' states, builds all environments'
-    pose tuples from the pose arrays at once and runs one policy forward
-    over the label-0 cameras; the label-1 cameras' tracker reuses the
-    bearings the previous step returned.
+    agent stream draws, per step, its labels and then one sampling uniform
+    per label-0 camera in camera order: the labels one step ahead, in one
+    _draw_labels call after the previous step's resets (so the bootstrap
+    reads them too), the uniforms in one array call at the step. A step
+    builds all environments' pose tuples from the pose arrays at once and
+    runs one policy forward over the label-0 cameras; the label-1 cameras'
+    tracker reuses the bearings the previous step returned.
     The window keeps only the tuples, actions and rewards; the update
     recomputes the forward one rollout step at a time and adds one batched
     backward per step into the window's gradient.
@@ -86,9 +94,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     state = batch_world([spawn_episode(episode_cfg, reseed[e].next_u64())
                          for e in range(n_envs)])
     outcome = batch_observe(state)
-    # labels pre-drawn at the previous window's bootstrap, where pending
-    pending = np.zeros(n_envs, dtype=bool)
-    pending_labels = np.zeros((n_envs, n_cams), dtype=int)
+    labels, agent = _draw_labels(agent, n_cams, p_pose)
 
     log: list[UpdateStats] = []
     collected = 0
@@ -98,24 +104,17 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
         # done[k, e]: env e's episode ended at window step k
         done = np.zeros((train_cfg.rollout_len, n_envs), dtype=bool)
         for k in range(train_cfg.rollout_len):
-            # each env's stream draws its labels unless they are pending,
-            # then one uniform per label-0 camera in camera order
-            draws = peek_randoms(agent, 2 * n_cams)
-            labels = np.where(pending[:, None], pending_labels,
-                              random_labels(draws[:, :n_cams], p_pose))
-            # env e's uniforms start at column first[e]; its j-th label-0
-            # camera takes column first[e] + j
-            first = np.where(pending, 0, n_cams)
-            pending[:] = False
+            # the j-th label-0 camera of an env samples with its j-th uniform
             g0 = labels == 0
             env, cam = np.nonzero(g0)
             rank = np.cumsum(g0, axis=1)[env, cam] - 1
-            agent = advance(agent, first + g0.sum(axis=1))
+            uniforms = peek_randoms(agent, n_cams)
+            agent = advance(agent, g0.sum(axis=1))
             raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
                                   arena_half)
             logits, _, _ = nn.group_forward(params, raws, env, cam)
             sampled = nn.sample_action(np.exp(nn.log_softmax(logits)),
-                                       draws[env, first[env] + rank])
+                                       uniforms[env, rank])
 
             # label-1 cameras track the target, label-0 cameras take the sample
             actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
@@ -131,19 +130,17 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
                     done[k, e] = True
             if done[k].any():
                 outcome = batch_observe(state)
+            labels, agent = _draw_labels(agent, n_cams, p_pose)
         env_steps += train_cfg.rollout_len * n_envs
 
-        # bootstrap with the value of the actual next observation (its labels
-        # are drawn now and reused at the next window's first step); zero
-        # where the episode ended at the window's last step
+        # bootstrap with the value of the actual next observation, under the
+        # labels its step will use; zero where the episode ended at the
+        # window's last step
         bootstrap = np.zeros((n_envs, n_cams))
         live = ~done[-1]
-        pending[:] = live
-        pending_labels = random_labels(peek_randoms(agent, n_cams), p_pose)
-        agent = advance(agent, np.where(live, n_cams, 0))
         if live.any():
             raws = nn.pose_tuples(state.origin[live], state.pitch[live],
-                                  state.yaw[live], pending_labels[live], arena_half)
+                                  state.yaw[live], labels[live], arena_half)
             features, _ = nn.encode(params, raws)
             bootstrap[live] = nn.forward(params, features)[1]
         returns = nn.compute_returns(np.array([s.rewards for s in window]),

@@ -199,8 +199,8 @@ def spawn_episode(config: EpisodeConfig, seed: int) -> WorldState:
                       config.target_speed_range, rng)
 
 
-def advance_target(state: WorldState, rng: RngStream) -> TargetState:
-    """One motion step of the target's waypoint walk.
+def advance_target(state: WorldState) -> TargetState:
+    """One motion step of the target's waypoint walk, drawing from state.rng.
 
     Paused targets just count down. A step that would cross into an obstacle
     footprint is truncated a hair before the boundary and forces a fresh
@@ -208,6 +208,7 @@ def advance_target(state: WorldState, rng: RngStream) -> TargetState:
     a pause.
     """
     t = state.target
+    rng = state.rng
     if t.pause_steps_remaining > 0:
         return TargetState(t.x, t.y, t.speed, t.waypoint, t.pause_steps_remaining - 1)
 
@@ -316,7 +317,7 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
         raise ValueError(f"expected {len(cams)} actions, got {len(joint_action)}")
 
     new_cams = [apply_action(c, a) for c, a in zip(cams, joint_action)]
-    new_target = advance_target(state, state.rng)
+    new_target = advance_target(state)
     nxt = WorldState(new_cams, new_target, state.obstacles, state.t + 1,
                      state.arena_half, state.speed_range, state.rng)
 
@@ -488,6 +489,6 @@ def batch_step(state: BatchState, actions: np.ndarray) -> BatchOutcome:
     state.yaw = np.where(d_yaw != 0.0, wrap_angles(state.yaw + d_yaw), state.yaw)
     state.zoom = clamp_zoom(state.zoom + delta[..., 2])
     for env in state.envs:
-        env.target = advance_target(env, env.rng)
+        env.target = advance_target(env)
         env.t += 1
     return batch_observe(state)

@@ -105,6 +105,17 @@ class TestConfig:
             TrainConfig(p_pose=0.009).validate()
         TrainConfig(p_pose=0.01).validate()
 
+    def test_rollout_len_upper_bound(self):
+        with pytest.raises(ConfigError, match="rollout_len"):
+            TrainConfig(rollout_len=501).validate()
+        TrainConfig(rollout_len=500).validate()
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": 1, "gamma": 0.9, "seed": 2}')
+        with pytest.raises(ConfigError, match="duplicate config key: 'seed'"):
+            load_config(path)
+
     def test_round_trip_is_canonical(self, tmp_path):
         src = tmp_path / "src.json"
         src.write_text('{"n_cameras": 5, "seed": 7}')
@@ -373,6 +384,26 @@ class TestCli:
         out = tmp_path / "o.jsonl"
         assert cli_main(["rollout", "--config", str(cfg), "--out", str(out)]) == 2
         assert "camera_height_range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ('"rollout_len": 100000000, "n_envs": 1', "rollout_len"),
+        ('"seed": 1, "seed": 2', "duplicate"),
+    ])
+    def test_train_rejects_config_before_training(self, tmp_path, capsys,
+                                                  monkeypatch, entry, message):
+        import camtrack.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(camtrack.cli, "train_pose_controller", no_training)
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{" + entry + "}")
+        out = tmp_path / "policy.ckpt"
+        assert cli_main(["train", "--config", str(cfg), "--steps", "1",
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_with_rare_pose_steps_exits_two(self, tmp_path, capsys,

@@ -148,6 +148,24 @@ class TestTrainPoseController:
         for row, value in zip(log, want):
             assert row.mean_reward_g0 == pytest.approx(value, rel=1e-9)
 
+    # pinned checkpoint bytes across resets: 500 is a multiple of 20, so
+    # every episode ends on a window's last step, where the bootstrap is
+    # zero; it is not a multiple of 7, so with rollout_len 7 episodes end
+    # mid-window
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(seed=3, n_envs=2, rollout_len=20, total_steps=6000),
+         "389ef053b453ed1cd7ce9b994925b171d84d68820fe62e407ac8c8d976528c19"),
+        (dict(seed=4, n_envs=3, rollout_len=7, p_pose=0.3, total_steps=5000),
+         "8e338de843f0cc07f696c0873c2610a99e97dc79359d5ff65694e14904438ade"),
+    ])
+    def test_pinned_replay_across_resets(self, tmp_path, overrides, digest):
+        cfg = TrainConfig(**overrides)
+        params, log = train_pose_controller(cfg, EpisodeConfig())
+        # every env reset at least once
+        assert log[-1].env_steps > training.DEFAULT_EPISODE_STEPS * cfg.n_envs
+        save_checkpoint(params, tmp_path / "p.ckpt")
+        assert hashlib.sha256((tmp_path / "p.ckpt").read_bytes()).hexdigest() == digest
+
     def test_zero_p_pose_rejected(self):
         cfg = tiny_train_config(p_pose=0.0)
         with pytest.raises(ConfigError):

@@ -149,14 +149,14 @@ class TestAdvanceTarget:
     def test_pause_counts_down(self):
         t = TargetState(1.0, 2.0, 0.1, (5.0, 5.0), pause_steps_remaining=5)
         world = self._world(t)
-        nxt = advance_target(world, world.rng)
+        nxt = advance_target(world)
         assert (nxt.x, nxt.y) == (1.0, 2.0)
         assert nxt.pause_steps_remaining == 4
 
     def test_arrival_redraws_waypoint(self):
         t = TargetState(0.0, 0.0, 0.1, (0.01, 0.0))
         world = self._world(t)
-        nxt = advance_target(world, world.rng)
+        nxt = advance_target(world)
         assert (nxt.x, nxt.y) == (0.01, 0.0)
         assert nxt.waypoint != (0.01, 0.0)
         assert 0.05 <= nxt.speed <= 0.2
@@ -164,7 +164,7 @@ class TestAdvanceTarget:
     def test_straight_step_toward_waypoint(self):
         t = TargetState(0.0, 0.0, 0.1, (10.0, 0.0))
         world = self._world(t)
-        nxt = advance_target(world, world.rng)
+        nxt = advance_target(world)
         assert nxt.x == pytest.approx(0.1)
         assert nxt.y == 0.0
         assert nxt.waypoint == (10.0, 0.0)
@@ -173,7 +173,7 @@ class TestAdvanceTarget:
         box = Obstacle(1.0, -1.0, 2.0, 1.0, 2.0)
         t = TargetState(0.9, 0.0, 0.2, (5.0, 0.0))
         world = self._world(t, [box])
-        nxt = advance_target(world, world.rng)
+        nxt = advance_target(world)
         assert nxt.x <= 1.0  # stopped at or before the boundary
         assert nxt.x == pytest.approx(1.0, abs=1e-8)
         assert nxt.waypoint != (5.0, 0.0)
@@ -182,7 +182,7 @@ class TestAdvanceTarget:
         cfg = EpisodeConfig()
         world = spawn_episode(cfg, 77)
         for k in range(100_000):
-            nxt = advance_target(world, world.rng)
+            nxt = advance_target(world)
             assert abs(nxt.x) <= cfg.arena_half and abs(nxt.y) <= cfg.arena_half
             for box in world.obstacles:
                 inside = (box.min_x < nxt.x < box.max_x
