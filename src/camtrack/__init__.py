@@ -18,6 +18,7 @@ from .controllers import (
     random_switch,
     sv_baseline_action,
     system_action,
+    tracker_action,
     triangulate,
     virtual_tracker_action,
 )
@@ -63,6 +64,7 @@ from .world import (
     apply_action,
     desired_zoom,
     direction_reward,
+    observe,
     spawn_episode,
     step,
     visibility_of,

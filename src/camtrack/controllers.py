@@ -1,8 +1,10 @@
 """Camera decision policies.
 
 Four ways to pick one of the 11 camera commands:
-  * virtual_tracker_action - greedy oracle that reads the true target position;
-    stands in for a working image tracker.
+  * tracker_action         - greedy one-step minimizer of the pose error, given
+    the bearing and distance to the target; virtual_tracker_action reads
+    them off the true target position and stands in for a working image
+    tracker.
   * geometric_pose_action  - steers toward the step's triangulation of the
     target from the cameras that report successful tracking.
   * learned_pose_action    - greedy forward pass of the trained pose policy
@@ -13,7 +15,9 @@ Four ways to pick one of the 11 camera commands:
 Switchers produce the per-camera binary label (1 = tracking trusted) that
 system_action uses to choose between the tracker and a pose controller. The
 pose controllers read the poses all cameras share, so system_action runs
-them once per step.
+them once per step. The label-1 cameras' tracker reuses the bearings and
+distances of the step's observation (world.observe) instead of recomputing
+them from the target.
 
 batch_tracker_action, batch_triangulate and batch_system_action are the same
 rules over the (E, C) arrays of a world.BatchState; their actions equal the
@@ -51,6 +55,7 @@ from .world import (
     Action,
     BatchOutcome,
     BatchState,
+    StepOutcome,
     Visibility,
     desired_zoom,
     desired_zooms,
@@ -98,9 +103,10 @@ class GeometricMemory:
     last_estimate: tuple[float, float] | None = None
 
 
-def virtual_tracker_action(pose: CameraPose,
-                           target: tuple[float, float, float]) -> Action:
-    """Greedy one-step minimizer of the normalized pose error.
+def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
+                   distance: float) -> Action:
+    """Greedy one-step minimizer of the normalized pose error, given the
+    bearing (pitch, yaw) and distance from the camera to the target.
 
     Scores all 11 actions and returns the one whose resulting pose minimizes
     d_alpha/30 + d_beta/45 + d_xi/2.3; ties go to the lowest action index.
@@ -108,8 +114,6 @@ def virtual_tracker_action(pose: CameraPose,
     candidates, and each axis's three terms are computed once and summed
     per action (pitch + yaw + zoom, left to right).
     """
-    b = bearing_to((pose.x, pose.y, pose.z), target)
-    distance = math.dist((pose.x, pose.y, pose.z), target)
     xi_star = desired_zoom(distance)
 
     # same clamping as apply_action
@@ -120,8 +124,8 @@ def virtual_tracker_action(pose: CameraPose,
             pitch = PITCH_LIMIT_DEG
         elif pitch < -PITCH_LIMIT_DEG:
             pitch = -PITCH_LIMIT_DEG
-        pitch_terms.append(abs(pitch - b.pitch_deg) / ALPHA_MAX_DEG)
-    yaw_terms = [abs(wrap_angle(pose.yaw_deg + dy - b.yaw_deg)) / BETA_MAX_DEG
+        pitch_terms.append(abs(pitch - bearing_pitch) / ALPHA_MAX_DEG)
+    yaw_terms = [abs(wrap_angle(pose.yaw_deg + dy - bearing_yaw)) / BETA_MAX_DEG
                  for dy in _YAW_DELTAS]
     zoom_terms = []
     for dz in _ZOOM_DELTAS:
@@ -136,6 +140,15 @@ def virtual_tracker_action(pose: CameraPose,
               for i, j, k in _ACTION_TERMS]
     # min keeps the first of equal scores, and index finds that one
     return _ACTIONS[scores.index(min(scores))]
+
+
+def virtual_tracker_action(pose: CameraPose,
+                           target: tuple[float, float, float]) -> Action:
+    """tracker_action toward a target point: the oracle stand-in for a
+    working image tracker, which reads the true target position."""
+    origin = (pose.x, pose.y, pose.z)
+    b = bearing_to(origin, target)
+    return tracker_action(pose, b.pitch_deg, b.yaw_deg, math.dist(origin, target))
 
 
 def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
@@ -233,24 +246,27 @@ def noisy_switch(vis: Visibility, rng: RngStream, eps: float) -> int:
     return 1 - g if rng.random() < eps else g
 
 
-def sv_baseline_action(pose: CameraPose, vis: Visibility,
-                       target: tuple[float, float, float]) -> Action:
+def sv_baseline_action(pose: CameraPose, vis: Visibility, bearing_pitch: float,
+                       bearing_yaw: float, distance: float) -> Action:
     """Single-view baseline: track while the target is visible, otherwise
-    hold still (a lost tracker has no signal and no help from peers)."""
+    hold still (a lost tracker has no signal and no help from peers). The
+    bearing and distance are those of tracker_action."""
     if vis is Visibility.VISIBLE:
-        return virtual_tracker_action(pose, target)
+        return tracker_action(pose, bearing_pitch, bearing_yaw, distance)
     return Action.KEEP_STILL
 
 
-def system_action(target: tuple[float, float, float],
-                  messages: list[PoseMessage], kind: str,
+def system_action(outcome: StepOutcome, messages: list[PoseMessage], kind: str,
                   params: nn.PolicyParams | None = None,
                   memories: list[GeometricMemory] | None = None,
                   arena_half: float | None = None) -> list[Action]:
     """One step of the full system, one action per message in camera order:
     label-1 cameras track directly, label-0 cameras defer to the pose
     controller selected by kind, which reads the step's shared poses once for
-    all of them."""
+    all of them.
+
+    outcome is the latest observation of the messages' cameras, whose
+    bearings and distances the label-1 cameras' tracker reuses."""
     pose_cams = [i for i, msg in enumerate(messages) if msg.label == 0]
     if kind == "geometric":
         if memories is None:
@@ -271,13 +287,16 @@ def system_action(target: tuple[float, float, float],
         raise ValueError(f"unknown pose controller kind {kind!r}")
     pose_iter = iter(pose_actions)
     return [next(pose_iter) if msg.label == 0
-            else virtual_tracker_action(msg.pose, target) for msg in messages]
+            else tracker_action(msg.pose, b_pitch, b_yaw, distance)
+            for msg, b_pitch, b_yaw, distance in zip(
+                messages, outcome.bearing_pitch, outcome.bearing_yaw,
+                outcome.distance)]
 
 
 def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
                          bearing_pitch: np.ndarray, bearing_yaw: np.ndarray,
                          distance: np.ndarray) -> np.ndarray:
-    """virtual_tracker_action for every camera of a batch: poses and the
+    """tracker_action for every camera of a batch: poses and the
     bearing and distance to each camera's target, all of one shape, give
     action indices of that shape. Same terms, same left-to-right sums, and
     np.argmin keeps the first of equal scores."""

@@ -2,9 +2,11 @@
 and paired multi-seed system comparisons.
 
 run_episode rolls one episode and records every step; it serves eval,
-rollout and the JSONL logs. compare_systems steps all of a system's seeds in
-lockstep through run_lockstep, which keeps only what the metrics need; at
-one episode the scalar path is the faster one.
+rollout and the JSONL logs. Like the array path, it observes each state once
+(world.observe, inside world.step) and its tracker reuses that
+observation's bearings and distances. compare_systems steps all of a
+system's seeds in lockstep through run_lockstep, which keeps only what the
+metrics need; at one episode the scalar path is the faster one.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .controllers import (
     random_switch,
     sv_baseline_action,
     system_action,
-    virtual_tracker_action,
+    tracker_action,
 )
 from .geometry import CameraPose
 from .rng import RngStream, advance, peek_randoms, stream_states
@@ -39,9 +41,9 @@ from .world import (
     batch_observe,
     batch_step,
     batch_world,
+    observe,
     spawn_episode,
     step,
-    visibility_of,
 )
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
@@ -97,8 +99,9 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
 
     Per step: current visibility feeds the switcher, the switcher labels feed
     the controllers, the world advances, and the post-step state is recorded.
-    Visibility is classified once per step: the post-step visibility that
-    step returns is the next step's current visibility. Deterministic in seed.
+    Each state is observed once: the observation step returns is the next
+    step's current visibility, and its bearings and distances feed the next
+    step's tracker. Deterministic in seed.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
@@ -112,8 +115,9 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     memories = [GeometricMemory() for _ in range(n_cams)]
 
     records: list[StepRecord] = []
-    vis_now = [visibility_of(world, i) for i in range(n_cams)]
+    outcome = observe(world)
     for _ in range(steps):
+        vis_now = outcome.visibility
         if switch_kind == "oracle":
             labels = [oracle_switch(v) for v in vis_now]
         elif switch_kind == "random":
@@ -121,22 +125,22 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
         else:
             labels = [noisy_switch(v, switch_rng, switch_arg) for v in vis_now]
 
-        target_point = world.target.point()
         if controller == "virtual":
-            actions = [virtual_tracker_action(c, target_point) for c in world.cameras]
+            actions = list(map(tracker_action, world.cameras, outcome.bearing_pitch,
+                               outcome.bearing_yaw, outcome.distance))
         elif controller == "sv":
-            actions = [sv_baseline_action(c, v, target_point)
-                       for c, v in zip(world.cameras, vis_now)]
+            actions = list(map(sv_baseline_action, world.cameras, vis_now,
+                               outcome.bearing_pitch, outcome.bearing_yaw,
+                               outcome.distance))
         else:
             messages = [PoseMessage(i, c, g)
                         for i, (c, g) in enumerate(zip(world.cameras, labels))]
-            actions = system_action(target_point, messages, controller,
+            actions = system_action(outcome, messages, controller,
                                     params=params, memories=memories,
                                     arena_half=config.arena_half)
 
         outcome = step(world, actions)
         world = outcome.state
-        vis_now = outcome.visibility
         records.append(StepRecord(
             t=world.t,
             target=world.target.point(),

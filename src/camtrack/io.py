@@ -1,12 +1,13 @@
 """Checkpoint, episode-log and CSV persistence.
 
 Checkpoints are a small binary format so parameters round-trip bit-exactly;
-episode logs are JSONL with floats cut to 9 significant digits; training and
-comparison results are plain CSV.
+episode logs are JSONL with floats cut to 9 significant digits, each line
+formatted directly from its record; training and comparison results are
+plain CSV.
 """
 from __future__ import annotations
 
-import json
+import math
 import struct
 from pathlib import Path
 
@@ -82,34 +83,37 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     return params
 
 
-def _round9(x: float) -> float:
-    # 9 significant digits; the reparsed value's shortest repr stays short
-    return float(format(x, ".9g"))
+def _json_float(x: float) -> str:
+    """JSON text of x cut to 9 significant digits: the shortest repr of the
+    float that format(x, ".9g") spells. That spelling is already the repr
+    when it has a point and no exponent; integral values ("1", "-0") and
+    exponent forms (".9g" switches at 1e9, repr only at 1e16) go through
+    repr. Non-finite values raise, as json.dumps(..., allow_nan=False) does."""
+    s = format(x, ".9g")
+    if "." in s and "e" not in s:
+        return s
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return repr(value)
 
 
 def write_episode_log(records: list[StepRecord], path: str | Path) -> None:
-    """One JSON object per step; see the record schema in the README."""
+    """One JSON object per step, formatted straight into its line; see the
+    record schema in the README. Strict JSON: a non-finite value raises
+    ValueError and no file is written."""
+    f = _json_float
     lines = []
     for rec in records:
-        cams = []
-        for i in range(len(rec.poses)):
-            p = rec.poses[i]
-            cams.append({
-                "pose": [_round9(p.x), _round9(p.y), _round9(p.z),
-                         _round9(p.pitch_deg), _round9(p.yaw_deg), _round9(p.zoom)],
-                "action": rec.actions[i],
-                "vis": rec.visibility[i].value,
-                "g": rec.labels[i],
-                "r": _round9(rec.rewards[i]),
-                "da": _round9(rec.d_alpha[i]),
-                "db": _round9(rec.d_beta[i]),
-                "dxi": _round9(rec.d_xi[i]),
-            })
-        obj = {"t": rec.t,
-               "target": [_round9(v) for v in rec.target],
-               "cams": cams}
-        # strict JSON: a non-finite value is a fault, not a bare NaN token
-        lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
+        cams = ",".join(
+            f'{{"pose":[{f(p.x)},{f(p.y)},{f(p.z)},{f(p.pitch_deg)},{f(p.yaw_deg)},'
+            f'{f(p.zoom)}],"action":{a},"vis":"{vis.value}","g":{g},"r":{f(r)},'
+            f'"da":{f(da)},"db":{f(db)},"dxi":{f(dxi)}}}'
+            for p, a, vis, g, r, da, db, dxi in zip(
+                rec.poses, rec.actions, rec.visibility, rec.labels, rec.rewards,
+                rec.d_alpha, rec.d_beta, rec.d_xi))
+        x, y, z = rec.target
+        lines.append(f'{{"t":{rec.t},"target":[{f(x)},{f(y)},{f(z)}],"cams":[{cams}]}}')
     text = "\n".join(lines)
     if lines:
         text += "\n"

@@ -4,9 +4,13 @@ The world is purely numerical: cameras are poses, the target is a point at
 mid-height, obstacles are boxes. Cameras never move, they only rotate and
 zoom; one discrete action per camera is applied per step.
 
-step advances one episode. batch_step advances E episodes in lockstep, with
-the camera poses, sight lines and rewards held as (E, C) arrays; it equals E
-step calls bit for bit, but costs more than step for a single episode.
+step advances one episode: it applies the actions, moves the target and
+scores every camera of the new state in one observe pass, which also yields
+each camera's bearing and distance to the target for the next step's tracker.
+batch_step advances E episodes in lockstep, with the camera poses, sight
+lines and rewards held as (E, C) arrays, and batch_observe is observe's twin;
+they equal E step calls bit for bit, but cost more than step for a single
+episode.
 """
 from __future__ import annotations
 
@@ -26,12 +30,12 @@ from .geometry import (
     ZOOM_MAX,
     ZOOM_MIN,
     angle_error,
+    bearing_to,
     bearings,
     clamp_pitch,
     clamp_zoom,
     effective_fov,
     segment_box_overlap,
-    segment_hits_box,
     wrap_angle,
     wrap_angles,
 )
@@ -119,8 +123,10 @@ class WorldState:
 
 @dataclass(slots=True)
 class StepOutcome:
-    """Result of one joint step: next state plus per-camera quantities
-    evaluated on that next state. Rewards are already clipped to [-1, 1]."""
+    """An observed state, as observe and step return it: the state plus
+    per-camera quantities evaluated on it, including each camera's bearing
+    and distance to the target, which the next step's tracker reuses.
+    Rewards are already clipped to [-1, 1]."""
 
     state: WorldState
     visibility: list[Visibility]
@@ -128,6 +134,9 @@ class StepOutcome:
     d_alpha: list[float]
     d_beta: list[float]
     d_xi: list[float]
+    bearing_pitch: list[float]
+    bearing_yaw: list[float]
+    distance: list[float]
 
 
 def desired_zoom(distance: float) -> float:
@@ -270,15 +279,16 @@ def apply_action(pose: CameraPose, action: Action) -> CameraPose:
     return CameraPose(pose.x, pose.y, pose.z, pitch, yaw, zoom)
 
 
-def _classify(pose: CameraPose, target_point: tuple[float, float, float],
-              obstacles: list[Obstacle], d_alpha: float, d_beta: float) -> Visibility:
-    # Out-of-view takes precedence over occlusion.
+def _classify(pose: CameraPose, origin: tuple[float, float, float],
+              direction: tuple[float, float, float], obstacles: list[Obstacle],
+              d_alpha: float, d_beta: float) -> Visibility:
+    # Out-of-view takes precedence over occlusion; direction is the sight
+    # line from origin to the target, tested against every box.
     h_fov, v_fov = effective_fov(pose.zoom)
     if d_beta > 0.5 * h_fov or d_alpha > 0.5 * v_fov:
         return Visibility.OUT_OF_VIEW
-    origin = (pose.x, pose.y, pose.z)
     for box in obstacles:
-        if segment_hits_box(origin, target_point, box):
+        if segment_box_overlap(origin, direction, box) is not None:
             return Visibility.OCCLUDED
     return Visibility.VISIBLE
 
@@ -286,9 +296,12 @@ def _classify(pose: CameraPose, target_point: tuple[float, float, float],
 def visibility_of(state: WorldState, i: int) -> Visibility:
     """Visibility of the target from camera i in the current state."""
     pose = state.cameras[i]
-    target_point = state.target.point()
-    d_alpha, d_beta = angle_error(pose, target_point)
-    return _classify(pose, target_point, state.obstacles, d_alpha, d_beta)
+    tp = state.target.point()
+    tx, ty, tz = tp
+    d_alpha, d_beta = angle_error(pose, tp)
+    return _classify(pose, (pose.x, pose.y, pose.z),
+                     (tx - pose.x, ty - pose.y, tz - pose.z), state.obstacles,
+                     d_alpha, d_beta)
 
 
 def direction_reward(vis: Visibility, d_alpha: float, d_beta: float) -> float:
@@ -308,30 +321,30 @@ def zoom_reward(vis: Visibility, xi: float, distance: float) -> float:
     return 1.0 - abs(xi - desired_zoom(distance)) / ZOOM_ERROR_NORM
 
 
-def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
-    """Apply one action per camera, move the target, and score every camera
-    on the resulting state. Per-camera reward is the clipped sum of the
+def observe(state: WorldState) -> StepOutcome:
+    """Score every camera on the state in one pass: the bearing and distance
+    to the target, the angle errors, visibility (field of view first, then
+    the sight line against every obstacle) and the clipped sum of the
     direction and zoom rewards."""
-    cams = state.cameras
-    if len(joint_action) != len(cams):
-        raise ValueError(f"expected {len(cams)} actions, got {len(joint_action)}")
-
-    new_cams = [apply_action(c, a) for c, a in zip(cams, joint_action)]
-    new_target = advance_target(state)
-    nxt = WorldState(new_cams, new_target, state.obstacles, state.t + 1,
-                     state.arena_half, state.speed_range, state.rng)
-
-    tp = new_target.point()
+    tp = state.target.point()
+    tx, ty, tz = tp
+    obstacles = state.obstacles
     visibility: list[Visibility] = []
     reward: list[float] = []
     d_alphas: list[float] = []
     d_betas: list[float] = []
     d_xis: list[float] = []
-    for pose in new_cams:
-        d_alpha, d_beta = angle_error(pose, tp)
-        distance = math.dist((pose.x, pose.y, pose.z), tp)
-        d_xi = abs(pose.zoom - desired_zoom(distance))
-        vis = _classify(pose, tp, state.obstacles, d_alpha, d_beta)
+    b_pitches: list[float] = []
+    b_yaws: list[float] = []
+    distances: list[float] = []
+    for pose in state.cameras:
+        origin = (pose.x, pose.y, pose.z)
+        b = bearing_to(origin, tp)
+        d_alpha = abs(pose.pitch_deg - b.pitch_deg)
+        d_beta = abs(wrap_angle(pose.yaw_deg - b.yaw_deg))
+        distance = math.dist(origin, tp)
+        vis = _classify(pose, origin, (tx - pose.x, ty - pose.y, tz - pose.z),
+                        obstacles, d_alpha, d_beta)
         r = (direction_reward(vis, d_alpha, d_beta)
              + zoom_reward(vis, pose.zoom, distance))
         if r > 1.0:
@@ -342,9 +355,23 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
         reward.append(r)
         d_alphas.append(d_alpha)
         d_betas.append(d_beta)
-        d_xis.append(d_xi)
+        d_xis.append(abs(pose.zoom - desired_zoom(distance)))
+        b_pitches.append(b.pitch_deg)
+        b_yaws.append(b.yaw_deg)
+        distances.append(distance)
+    return StepOutcome(state, visibility, reward, d_alphas, d_betas, d_xis,
+                       b_pitches, b_yaws, distances)
 
-    return StepOutcome(nxt, visibility, reward, d_alphas, d_betas, d_xis)
+
+def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
+    """Apply one action per camera, move the target, and observe the
+    resulting state."""
+    cams = state.cameras
+    if len(joint_action) != len(cams):
+        raise ValueError(f"expected {len(cams)} actions, got {len(joint_action)}")
+    return observe(WorldState([apply_action(c, a) for c, a in zip(cams, joint_action)],
+                              advance_target(state), state.obstacles, state.t + 1,
+                              state.arena_half, state.speed_range, state.rng))
 
 
 # The array world's visibility codes: VISIBILITIES[code] is the Visibility.
@@ -427,9 +454,9 @@ def batch_reset(state: BatchState, e: int, world: WorldState) -> None:
 
 
 def batch_observe(state: BatchState) -> BatchOutcome:
-    """Score every camera on the current state, as step does on the state it
-    returns: angle errors, visibility (field of view first, then one slab
-    test per obstacle along the sight line) and the clipped reward."""
+    """observe for every episode of the batch: angle errors, visibility
+    (field of view first, then one slab test per obstacle along the sight
+    line), the clipped reward, and each camera's bearing and distance."""
     n_cams = state.pitch.shape[1]
     targets = [env.target.point() for env in state.envs]
     direction = np.array(targets)[:, None, :] - state.origin

@@ -28,9 +28,12 @@ from camtrack.world import (
     BETA_MAX_DEG,
     ZOOM_ERROR_NORM,
     Action,
+    TargetState,
     Visibility,
+    WorldState,
     apply_action,
     desired_zoom,
+    observe,
 )
 
 from test_nn import rand_params
@@ -85,6 +88,21 @@ def target_at(pose, d_pitch, d_yaw, distance=12.0):
     return (pose.x + distance * math.cos(pitch) * math.cos(yaw),
             pose.y + distance * math.cos(pitch) * math.sin(yaw),
             pose.z + distance * math.sin(pitch))
+
+
+def sight(pose, target):
+    """The bearing pitch, bearing yaw and distance from the camera to the target."""
+    b = bearing_to((pose.x, pose.y, pose.z), target)
+    return b.pitch_deg, b.yaw_deg, math.dist((pose.x, pose.y, pose.z), target)
+
+
+def observed(messages, target):
+    """world.observe's outcome for the messages' cameras and a target point,
+    in an arena without obstacles."""
+    x, y, z = target
+    world = WorldState([m.pose for m in messages], TargetState(x, y, 0.0, (x, y), z=z),
+                       [], 0, 10.0, (0.5, 1.5), RngStream(0, 0))
+    return observe(world)
 
 
 class TestVirtualTracker:
@@ -410,18 +428,22 @@ class TestSvBaseline:
     def test_visible_aligned_keeps_still(self):
         pose = CameraPose(0, 0, 2, 0.0, 0.0, 2.0)
         target = target_at(pose, 0, 0)
-        assert sv_baseline_action(pose, Visibility.VISIBLE, target) == Action.KEEP_STILL
+        assert sv_baseline_action(pose, Visibility.VISIBLE, *sight(pose, target)) \
+            == Action.KEEP_STILL
 
     def test_lost_keeps_still(self):
         pose = CameraPose(0, 0, 2, 0.0, 0.0, 2.0)
         target = target_at(pose, 0, 12.0)
-        assert sv_baseline_action(pose, Visibility.OUT_OF_VIEW, target) == Action.KEEP_STILL
-        assert sv_baseline_action(pose, Visibility.OCCLUDED, target) == Action.KEEP_STILL
+        assert sv_baseline_action(pose, Visibility.OUT_OF_VIEW, *sight(pose, target)) \
+            == Action.KEEP_STILL
+        assert sv_baseline_action(pose, Visibility.OCCLUDED, *sight(pose, target)) \
+            == Action.KEEP_STILL
 
     def test_visible_tracks(self):
         pose = CameraPose(0, 0, 2, 0.0, 0.0, 2.0)
         target = target_at(pose, 0, 12.0)
-        assert sv_baseline_action(pose, Visibility.VISIBLE, target) == Action.RIGHT
+        assert sv_baseline_action(pose, Visibility.VISIBLE, *sight(pose, target)) \
+            == Action.RIGHT
 
 
 def per_camera_system_action(self_index, target, messages, kind, params=None,
@@ -464,26 +486,29 @@ class TestSystemAction:
     def test_own_label_one_uses_tracker(self):
         msgs = self._messages(1)
         target = (5.0, 5.0, 0.9)
-        actions = system_action(target, msgs, "geometric", memories=self._memories())
+        actions = system_action(observed(msgs, target), msgs, "geometric",
+                                memories=self._memories())
         assert actions == [virtual_tracker_action(m.pose, target) for m in msgs]
 
     def test_label_zero_geometric(self):
         msgs = self._messages(0)
         target = (5.0, 5.0, 0.9)
-        actions = system_action(target, msgs, "geometric", memories=self._memories())
+        actions = system_action(observed(msgs, target), msgs, "geometric",
+                                memories=self._memories())
         assert actions[0] == geometric_pose_action(msgs[0].pose, triangulate(msgs),
                                                    GeometricMemory())
 
     def test_label_zero_learned_greedy(self):
         msgs = self._messages(0)
         params = nn.init_params(4)
-        got = system_action((5.0, 5.0, 0.9), msgs, "learned", params=params,
-                            arena_half=10.0)
+        got = system_action(observed(msgs, (5.0, 5.0, 0.9)), msgs, "learned",
+                            params=params, arena_half=10.0)
         assert got[0] == learned_pose_action(msgs, params, 10.0)[0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            system_action((5, 5, 0.9), self._messages(0), "nonsense")
+            msgs = self._messages(0)
+            system_action(observed(msgs, (5, 5, 0.9)), msgs, "nonsense")
 
     @pytest.mark.parametrize("kind", ["geometric", "learned"])
     def test_per_step_equals_per_camera_rule(self, kind):
@@ -504,7 +529,7 @@ class TestSystemAction:
                                              memory=camera_memories[i],
                                              arena_half=10.0)
                     for i in range(n_cams)]
-            got = system_action(target, msgs, kind, params=params,
+            got = system_action(observed(msgs, target), msgs, kind, params=params,
                                 memories=step_memories, arena_half=10.0)
             assert got == want
             assert step_memories == camera_memories
@@ -521,14 +546,15 @@ class TestSystemAction:
         memories = [GeometricMemory() for _ in range(3)]
         first = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 1),
                  PoseMessage(2, peers[1], 1)]
-        system_action((5.0, 5.0, 0.9), first, "geometric", memories=memories)
+        system_action(observed(first, (5.0, 5.0, 0.9)), first, "geometric",
+                      memories=memories)
         estimate = memories[0].last_estimate
         assert estimate == pytest.approx((5.0, 5.0), abs=1e-9)
 
         second = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 0),
                   PoseMessage(2, peers[1], 1)]
-        actions = system_action((-5.0, -5.0, 0.9), second, "geometric",
-                                memories=memories)
+        actions = system_action(observed(second, (-5.0, -5.0, 0.9)), second,
+                                "geometric", memories=memories)
         assert memories[0].last_estimate == estimate
         assert memories[1].last_estimate is None
         assert actions[0] == virtual_tracker_action(me, estimate + (0.9,))

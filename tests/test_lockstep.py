@@ -39,6 +39,7 @@ from camtrack.world import (
     batch_observe,
     batch_step,
     batch_world,
+    observe,
     spawn_episode,
     step,
     visibility_of,
@@ -321,7 +322,7 @@ class TestBatchSystemAction:
             labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
             got = batch_system_action(state, outcome, labels, kind, params=PARAMS,
                                       memory=memory)
-            want = [system_action(w.target.point(),
+            want = [system_action(observe(w),
                                   [PoseMessage(i, c, g) for i, (c, g)
                                    in enumerate(zip(w.cameras, row))],
                                   kind, params=PARAMS, memories=mems,
