@@ -1,4 +1,6 @@
 """Episode rollouts, tracking metrics, and paired system comparisons."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from camtrack.evaluate import (
     success_rate,
 )
 from camtrack.geometry import CameraPose
+from camtrack.io import write_episode_log
 from camtrack.world import Visibility, visibility_of
 
 
@@ -124,6 +127,43 @@ class TestRunEpisode:
             parse_switcher("noisy:0.9")
         with pytest.raises(ValueError):
             parse_switcher("random:1.5")
+
+
+# sha256 of the write_episode_log bytes of 300-step episodes, with
+# nn.init_params(0) for the learned controller; taken before the one-episode
+# path observed each state once and formatted its log lines directly.
+PINNED_LOGS = [
+    ("learned", "random:0.5", EpisodeConfig(), 0,
+     "0179b59f64b785bd35aa29a32accc382aefbefe03bf5413206413d26f3ba69ce"),
+    ("geometric", "oracle", EpisodeConfig(), 1,
+     "a0512db9b11de9b4cbaa46fff2d07d93e9255175963d8e58f9d6b9d439cfb825"),
+    ("sv", "noisy:0.2", EpisodeConfig(), 2,
+     "6de5b85627d6694f1a897e306fef720e7b73e922d977b3a3ec2f24172ddd90e9"),
+    ("virtual", "oracle", EpisodeConfig(), 3,
+     "840169b0491caf632303f7427b86be682deea8a3d89380047ebe8bcfd37eba2f"),
+    ("geometric", "random:0.5", EpisodeConfig(n_obstacles=0), 4,
+     "5b7649471346fe3f85da3b4bbad0e0db2a866d6486b3fc8fe4acee2394a6a722"),
+    ("learned", "noisy:0.2", EpisodeConfig(n_obstacles=15), 5,
+     "da028b9e583657494276993c7ccdca1a9cfe49c6fdcfe97839e364e2863bd8fb"),
+    ("learned", "random:0.5", EpisodeConfig(n_cameras=2), 6,
+     "4b66f22aa2c584b75574ab4faf0f54be726590c67c7568b38ede96955e0ef4c5"),
+    ("sv", "oracle", EpisodeConfig(n_cameras=2), 7,
+     "b96a46a2f6789ed069a1ab37a534070df097533a5e3c802f32b489cdaad91cbb"),
+]
+
+
+class TestPinnedEpisodeLogs:
+    """The one-episode counterpart of the pinned training replays: every
+    value run_episode records, through the log's bytes."""
+
+    @pytest.mark.parametrize("controller, switcher, cfg, seed, digest", PINNED_LOGS,
+                             ids=[f"{c}-{s}-{seed}" for c, s, _, seed, _ in PINNED_LOGS])
+    def test_log_bytes(self, tmp_path, controller, switcher, cfg, seed, digest):
+        records = run_episode(cfg, controller, switcher, params=nn.init_params(0),
+                              seed=seed, steps=300)
+        path = tmp_path / "episode.jsonl"
+        write_episode_log(records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestMetrics:

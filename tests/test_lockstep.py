@@ -1,7 +1,9 @@
 """The lockstep array world against the scalar one-episode path, bit for bit:
-batch_step against E step calls, the array tracker and triangulation against
-virtual_tracker_action and triangulate, batch_system_action against
-system_action, and compare_systems against per-seed run_episode summaries."""
+batch_step and batch_observe against E step and observe calls, the array
+tracker and triangulation against virtual_tracker_action and triangulate,
+batch_system_action against system_action, and compare_systems against
+per-seed run_episode summaries; and the scalar path's tracker fed the
+previous observation against virtual_tracker_action on the true target."""
 import dataclasses
 import math
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from camtrack import nn
+from camtrack import evaluate, nn
 from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
     BatchMemory,
@@ -19,6 +21,7 @@ from camtrack.controllers import (
     batch_tracker_action,
     batch_triangulate,
     system_action,
+    tracker_action,
     triangulate,
     virtual_tracker_action,
 )
@@ -76,7 +79,8 @@ def tweaked_episode(cfg, seed, level, aligned, pause):
 
 
 def assert_outcome_equal(state, e, outcome, scalar_world, scalar=None):
-    """Env e of a batch outcome equals the scalar state's own quantities."""
+    """Env e of a batch outcome equals the scalar state's own quantities and
+    its scalar observation (observe's, unless the step's outcome is given)."""
     cams = scalar_world.cameras
     tp = scalar_world.target.point()
     assert bits([c.pitch_deg for c in cams]) == state.pitch[e].tobytes()
@@ -92,13 +96,17 @@ def assert_outcome_equal(state, e, outcome, scalar_world, scalar=None):
         == outcome.distance[e].tobytes()
     codes = [VISIBILITIES.index(visibility_of(scalar_world, i)) for i in range(len(cams))]
     assert outcome.visibility[e].tolist() == codes
-    if scalar is not None:
-        assert [VISIBILITIES[c] for c in outcome.visibility[e].tolist()] \
-            == scalar.visibility
-        assert bits(scalar.reward) == outcome.reward[e].tobytes()
-        assert bits(scalar.d_alpha) == outcome.d_alpha[e].tobytes()
-        assert bits(scalar.d_beta) == outcome.d_beta[e].tobytes()
-        assert bits(scalar.d_xi) == outcome.d_xi[e].tobytes()
+    if scalar is None:
+        scalar = observe(scalar_world)
+    assert [VISIBILITIES[c] for c in outcome.visibility[e].tolist()] \
+        == scalar.visibility
+    assert bits(scalar.reward) == outcome.reward[e].tobytes()
+    assert bits(scalar.d_alpha) == outcome.d_alpha[e].tobytes()
+    assert bits(scalar.d_beta) == outcome.d_beta[e].tobytes()
+    assert bits(scalar.d_xi) == outcome.d_xi[e].tobytes()
+    assert bits(scalar.bearing_pitch) == outcome.bearing_pitch[e].tobytes()
+    assert bits(scalar.bearing_yaw) == outcome.bearing_yaw[e].tobytes()
+    assert bits(scalar.distance) == outcome.distance[e].tobytes()
 
 
 class TestBatchStep:
@@ -343,6 +351,48 @@ class TestBatchSystemAction:
         state = batch_world([spawn_episode(EpisodeConfig(), 0)])
         with pytest.raises(ValueError):
             batch_system_action(state, batch_observe(state), np.zeros((1, 4), int), "sv")
+
+
+class TestCarriedBearings:
+    @pytest.mark.parametrize("cfg", [EpisodeConfig(), EpisodeConfig(n_cameras=2,
+                                                                     n_obstacles=15)])
+    @pytest.mark.parametrize("system, switcher", [("sv", "noisy:0.2"),
+                                                  ("learned", "random:0.5"),
+                                                  ("geometric", "oracle")])
+    def test_tracker_reuses_the_previous_observation(self, monkeypatch, cfg, system,
+                                                     switcher):
+        """On every tracking camera-step of run_episode (label 1, or visible
+        for sv), tracker_action fed the previous observation's bearing and
+        distance equals virtual_tracker_action on the true target, and is
+        the action the episode took."""
+        for seed in (0, 1, 2):
+            stepped, outcomes = [], []
+            real_step = evaluate.step
+
+            def recording_step(state, actions):
+                stepped.append(state)
+                outcomes.append(real_step(state, actions))
+                return outcomes[-1]
+
+            monkeypatch.setattr(evaluate, "step", recording_step)
+            records = run_episode(cfg, system, switcher, params=PARAMS, seed=seed,
+                                  steps=150)
+            monkeypatch.undo()
+            carried = [observe(spawn_episode(cfg, seed))] + outcomes[:-1]
+            checked = 0
+            for state, previous, record in zip(stepped, carried, records):
+                tp = state.target.point()
+                tracking = ([v is Visibility.VISIBLE for v in previous.visibility]
+                            if system == "sv" else [g == 1 for g in record.labels])
+                for i, pose in enumerate(state.cameras):
+                    if not tracking[i]:
+                        continue
+                    got = tracker_action(pose, previous.bearing_pitch[i],
+                                         previous.bearing_yaw[i], previous.distance[i])
+                    assert got == virtual_tracker_action(pose, tp)
+                    assert record.actions[i] == got
+                    checked += 1
+            assert checked > 100
 
 
 def reference_summaries(cfg, name, n_seeds, steps, params, switcher, base_seed):

@@ -2,14 +2,18 @@
 import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camtrack import nn
 from camtrack.cli import cli_main
 from camtrack.config import ConfigError, EpisodeConfig, TrainConfig, load_config, save_config
-from camtrack.evaluate import run_episode
+from camtrack.evaluate import StepRecord, run_episode
+from camtrack.geometry import CameraPose
 from camtrack.io import (
     CheckpointError,
     load_checkpoint,
@@ -19,6 +23,7 @@ from camtrack.io import (
 )
 from camtrack.rng import RngStream
 from camtrack.training import UpdateStats
+from camtrack.world import Visibility
 
 
 class TestConfig:
@@ -230,6 +235,45 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "s.ckpt")
 
 
+def _round9(x: float) -> float:
+    return float(format(x, ".9g"))
+
+
+def reference_log(records) -> str:
+    """The episode log as dicts of _round9 floats through strict json.dumps."""
+    lines = []
+    for rec in records:
+        cams = [{"pose": [_round9(v) for v in (p.x, p.y, p.z, p.pitch_deg,
+                                               p.yaw_deg, p.zoom)],
+                 "action": a, "vis": vis.value, "g": g, "r": _round9(r),
+                 "da": _round9(da), "db": _round9(db), "dxi": _round9(dxi)}
+                for p, a, vis, g, r, da, db, dxi in zip(
+                    rec.poses, rec.actions, rec.visibility, rec.labels,
+                    rec.rewards, rec.d_alpha, rec.d_beta, rec.d_xi)]
+        obj = {"t": rec.t, "target": [_round9(v) for v in rec.target], "cams": cams}
+        lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+    return "".join(lines)
+
+
+# Every branch of the writer's float formatting: zeros of both signs,
+# integral values, ".9g" exponent forms below 1e-4, the 9-digit rounding of
+# a value above 1e8 to an integer, and ".9g"'s exponent form from 1e9 where
+# repr stays positional until 1e16.
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 3.0, 180.0, 1e-05, 1.2345e-07,
+               123456789.5, 1.5e9, 1e16, 0.1, 2.0 / 3.0, 1e-4, 99999.99999]
+
+
+def float_record(value: float) -> StepRecord:
+    """A two-camera step record with value in every float slot."""
+    pose = CameraPose(value, value, value, value, value, value)
+    return StepRecord(t=7, target=(value, value, value), poses=[pose, pose],
+                      actions=[3, 10], visibility=[Visibility.VISIBLE,
+                                                   Visibility.OUT_OF_VIEW],
+                      labels=[1, 0], rewards=[value, value],
+                      d_alpha=[value, value], d_beta=[value, value],
+                      d_xi=[value, value])
+
+
 class TestEpisodeLog:
     def test_empty_records_empty_file(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -263,6 +307,46 @@ class TestEpisodeLog:
         path = tmp_path / "e.jsonl"
         with pytest.raises(ValueError):
             write_episode_log(records, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_values_equal_the_reference(self, tmp_path, value):
+        # the value and its negation in every float slot of a record
+        records = [float_record(value), float_record(-value)]
+        path = tmp_path / "e.jsonl"
+        write_episode_log(records, path)
+        assert path.read_text(encoding="utf-8") == reference_log(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=13, max_size=13))
+    def test_any_finite_values_equal_the_reference(self, values):
+        record = float_record(0.0)
+        pose = CameraPose(*values[:6])
+        record = dataclasses.replace(
+            record, target=tuple(values[6:9]), poses=[pose, pose],
+            rewards=[values[9], values[10]], d_alpha=[values[11], 1.0],
+            d_beta=[1.0, values[12]])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.jsonl"
+            write_episode_log([record], path)
+            assert path.read_text(encoding="utf-8") == reference_log([record])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slot", ["pose", "reward", "target"])
+    def test_non_finite_in_every_slot_rejected(self, tmp_path, bad, slot):
+        record = float_record(1.5)
+        if slot == "pose":
+            record.poses[1] = dataclasses.replace(record.poses[1], yaw_deg=bad)
+        elif slot == "reward":
+            record.rewards[0] = bad
+        else:
+            record.target = (1.5, bad, 0.9)
+        with pytest.raises(ValueError, match="Out of range float"):
+            reference_log([record])
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_episode_log([float_record(2.0), record], path)
         assert not path.exists()
 
     def test_nine_significant_digits(self, tmp_path):
