@@ -153,6 +153,8 @@ def _cmd_compare(args) -> int:
             raise ConfigError(f"unknown system {name!r}")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    # compare runs seeds 0 .. --seeds - 1
+    check_seed("--seeds - 1", args.seeds - 1)
     params = _load_params_if_needed(systems, args.checkpoint)
     summaries = compare_systems(episode_cfg, systems, args.seeds,
                                 params=params, switcher=args.switcher)

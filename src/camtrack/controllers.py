@@ -7,8 +7,9 @@ Four ways to pick one of the 11 camera commands:
     tracker.
   * geometric_pose_action  - steers toward the step's triangulation of the
     target from the cameras that report successful tracking.
-  * learned_pose_action    - greedy forward pass of the trained pose policy
-    for all pose-controlled cameras of a step.
+  * learned_pose_action    - greedy action of the trained pose policy for
+    all pose-controlled cameras of a step (nn.greedy_actions: trunk and
+    policy head only, no value head or backward cache).
   * sv_baseline_action     - no collaboration: track when the target is
     visible, freeze otherwise.
 
@@ -205,24 +206,16 @@ def geometric_pose_action(pose: CameraPose, result: TriangulationResult,
     return virtual_tracker_action(pose, (point[0], point[1], TARGET_MID_HEIGHT))
 
 
-def _greedy(params: nn.PolicyParams, raws: np.ndarray) -> np.ndarray:
-    """Greedy action indices of the label-0 cameras of one step's (1, C, 7)
-    pose tuples, in camera order."""
-    group, cam = np.nonzero(raws[:, :, 6] == 0.0)
-    logits, _, _ = nn.group_forward(params, raws, group, cam)
-    return np.argmax(nn.log_softmax(logits), axis=-1)
-
-
 def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
                         arena_half: float) -> list[Action]:
     """Greedy actions of the label-0 cameras, in camera order.
 
-    The step's pose tuples are embedded once and one forward runs over the
-    label-0 rows, as in training; each action is the argmax of the
-    log-probabilities (lowest index on ties).
+    The step's pose tuples are embedded once and nn.greedy_actions runs the
+    trunk and policy head over the label-0 rows; each action is the argmax
+    of the log-probabilities training computes (lowest index on ties).
     """
-    raws = nn.raw_tuples([messages], arena_half)
-    return [_ACTIONS[i] for i in _greedy(params, raws).tolist()]
+    raws = nn.raw_tuples([messages], arena_half)[0]
+    return [_ACTIONS[i] for i in nn.greedy_actions(params, raws).tolist()]
 
 
 def oracle_switch(vis: Visibility) -> int:
@@ -368,8 +361,8 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
 
     outcome is the latest observation of state, whose bearings and
     distances the label-1 cameras' tracker reuses. geometric triangulates
-    every episode that has a label-0 camera; learned runs one forward per
-    such episode, since one forward over all of them would round
+    every episode that has a label-0 camera; learned runs nn.greedy_actions
+    once per such episode, since one forward over all of them would round
     differently."""
     pose = labels == 0
     envs = np.flatnonzero(pose.any(axis=1))
@@ -404,11 +397,9 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
         actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
                                        b_pitch, b_yaw, distance)
         for e in envs.tolist():
-            one = slice(e, e + 1)
-            raws = nn.pose_tuples(state.origin[one], state.pitch[one],
-                                  state.yaw[one], labels[one],
-                                  state.envs[e].arena_half)
-            actions[e, pose[e]] = _greedy(params, raws)
+            raws = nn.pose_tuples(state.origin[e], state.pitch[e], state.yaw[e],
+                                  labels[e], state.envs[e].arena_half)
+            actions[e, pose[e]] = nn.greedy_actions(params, raws)
     else:
         raise ValueError(f"unknown pose controller kind {kind!r}")
     return actions

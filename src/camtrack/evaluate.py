@@ -4,9 +4,10 @@ and paired multi-seed system comparisons.
 run_episode rolls one episode and records every step; it serves eval,
 rollout and the JSONL logs. Like the array path, it observes each state once
 (world.observe, inside world.step) and its tracker reuses that
-observation's bearings and distances. compare_systems steps all of a
-system's seeds in lockstep through run_lockstep, which keeps only what the
-metrics need; at one episode the scalar path is the faster one.
+observation's bearings and distances. compare_systems steps a system's
+seeds in lockstep through run_lockstep, LOCKSTEP_SEEDS at a time, which
+keeps only what the metrics need; at one episode the scalar path is the
+faster one.
 """
 from __future__ import annotations
 
@@ -23,10 +24,8 @@ from .controllers import (
     PoseMessage,
     batch_system_action,
     batch_tracker_action,
-    noisy_switch,
     oracle_switch,
     random_labels,
-    random_switch,
     sv_baseline_action,
     system_action,
     tracker_action,
@@ -47,6 +46,11 @@ from .world import (
 )
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
+# Seeds compare_systems steps in lockstep at once: its memory is bounded by
+# this, not by the seed count. Smaller chunks lose the lockstep speed: a
+# 400-seed sv compare took 2.9 s of CPU at 128, 2.7 s in one batch and
+# 4.0 s at 32 (Python 3.11.7, numpy 2.4.6, 2 shared vCPUs).
+LOCKSTEP_SEEDS = 128
 
 
 @dataclass(slots=True)
@@ -101,29 +105,38 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     the controllers, the world advances, and the post-step state is recorded.
     Each state is observed once: the observation step returns is the next
     step's current visibility, and its bearings and distances feed the next
-    step's tracker. Deterministic in seed.
+    step's tracker. The random and noisy switchers draw the whole episode's
+    uniforms in one call before the first step, one per camera-step in step
+    then camera order: the values random_switch and noisy_switch would draw
+    one at a time. Deterministic in seed.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
     if controller == "learned" and params is None:
         raise ValueError("the learned controller requires policy params")
+    _check_steps(steps)
     switch_kind, switch_arg = parse_switcher(switcher)
 
     world = spawn_episode(config, seed)
-    switch_rng = RngStream(seed, 1)
     n_cams = config.n_cameras
     memories = [GeometricMemory() for _ in range(n_cams)]
+    if switch_kind != "oracle":
+        # u[t][i] < switch_arg: random_switch's label 0, noisy_switch's flip
+        u = RngStream(seed, 1).randoms(steps * n_cams).reshape(steps, n_cams)
+        draws = (random_labels(u, switch_arg) if switch_kind == "random"
+                 else u < switch_arg).tolist()
 
     records: list[StepRecord] = []
     outcome = observe(world)
-    for _ in range(steps):
+    for t in range(steps):
         vis_now = outcome.visibility
         if switch_kind == "oracle":
             labels = [oracle_switch(v) for v in vis_now]
         elif switch_kind == "random":
-            labels = [random_switch(switch_rng, switch_arg) for _ in vis_now]
+            labels = draws[t]
         else:
-            labels = [noisy_switch(v, switch_rng, switch_arg) for v in vis_now]
+            labels = [1 - g if flip else g
+                      for g, flip in zip(map(oracle_switch, vis_now), draws[t])]
 
         if controller == "virtual":
             actions = list(map(tracker_action, world.cameras, outcome.bearing_pitch,
@@ -219,6 +232,11 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+
+
 def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
                  switcher: str = "oracle", params: nn.PolicyParams | None = None,
                  steps: int = DEFAULT_EPISODE_STEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +252,7 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
         raise ValueError(f"unknown controller {controller!r}")
     if controller == "learned" and params is None:
         raise ValueError("the learned controller requires policy params")
+    _check_steps(steps)
     switch_kind, switch_arg = parse_switcher(switcher)
 
     state = batch_world([spawn_episode(config, seed) for seed in seeds])
@@ -279,27 +298,34 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     """Run every system on the same seeds and summarize both metrics.
 
     Pairing the seeds removes layout variance from the comparison. Each
-    system's episodes run in lockstep; the per-episode metrics are those of
-    per_camera_mean_error and per_camera_success_rate on run_episode's
-    records, exactly rounded over time the same way.
+    system's episodes run in lockstep, LOCKSTEP_SEEDS seeds at a time, and
+    only their per-episode metrics are kept across chunks, so memory does
+    not grow with the step arrays of every seed. The per-episode metrics are
+    those of per_camera_mean_error and per_camera_success_rate on
+    run_episode's records, exactly rounded over time the same way.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if steps < 1:
         raise ValueError("metrics need at least one step record")
-    seeds = list(range(base_seed, base_seed + n_seeds))
+    seeds = range(base_seed, base_seed + n_seeds)
+    n_cams = config.n_cameras
     summaries = []
     for name in systems:
-        error, in_view = run_lockstep(config, name, seeds, switcher=switcher,
-                                      params=params, steps=steps)
-        n_cams = config.n_cameras
-        # one (episode, camera) column at a time, so that only one of them is
-        # ever held as Python floats
-        lane_me = [math.fsum(lane.tolist()) / steps
-                   for lane in error.reshape(steps, -1).T]
-        episode_me = [lane_me[k:k + n_cams] for k in range(0, len(lane_me), n_cams)]
-        episode_sr = [[count / steps for count in episode]
-                      for episode in in_view.sum(axis=0).tolist()]
+        episode_me: list[list[float]] = []
+        episode_sr: list[list[float]] = []
+        for start in range(0, n_seeds, LOCKSTEP_SEEDS):
+            error, in_view = run_lockstep(
+                config, name, list(seeds[start:start + LOCKSTEP_SEEDS]),
+                switcher=switcher, params=params, steps=steps)
+            # one (episode, camera) column at a time, so that only one of
+            # them is ever held as Python floats
+            lane_me = [math.fsum(lane.tolist()) / steps
+                       for lane in error.reshape(steps, -1).T]
+            episode_me += [lane_me[k:k + n_cams]
+                           for k in range(0, len(lane_me), n_cams)]
+            episode_sr += [[count / steps for count in episode]
+                           for episode in in_view.sum(axis=0).tolist()]
         per_cam_me = [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)]
         per_cam_sr = [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)]
         overall_me = _mean_std([math.fsum(ep) / n_cams for ep in episode_me])

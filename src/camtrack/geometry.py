@@ -73,18 +73,21 @@ def wrap_angle(a: float) -> float:
     return r - 360.0 if r > 180.0 else r
 
 
-def bearing_to(origin: tuple[float, float, float],
-               target: tuple[float, float, float]) -> Bearing:
-    """Bearing from origin toward target; raises for coincident points."""
-    dx = target[0] - origin[0]
-    dy = target[1] - origin[1]
-    dz = target[2] - origin[2]
+def bearing_angles(dx: float, dy: float, dz: float) -> tuple[float, float]:
+    """(pitch, yaw) of the direction (dx, dy, dz), bearing_to's values
+    without the Bearing; raises for the zero vector."""
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
         raise ValueError("bearing undefined for coincident points")
-    yaw = wrap_angle(math.degrees(math.atan2(dy, dx)))
-    pitch = math.degrees(math.atan2(dz, horizontal))
-    return Bearing(pitch, yaw)
+    return (math.degrees(math.atan2(dz, horizontal)),
+            wrap_angle(math.degrees(math.atan2(dy, dx))))
+
+
+def bearing_to(origin: tuple[float, float, float],
+               target: tuple[float, float, float]) -> Bearing:
+    """Bearing from origin toward target; raises for coincident points."""
+    return Bearing(*bearing_angles(target[0] - origin[0], target[1] - origin[1],
+                                   target[2] - origin[2]))
 
 
 def angle_error(pose: CameraPose,

@@ -2,8 +2,8 @@
 
 Checkpoints are a small binary format so parameters round-trip bit-exactly;
 episode logs are JSONL with floats cut to 9 significant digits, each line
-formatted directly from its record; training and comparison results are
-plain CSV.
+formatted directly from its record and each distinct float formatted once
+per file; training and comparison results are plain CSV.
 """
 from __future__ import annotations
 
@@ -98,22 +98,37 @@ def _json_float(x: float) -> str:
     return repr(value)
 
 
+class _FloatText(dict):
+    """_json_float's text of each float value met in one file, made on first
+    use. Zeros are formatted every time: 0.0 and -0.0 are one key but two
+    spellings."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = _json_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_episode_log(records: list[StepRecord], path: str | Path) -> None:
     """One JSON object per step, formatted straight into its line; see the
-    record schema in the README. Strict JSON: a non-finite value raises
-    ValueError and no file is written."""
-    f = _json_float
+    record schema in the README. Each distinct float is formatted once per
+    file. Strict JSON: a non-finite value raises ValueError and no file is
+    written."""
+    f = _FloatText()
     lines = []
     for rec in records:
         cams = ",".join(
-            f'{{"pose":[{f(p.x)},{f(p.y)},{f(p.z)},{f(p.pitch_deg)},{f(p.yaw_deg)},'
-            f'{f(p.zoom)}],"action":{a},"vis":"{vis.value}","g":{g},"r":{f(r)},'
-            f'"da":{f(da)},"db":{f(db)},"dxi":{f(dxi)}}}'
+            f'{{"pose":[{f[p.x]},{f[p.y]},{f[p.z]},{f[p.pitch_deg]},{f[p.yaw_deg]},'
+            f'{f[p.zoom]}],"action":{a},"vis":"{vis.value}","g":{g},"r":{f[r]},'
+            f'"da":{f[da]},"db":{f[db]},"dxi":{f[dxi]}}}'
             for p, a, vis, g, r, da, db, dxi in zip(
                 rec.poses, rec.actions, rec.visibility, rec.labels, rec.rewards,
                 rec.d_alpha, rec.d_beta, rec.d_xi))
         x, y, z = rec.target
-        lines.append(f'{{"t":{rec.t},"target":[{f(x)},{f(y)},{f(z)}],"cams":[{cams}]}}')
+        lines.append(f'{{"t":{rec.t},"target":[{f[x]},{f[y]},{f[z]}],"cams":[{cams}]}}')
     text = "\n".join(lines)
     if lines:
         text += "\n"

@@ -6,6 +6,12 @@ mean-pooled (so the encoding is permutation-invariant in the other cameras),
 a two-layer tanh trunk, and linear policy/value heads. Gradients are written
 out by hand so training has no framework dependency and can be checked
 against finite differences.
+
+Training runs group_forward (features, value head and the backward cache);
+the greedy controller runs greedy_actions, which embeds one step's tuples
+and runs only the trunk and the policy head over its label-0 rows. Both
+share the embedding and trunk arithmetic (_embed, _trunk), so a greedy
+action is the argmax of the log-probabilities training computes.
 """
 from __future__ import annotations
 
@@ -150,15 +156,22 @@ def raw_tuples(groups, arena_half: float) -> np.ndarray:
                       for m in messages] for messages in groups], dtype=float)
 
 
+def _embed(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings (..., C, 16) of the tuples raws (..., C, 7) and each
+    group's mean embedding (..., 1, 16)."""
+    embeds = np.tanh(raws @ params.embed_w.T + params.embed_b)
+    return embeds, np.add.reduce(embeds, axis=-2, keepdims=True) / raws.shape[-2]
+
+
 def encode(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embed each group's tuples once and mean-pool them.
 
     Returns the features (..., C, 23) of every camera, its own tuple followed
     by its group's pooled embedding, and the embeddings (..., C, 16)."""
-    embeds = np.tanh(raws @ params.embed_w.T + params.embed_b)
+    embeds, pooled = _embed(params, raws)
     features = np.empty(raws.shape[:-1] + (FEATURE_SIZE,))
     features[..., :RAW_SIZE] = raws
-    features[..., RAW_SIZE:] = embeds.sum(axis=-2, keepdims=True) / raws.shape[-2]
+    features[..., RAW_SIZE:] = pooled
     return features, embeds
 
 
@@ -168,6 +181,15 @@ def build_features(params: PolicyParams, self_index: int, messages,
     concatenated with the mean embedding of all cameras' tuples."""
     features, _ = encode(params, raw_tuples([messages], arena_half))
     return features[0, self_index]
+
+
+def _trunk(params: PolicyParams, features: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two tanh trunk layers and the policy head on features (..., 23)
+    -> (h1, h2, logits); forward and greedy_actions both run this."""
+    h1 = np.tanh(features @ params.trunk1_w.T + params.trunk1_b)
+    h2 = np.tanh(h1 @ params.trunk2_w.T + params.trunk2_b)
+    return h1, h2, h2 @ params.policy_w.T + params.policy_b
 
 
 def forward(params: PolicyParams,
@@ -182,9 +204,7 @@ def forward(params: PolicyParams,
                          f"got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    h1 = np.tanh(features @ params.trunk1_w.T + params.trunk1_b)
-    h2 = np.tanh(h1 @ params.trunk2_w.T + params.trunk2_b)
-    logits = h2 @ params.policy_w.T + params.policy_b
+    h1, h2, logits = _trunk(params, features)
     value = h2 @ params.value_w[0] + params.value_b[0]
     if features.ndim == 1:
         value = float(value)
@@ -209,10 +229,25 @@ def policy_forward(params: PolicyParams, self_index: int, messages,
     return group_forward(params, raw_tuples([messages], arena_half), 0, self_index)
 
 
+def greedy_actions(params: PolicyParams, raws: np.ndarray) -> np.ndarray:
+    """Greedy action indices of the label-0 cameras of one step's pose
+    tuples raws (C, 7), in camera order: the argmax of log_softmax (lowest
+    index on ties) of the logits group_forward gives those rows, with the
+    same arithmetic but no value head and no backward cache."""
+    _, pooled = _embed(params, raws)
+    pose = raws[:, 6] == 0.0
+    features = np.empty((np.count_nonzero(pose), FEATURE_SIZE))
+    features[:, :RAW_SIZE] = raws[pose]
+    features[:, RAW_SIZE:] = pooled
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite values")
+    return log_softmax(_trunk(params, features)[2]).argmax(axis=-1)
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .geometry import (
     ZOOM_MAX,
     ZOOM_MIN,
     angle_error,
-    bearing_to,
+    bearing_angles,
     bearings,
     clamp_pitch,
     clamp_zoom,
@@ -339,12 +339,12 @@ def observe(state: WorldState) -> StepOutcome:
     distances: list[float] = []
     for pose in state.cameras:
         origin = (pose.x, pose.y, pose.z)
-        b = bearing_to(origin, tp)
-        d_alpha = abs(pose.pitch_deg - b.pitch_deg)
-        d_beta = abs(wrap_angle(pose.yaw_deg - b.yaw_deg))
+        direction = (tx - pose.x, ty - pose.y, tz - pose.z)
+        b_pitch, b_yaw = bearing_angles(*direction)
+        d_alpha = abs(pose.pitch_deg - b_pitch)
+        d_beta = abs(wrap_angle(pose.yaw_deg - b_yaw))
         distance = math.dist(origin, tp)
-        vis = _classify(pose, origin, (tx - pose.x, ty - pose.y, tz - pose.z),
-                        obstacles, d_alpha, d_beta)
+        vis = _classify(pose, origin, direction, obstacles, d_alpha, d_beta)
         r = (direction_reward(vis, d_alpha, d_beta)
              + zoom_reward(vis, pose.zoom, distance))
         if r > 1.0:
@@ -356,8 +356,8 @@ def observe(state: WorldState) -> StepOutcome:
         d_alphas.append(d_alpha)
         d_betas.append(d_beta)
         d_xis.append(abs(pose.zoom - desired_zoom(distance)))
-        b_pitches.append(b.pitch_deg)
-        b_yaws.append(b.yaw_deg)
+        b_pitches.append(b_pitch)
+        b_yaws.append(b_yaw)
         distances.append(distance)
     return StepOutcome(state, visibility, reward, d_alphas, d_betas, d_xis,
                        b_pitches, b_yaws, distances)

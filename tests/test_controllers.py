@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camtrack import nn
+from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
     TRIANGULATION_MAX_CONDITION,
     GeometricMemory,
     PoseMessage,
+    batch_system_action,
     geometric_pose_action,
     learned_pose_action,
     noisy_switch,
@@ -32,8 +34,11 @@ from camtrack.world import (
     Visibility,
     WorldState,
     apply_action,
+    batch_observe,
+    batch_world,
     desired_zoom,
     observe,
+    spawn_episode,
 )
 
 from test_nn import rand_params
@@ -591,6 +596,18 @@ class TestLearnedPoseAction:
         # eleven equal logits tie, and the tie goes to action 0
         assert (learned_pose_action(self._messages(), nn.zeros_like_params(), 10.0)
                 == [Action.KEEP_STILL])
+
+    def test_non_finite_weight_rejected(self):
+        """A NaN weight raises, through the one-episode and the lockstep
+        learned controllers alike."""
+        params = nn.init_params(7)
+        params.embed_b[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            learned_pose_action(self._messages(), params, 10.0)
+        state = batch_world([spawn_episode(EpisodeConfig(), 0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_system_action(state, batch_observe(state), np.array([[0, 1, 1, 0]]),
+                                "learned", params=params)
 
     def test_equals_one_camera_forward_per_label_zero_camera(self):
         """Random params and steps of 4 cameras with 0-4 label-0 cameras: one

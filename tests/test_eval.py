@@ -6,7 +6,7 @@ import pytest
 
 from camtrack import evaluate, nn
 from camtrack.config import EpisodeConfig
-from camtrack.controllers import oracle_switch
+from camtrack.controllers import noisy_switch, oracle_switch, random_switch
 from camtrack.evaluate import (
     StepRecord,
     compare_systems,
@@ -19,7 +19,8 @@ from camtrack.evaluate import (
 )
 from camtrack.geometry import CameraPose
 from camtrack.io import write_episode_log
-from camtrack.world import Visibility, visibility_of
+from camtrack.rng import RngStream
+from camtrack.world import Visibility, observe, spawn_episode, visibility_of
 
 
 def synthetic_records(rng, n_cams=3, steps=50):
@@ -57,6 +58,31 @@ def constant_records(n_cams, steps, d_alpha, d_beta, visibility):
 class TestRunEpisode:
     def test_zero_steps(self):
         assert run_episode(EpisodeConfig(), "virtual", seed=0, steps=0) == []
+        assert run_episode(EpisodeConfig(), "sv", "random:0.5", seed=0, steps=0) == []
+
+    @pytest.mark.parametrize("switcher", ["oracle", "random:0.5", "noisy:0.2"])
+    def test_negative_steps_rejected(self, switcher):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_episode(EpisodeConfig(), "sv", switcher, seed=0, steps=-1)
+
+    @pytest.mark.parametrize("switcher", ["random:0.3", "noisy:0.2"])
+    def test_labels_equal_the_per_camera_switchers(self, switcher):
+        """The episode's labels, drawn in one block, equal random_switch and
+        noisy_switch called camera by camera on the switcher stream, with the
+        visibility of the state each step starts from."""
+        cfg = EpisodeConfig()
+        kind, arg = parse_switcher(switcher)
+        for seed in (0, 1):
+            records = run_episode(cfg, "geometric", switcher, seed=seed, steps=200)
+            rng = RngStream(seed, 1)
+            vis = observe(spawn_episode(cfg, seed)).visibility
+            for rec in records:
+                want = ([random_switch(rng, arg) for _ in vis] if kind == "random"
+                        else [noisy_switch(v, rng, arg) for v in vis])
+                assert rec.labels == want
+                vis = rec.visibility
+            assert any(0 in rec.labels for rec in records)
+            assert any(1 in rec.labels for rec in records)
 
     def test_deterministic(self):
         cfg = EpisodeConfig()

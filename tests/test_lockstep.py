@@ -6,6 +6,7 @@ per-seed run_episode summaries; and the scalar path's tracker fed the
 previous observation against virtual_tracker_action on the true target."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from camtrack.evaluate import (
     run_lockstep,
 )
 from camtrack.geometry import CameraPose, Obstacle, bearing_to
+from camtrack.io import write_comparison_csv
 from camtrack.world import (
     VISIBILITIES,
     Action,
@@ -440,6 +442,53 @@ class TestCompareLockstep:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             compare_systems(EpisodeConfig(), ["sv"], 2, steps=0)
+
+    def test_run_lockstep_steps_bounds(self):
+        error, in_view = run_lockstep(EpisodeConfig(), "sv", [0, 1], "random:0.5",
+                                      steps=0)
+        assert error.shape == in_view.shape == (0, 2, 4)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_lockstep(EpisodeConfig(), "sv", [0, 1], steps=-1)
+
+    def test_seed_chunks_write_the_one_chunk_csv(self, tmp_path, monkeypatch):
+        """More seeds than one lockstep chunk: the comparison CSV is byte for
+        byte the one all seeds in one chunk give."""
+        n_seeds = evaluate.LOCKSTEP_SEEDS + 5
+        systems = ["sv", "geometric", "learned"]
+        chunked = tmp_path / "chunked.csv"
+        write_comparison_csv(compare_systems(EpisodeConfig(), systems, n_seeds,
+                                             steps=30, params=PARAMS,
+                                             switcher="noisy:0.2", base_seed=7),
+                             chunked)
+        calls = []
+        real_lockstep = evaluate.run_lockstep
+
+        def one_chunk(config, controller, seeds, *args, **kwargs):
+            calls.append(len(seeds))
+            return real_lockstep(config, controller, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "run_lockstep", one_chunk)
+        monkeypatch.setattr(evaluate, "LOCKSTEP_SEEDS", n_seeds)
+        whole = tmp_path / "whole.csv"
+        write_comparison_csv(compare_systems(EpisodeConfig(), systems, n_seeds,
+                                             steps=30, params=PARAMS,
+                                             switcher="noisy:0.2", base_seed=7),
+                             whole)
+        assert calls == [n_seeds] * len(systems)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_peak_memory_is_flat_in_the_seed_count(self):
+        """Doubling the seeds past two chunks barely moves the traced peak;
+        one lockstep batch of all seeds would double it."""
+        peaks = []
+        for n_seeds in (2 * evaluate.LOCKSTEP_SEEDS, 4 * evaluate.LOCKSTEP_SEEDS):
+            tracemalloc.start()
+            try:
+                compare_systems(EpisodeConfig(), ["sv"], n_seeds, steps=10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_learned_requires_params(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,37 @@ class TestForward:
             nn.forward(params, np.zeros(22))
 
 
+class TestGreedyActions:
+    def test_equals_argmax_of_group_forward(self):
+        """Random params and steps of 4 cameras with 0-4 label-0 cameras, and
+        zero params (eleven tied logits): one index per label-0 row, equal to
+        the argmax of log_softmax of group_forward's logits for that row."""
+        rng = np.random.default_rng(71)
+        seen = set()
+        for trial in range(400):
+            params = (nn.zeros_like_params() if trial % 10 == 0
+                      else rand_params(rng, scale=float(rng.uniform(0.1, 2.0))))
+            raws = nn.raw_tuples([rand_messages(rng)], 10.0)
+            group, cam = np.nonzero(raws[:, :, 6] == 0.0)
+            logits, _, _ = nn.group_forward(params, raws, group, cam)
+            want = np.argmax(nn.log_softmax(logits), axis=-1)
+            got = nn.greedy_actions(params, raws[0])
+            assert got.tolist() == want.tolist()
+            if trial % 10 == 0:
+                assert got.tolist() == [0] * cam.size
+            seen.add(cam.size)
+        assert seen == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name", ["embed_w", "embed_b"])
+    def test_non_finite_weight_rejected(self, name):
+        params = nn.init_params(2)
+        getattr(params, name).flat[3] = np.nan
+        raws = nn.raw_tuples([rand_messages(np.random.default_rng(72))], 10.0)[0]
+        raws[:, 6] = 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.greedy_actions(params, raws)
+
+
 class TestSoftmaxStability:
     def test_extreme_logits(self):
         for scale in (1.0, 100.0, 700.0):

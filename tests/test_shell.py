@@ -349,6 +349,25 @@ class TestEpisodeLog:
             write_episode_log([float_record(2.0), record], path)
         assert not path.exists()
 
+    def test_zero_signs_and_integers_in_one_file(self, tmp_path):
+        # 0.0 and -0.0, and 1 and 1.0, are each one dict key: the first
+        # spelling of a key must not stand in for the other value's
+        records = [float_record(v) for v in (0.0, -0.0, 1, 1.0, -0.0, 0.0)]
+        path = tmp_path / "e.jsonl"
+        write_episode_log(records, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_log(records)
+        assert "-0.0" in text.splitlines()[1]
+
+    def test_non_finite_after_many_values_rejected(self, tmp_path):
+        records = run_episode(EpisodeConfig(), "sv", seed=4, steps=60)
+        records[-1] = dataclasses.replace(
+            records[-1], d_xi=records[-1].d_xi[:-1] + [float("nan")])
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_episode_log(records, path)
+        assert not path.exists()
+
     def test_nine_significant_digits(self, tmp_path):
         records = run_episode(EpisodeConfig(), "virtual", seed=1, steps=10)
         path = tmp_path / "e.jsonl"
@@ -548,6 +567,20 @@ class TestCli:
                          "--episodes", "2"])
         assert code == 2
         assert "--episodes" in capsys.readouterr().err
+
+    def test_compare_last_seed_out_of_range_exits_two(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import camtrack.cli
+
+        def no_compare(*args, **kwargs):
+            raise AssertionError("a comparison ran")
+
+        monkeypatch.setattr(camtrack.cli, "compare_systems", no_compare)
+        code = cli_main(["compare", "--systems", "sv", "--seeds", str(2 ** 64 + 1),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         assert cli_main(["eval", "--controller", "sv", "--seed", str(2 ** 64 - 1),
