@@ -9,7 +9,6 @@ triangulation or a learned policy) driven by the other cameras' poses.
 from .config import ConfigError, EpisodeConfig, TrainConfig, load_config, save_config
 from .controllers import (
     GeometricMemory,
-    PoseMessage,
     TriangulationResult,
     geometric_pose_action,
     learned_pose_action,
@@ -40,7 +39,6 @@ from .geometry import (
     angle_error,
     bearing_to,
     effective_fov,
-    in_fov,
     segment_hits_box,
     wrap_angle,
 )

@@ -123,19 +123,28 @@ _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 _INT_KEYS = {"n_cameras", "n_obstacles", "rollout_len", "n_envs", "total_steps", "seed"}
 
 
+def _float(key: str, value) -> float:
+    """float(value); an integer beyond the float range raises a ConfigError
+    naming key instead of float's OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} has an integer too large for a float") from None
+
+
 def _coerce(key: str, value):
     if key in _RANGE_KEYS:
         if (not isinstance(value, (list, tuple)) or len(value) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
             raise ConfigError(f"{key} must be a [lo, hi] pair of numbers")
-        return (float(value[0]), float(value[1]))
+        return (_float(key, value[0]), _float(key, value[1]))
     if key in _INT_KEYS:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return _float(key, value)
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -161,7 +170,11 @@ def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's int-string
+        # digit limit, which json reports as a plain ValueError
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must contain a single JSON object")

@@ -14,11 +14,12 @@ Four ways to pick one of the 11 camera commands:
     visible, freeze otherwise.
 
 Switchers produce the per-camera binary label (1 = tracking trusted) that
-system_action uses to choose between the tracker and a pose controller. The
-pose controllers read the poses all cameras share, so system_action runs
-them once per step. The label-1 cameras' tracker reuses the bearings and
-distances of the step's observation (world.observe) instead of recomputing
-them from the target.
+system_action uses to choose between the tracker and a pose controller.
+system_action takes the step's observation (world.observe) and one label
+per camera: the pose controllers read the poses all cameras share from the
+observed state, once per step, and the label-1 cameras' tracker reuses the
+observation's bearings and distances instead of recomputing them from the
+target.
 
 batch_tracker_action, batch_triangulate and batch_system_action are the same
 rules over the (E, C) arrays of a world.BatchState; their actions equal the
@@ -74,15 +75,6 @@ _ACTION_TERMS = tuple((_PITCH_DELTAS.index(dp), _YAW_DELTAS.index(dy),
                        _ZOOM_DELTAS.index(dz)) for dp, dy, dz in ACTION_DELTAS)
 _ACTIONS = tuple(Action)
 _TERMS = np.array(_ACTION_TERMS).T  # (3, 11): pitch, yaw and zoom term indices
-
-
-@dataclass(frozen=True, slots=True)
-class PoseMessage:
-    """What one camera broadcasts: who it is, its pose, and its label."""
-
-    index: int
-    pose: CameraPose
-    label: int  # 1 = tracking deemed successful, 0 = needs pose assistance
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,23 +144,24 @@ def virtual_tracker_action(pose: CameraPose,
     return tracker_action(pose, b.pitch_deg, b.yaw_deg, math.dist(origin, target))
 
 
-def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
-    """Least-squares ground-plane intersection of the label-1 cameras' yaw rays.
+def triangulate(poses: list[CameraPose], labels) -> TriangulationResult:
+    """Least-squares ground-plane intersection of the yaw rays of the
+    cameras whose label is 1 (labels[i] is poses[i]'s).
 
     Each contributing camera adds the line through (x, y) along
     (cos yaw, sin yaw); the normal equations sum the perpendicular projectors
     I - d d^T. Fails with fewer than two contributors or when the 2x2 normal
     matrix is ill-conditioned (near-parallel rays).
     """
-    if not messages:
-        raise ValueError("triangulate requires at least one pose message")
+    if not poses:
+        raise ValueError("triangulate requires at least one camera")
     m00 = m01 = m11 = 0.0
     r0 = r1 = 0.0
     contributors = 0
-    for msg in messages:
-        if msg.label != 1:
+    for pose, label in zip(poses, labels, strict=True):
+        if label != 1:
             continue
-        yaw = math.radians(msg.pose.yaw_deg)
+        yaw = math.radians(pose.yaw_deg)
         dx, dy = math.cos(yaw), math.sin(yaw)
         a00 = 1.0 - dx * dx
         a01 = -dx * dy
@@ -176,8 +169,8 @@ def triangulate(messages: list[PoseMessage]) -> TriangulationResult:
         m00 += a00
         m01 += a01
         m11 += a11
-        r0 += a00 * msg.pose.x + a01 * msg.pose.y
-        r1 += a01 * msg.pose.x + a11 * msg.pose.y
+        r0 += a00 * pose.x + a01 * pose.y
+        r1 += a01 * pose.x + a11 * pose.y
         contributors += 1
 
     # The normal matrix is symmetric positive semi-definite, so its singular
@@ -206,7 +199,7 @@ def geometric_pose_action(pose: CameraPose, result: TriangulationResult,
     return virtual_tracker_action(pose, (point[0], point[1], TARGET_MID_HEIGHT))
 
 
-def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
+def learned_pose_action(poses: list[CameraPose], labels, params: nn.PolicyParams,
                         arena_half: float) -> list[Action]:
     """Greedy actions of the label-0 cameras, in camera order.
 
@@ -214,7 +207,7 @@ def learned_pose_action(messages: list[PoseMessage], params: nn.PolicyParams,
     trunk and policy head over the label-0 rows; each action is the argmax
     of the log-probabilities training computes (lowest index on ties).
     """
-    raws = nn.raw_tuples([messages], arena_half)[0]
+    raws = nn.raw_tuples(poses, labels, arena_half)
     return [_ACTIONS[i] for i in nn.greedy_actions(params, raws).tolist()]
 
 
@@ -249,41 +242,42 @@ def sv_baseline_action(pose: CameraPose, vis: Visibility, bearing_pitch: float,
     return Action.KEEP_STILL
 
 
-def system_action(outcome: StepOutcome, messages: list[PoseMessage], kind: str,
+def system_action(outcome: StepOutcome, labels, kind: str,
                   params: nn.PolicyParams | None = None,
-                  memories: list[GeometricMemory] | None = None,
-                  arena_half: float | None = None) -> list[Action]:
-    """One step of the full system, one action per message in camera order:
-    label-1 cameras track directly, label-0 cameras defer to the pose
-    controller selected by kind, which reads the step's shared poses once for
-    all of them.
+                  memories: list[GeometricMemory] | None = None) -> list[Action]:
+    """One step of the full system, one action per camera of the observed
+    state in camera order: label-1 cameras track directly, label-0 cameras
+    defer to the pose controller selected by kind, which reads the step's
+    shared poses once for all of them.
 
-    outcome is the latest observation of the messages' cameras, whose
-    bearings and distances the label-1 cameras' tracker reuses."""
-    pose_cams = [i for i, msg in enumerate(messages) if msg.label == 0]
+    outcome is the latest observation: its state holds the cameras' poses
+    and the arena, and its bearings and distances are what the label-1
+    cameras' tracker reuses. labels holds one label per camera."""
+    state = outcome.state
+    poses = state.cameras
+    pose_cams = [i for i, label in enumerate(labels) if label == 0]
     if kind == "geometric":
         if memories is None:
             raise ValueError("geometric controller needs one GeometricMemory "
                              "per camera")
         pose_actions = []
         if pose_cams:
-            result = triangulate(messages)
-            pose_actions = [geometric_pose_action(messages[i].pose, result,
-                                                  memories[i])
+            result = triangulate(poses, labels)
+            pose_actions = [geometric_pose_action(poses[i], result, memories[i])
                             for i in pose_cams]
     elif kind == "learned":
-        if params is None or arena_half is None:
-            raise ValueError("learned controller needs params and arena_half")
-        pose_actions = (learned_pose_action(messages, params, arena_half)
+        if params is None:
+            raise ValueError("learned controller needs params")
+        pose_actions = (learned_pose_action(poses, labels, params, state.arena_half)
                         if pose_cams else [])
     else:
         raise ValueError(f"unknown pose controller kind {kind!r}")
     pose_iter = iter(pose_actions)
-    return [next(pose_iter) if msg.label == 0
-            else tracker_action(msg.pose, b_pitch, b_yaw, distance)
-            for msg, b_pitch, b_yaw, distance in zip(
-                messages, outcome.bearing_pitch, outcome.bearing_yaw,
-                outcome.distance)]
+    return [next(pose_iter) if label == 0
+            else tracker_action(pose, b_pitch, b_yaw, distance)
+            for pose, label, b_pitch, b_yaw, distance in zip(
+                poses, labels, outcome.bearing_pitch, outcome.bearing_yaw,
+                outcome.distance, strict=True)]
 
 
 def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,

@@ -4,7 +4,9 @@ and paired multi-seed system comparisons.
 run_episode rolls one episode and records every step; it serves eval,
 rollout and the JSONL logs. Like the array path, it observes each state once
 (world.observe, inside world.step) and its tracker reuses that
-observation's bearings and distances. compare_systems steps a system's
+observation's bearings and distances, and it hands system_action that
+observation and the step's labels, as run_lockstep hands
+batch_system_action its labels array. compare_systems steps a system's
 seeds in lockstep through run_lockstep, LOCKSTEP_SEEDS at a time, which
 keeps only what the metrics need; at one episode the scalar path is the
 faster one.
@@ -21,7 +23,6 @@ from .config import DEFAULT_EPISODE_STEPS, ConfigError, EpisodeConfig
 from .controllers import (
     BatchMemory,
     GeometricMemory,
-    PoseMessage,
     batch_system_action,
     batch_tracker_action,
     oracle_switch,
@@ -101,8 +102,9 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
                 steps: int = DEFAULT_EPISODE_STEPS) -> list[StepRecord]:
     """Roll one episode and record every step.
 
-    Per step: current visibility feeds the switcher, the switcher labels feed
-    the controllers, the world advances, and the post-step state is recorded.
+    Per step: current visibility feeds the switcher, the switcher labels and
+    the current observation (which holds the poses and the arena) feed the
+    controllers, the world advances, and the post-step state is recorded.
     Each state is observed once: the observation step returns is the next
     step's current visibility, and its bearings and distances feed the next
     step's tracker. The random and noisy switchers draw the whole episode's
@@ -110,13 +112,7 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     then camera order: the values random_switch and noisy_switch would draw
     one at a time. Deterministic in seed.
     """
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {controller!r}")
-    if controller == "learned" and params is None:
-        raise ValueError("the learned controller requires policy params")
-    _check_steps(steps)
-    switch_kind, switch_arg = parse_switcher(switcher)
-
+    switch_kind, switch_arg = _check_run(controller, switcher, params, steps)
     world = spawn_episode(config, seed)
     n_cams = config.n_cameras
     memories = [GeometricMemory() for _ in range(n_cams)]
@@ -146,11 +142,8 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
                                outcome.bearing_pitch, outcome.bearing_yaw,
                                outcome.distance))
         else:
-            messages = [PoseMessage(i, c, g)
-                        for i, (c, g) in enumerate(zip(world.cameras, labels))]
-            actions = system_action(outcome, messages, controller,
-                                    params=params, memories=memories,
-                                    arena_half=config.arena_half)
+            actions = system_action(outcome, labels, controller,
+                                    params=params, memories=memories)
 
         outcome = step(world, actions)
         world = outcome.state
@@ -232,9 +225,17 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _check_steps(steps: int) -> None:
+def _check_run(controller: str, switcher: str, params: nn.PolicyParams | None,
+               steps: int) -> tuple[str, float | None]:
+    """Reject a run run_episode and run_lockstep cannot roll; returns the
+    parsed switcher."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}")
+    if controller == "learned" and params is None:
+        raise ValueError("the learned controller requires policy params")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    return parse_switcher(switcher)
 
 
 def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
@@ -248,13 +249,7 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
     run_episode's records bit for bit. The random and noisy switchers draw
     every episode's labels of a step in one array call, with the values of
     random_switch and noisy_switch."""
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {controller!r}")
-    if controller == "learned" and params is None:
-        raise ValueError("the learned controller requires policy params")
-    _check_steps(steps)
-    switch_kind, switch_arg = parse_switcher(switcher)
-
+    switch_kind, switch_arg = _check_run(controller, switcher, params, steps)
     state = batch_world([spawn_episode(config, seed) for seed in seeds])
     switch_states = stream_states(RngStream(seed, 1) for seed in seeds)
     n_cams = config.n_cameras

@@ -1,4 +1,4 @@
-"""Angle arithmetic, bearings, field-of-view tests and ray-box intersection.
+"""Angle arithmetic, bearings, fields of view and ray-box intersection.
 
 All angles are degrees. Yaw is measured counterclockwise from +x in the
 ground plane and kept in (-180, 180]; pitch is positive upward. Everything
@@ -109,13 +109,6 @@ def effective_fov(zoom: float) -> tuple[float, float]:
     if not ZOOM_MIN <= zoom <= ZOOM_MAX:
         raise ValueError(f"zoom {zoom} outside [{ZOOM_MIN}, {ZOOM_MAX}]")
     return BASE_H_FOV_DEG / zoom, BASE_V_FOV_DEG / zoom
-
-
-def in_fov(pose: CameraPose, target: tuple[float, float, float]) -> bool:
-    """True when the target direction lies inside the camera frustum."""
-    d_alpha, d_beta = angle_error(pose, target)
-    h_fov, v_fov = effective_fov(pose.zoom)
-    return d_beta <= 0.5 * h_fov and d_alpha <= 0.5 * v_fov
 
 
 def segment_box_overlap(origin: tuple[float, float, float],

@@ -7,6 +7,9 @@ a two-layer tanh trunk, and linear policy/value heads. Gradients are written
 out by hand so training has no framework dependency and can be checked
 against finite differences.
 
+A camera's input is its pose tuple and the pooled tuples of its step:
+raw_tuples builds one step's (C, 7) tuples from an episode's camera poses
+and labels, and pose_tuples the same values from the arrays of a batch.
 Training runs group_forward (features, value head and the backward cache);
 the greedy controller runs greedy_actions, which embeds one step's tuples
 and runs only the trunk and the policy head over its label-0 rows. Both
@@ -147,13 +150,13 @@ def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
     return raws
 
 
-def raw_tuples(groups, arena_half: float) -> np.ndarray:
-    """pose_tuples of G groups of C pose messages each -> (G, C, 7), one
-    _pose_tuple per message: cheaper than the array builder for one step
+def raw_tuples(poses, labels, arena_half: float) -> np.ndarray:
+    """pose_tuples of one step's C camera poses and their labels -> (C, 7),
+    one _pose_tuple per camera: cheaper than the array builder for one step
     of one episode."""
-    return np.array([[_pose_tuple((m.pose.x, m.pose.y, m.pose.z), m.pose.pitch_deg,
-                                  m.pose.yaw_deg, m.label, arena_half)
-                      for m in messages] for messages in groups], dtype=float)
+    return np.array([_pose_tuple((p.x, p.y, p.z), p.pitch_deg, p.yaw_deg, label,
+                                 arena_half)
+                     for p, label in zip(poses, labels, strict=True)], dtype=float)
 
 
 def _embed(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +178,12 @@ def encode(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return features, embeds
 
 
-def build_features(params: PolicyParams, self_index: int, messages,
+def build_features(params: PolicyParams, self_index: int, poses, labels,
                    arena_half: float) -> np.ndarray:
     """Observation vector for one camera: its own normalized pose tuple
     concatenated with the mean embedding of all cameras' tuples."""
-    features, _ = encode(params, raw_tuples([messages], arena_half))
-    return features[0, self_index]
+    features, _ = encode(params, raw_tuples(poses, labels, arena_half))
+    return features[self_index]
 
 
 def _trunk(params: PolicyParams, features: np.ndarray
@@ -222,11 +225,13 @@ def group_forward(params: PolicyParams, raws: np.ndarray, group, cam
     return logits, values, cache
 
 
-def policy_forward(params: PolicyParams, self_index: int, messages,
+def policy_forward(params: PolicyParams, self_index: int, poses, labels,
                    arena_half: float) -> tuple[np.ndarray, float, ForwardCache]:
-    """Full pipeline from pose messages for one camera, the batch-of-one case
-    of group_forward; the cache also supports embed-layer gradients."""
-    return group_forward(params, raw_tuples([messages], arena_half), 0, self_index)
+    """Full pipeline from one step's camera poses and labels for one camera,
+    the batch-of-one case of group_forward; the cache also supports
+    embed-layer gradients."""
+    return group_forward(params, raw_tuples(poses, labels, arena_half)[None], 0,
+                         self_index)
 
 
 def greedy_actions(params: PolicyParams, raws: np.ndarray) -> np.ndarray:
@@ -248,11 +253,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis."""
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import pytest
 import camtrack as ct
 from camtrack import nn
 from camtrack.config import EpisodeConfig, TrainConfig
-from camtrack.controllers import PoseMessage, virtual_tracker_action
+from camtrack.controllers import virtual_tracker_action
 from camtrack.evaluate import StepRecord, compare_systems, run_episode
 from camtrack.geometry import CameraPose
 from camtrack.rng import RngStream
@@ -32,7 +32,7 @@ from camtrack.world import (
     zoom_reward,
 )
 
-from test_controllers import exact_bearing_messages, grid_refine_minimizer
+from test_controllers import exact_bearing_poses, grid_refine_minimizer
 
 
 def wmean(rows):
@@ -140,13 +140,14 @@ def test_criterion_3_triangulation_oracle_equivalence():
     worst_truth = worst_grid = 0.0
     for k in range(1000):
         truth = tuple(rng.uniform(-8.0, 8.0, size=2))
-        msgs = exact_bearing_messages(rng, truth, int(rng.integers(2, 6)))
-        res = ct.triangulate(msgs)
+        poses = exact_bearing_poses(rng, truth, int(rng.integers(2, 6)))
+        labels = [1] * len(poses)
+        res = ct.triangulate(poses, labels)
         assert res.ok, f"instance {k} unexpectedly failed (cond {res.condition})"
         err = math.hypot(res.estimate[0] - truth[0], res.estimate[1] - truth[1])
         worst_truth = max(worst_truth, err)
         assert err < 1e-9, f"instance {k}: {err}"
-        gx, gy = grid_refine_minimizer(msgs)
+        gx, gy = grid_refine_minimizer(poses, labels)
         gerr = math.hypot(res.estimate[0] - gx, res.estimate[1] - gy)
         worst_grid = max(worst_grid, gerr)
         assert gerr < 1e-6, f"instance {k}: grid disagreement {gerr}"
@@ -154,13 +155,13 @@ def test_criterion_3_triangulation_oracle_equivalence():
     # under-determined and parallel-ray cases must fail
     for k in range(200):
         cx, cy = rng.uniform(-10, 10, size=2)
-        single = [PoseMessage(0, CameraPose(cx, cy, 2.5, 0, 30.0, 1.0), 1),
-                  PoseMessage(1, CameraPose(cx + 3, cy, 2.5, 0, 40.0, 1.0), 0)]
-        assert not ct.triangulate(single).ok
+        single = [CameraPose(cx, cy, 2.5, 0, 30.0, 1.0),
+                  CameraPose(cx + 3, cy, 2.5, 0, 40.0, 1.0)]
+        assert not ct.triangulate(single, [1, 0]).ok
         yaw = float(rng.uniform(-180, 180))
-        parallel = [PoseMessage(0, CameraPose(cx, cy, 2.5, 0, yaw, 1.0), 1),
-                    PoseMessage(1, CameraPose(cx + 3, cy + 1, 2.5, 0, yaw, 1.0), 1)]
-        assert not ct.triangulate(parallel).ok
+        parallel = [CameraPose(cx, cy, 2.5, 0, yaw, 1.0),
+                    CameraPose(cx + 3, cy + 1, 2.5, 0, yaw, 1.0)]
+        assert not ct.triangulate(parallel, [1, 1]).ok
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
     print(f"\nPASS criterion 3: worst |est-truth| {worst_truth:.2e} m, "
@@ -175,12 +176,12 @@ def test_criterion_4_gradient_check():
     for k in range(100):
         params = nn.PolicyParams(**{name: rng.normal(0.0, 0.5, shape)
                                     for name, shape, _, _ in nn.PARAM_SPECS})
-        msgs = []
-        for j in range(4):
-            pose = CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
-                              rng.uniform(2, 3), rng.uniform(-60, 60),
-                              rng.uniform(-179.9, 180), rng.uniform(1, 3.3))
-            msgs.append(PoseMessage(j, pose, int(rng.integers(0, 2))))
+        poses, labels = [], []
+        for _ in range(4):
+            poses.append(CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                                    rng.uniform(2, 3), rng.uniform(-60, 60),
+                                    rng.uniform(-179.9, 180), rng.uniform(1, 3.3)))
+            labels.append(int(rng.integers(0, 2)))
         i = int(rng.integers(0, 4))
         action = int(rng.integers(0, 11))
         adv = float(rng.normal())
@@ -188,10 +189,10 @@ def test_criterion_4_gradient_check():
         ec, vc = 0.01, 0.5
 
         def loss():
-            logits, value, _ = nn.policy_forward(params, i, msgs, 10.0)
+            logits, value, _ = nn.policy_forward(params, i, poses, labels, 10.0)
             return nn.loss_value(logits, value, action, adv, ret, ec, vc)
 
-        _, _, cache = nn.policy_forward(params, i, msgs, 10.0)
+        _, _, cache = nn.policy_forward(params, i, poses, labels, 10.0)
         grads = nn.backward(params, cache, action, adv, ret, ec, vc)
         for name, arr in params.arrays():
             g = getattr(grads, name)

@@ -10,7 +10,6 @@ from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
     TRIANGULATION_MAX_CONDITION,
     GeometricMemory,
-    PoseMessage,
     batch_system_action,
     geometric_pose_action,
     learned_pose_action,
@@ -41,7 +40,7 @@ from camtrack.world import (
     spawn_episode,
 )
 
-from test_nn import rand_params
+from test_nn import rand_params, softmax
 
 
 def tracker_objective(pose, target):
@@ -101,12 +100,12 @@ def sight(pose, target):
     return b.pitch_deg, b.yaw_deg, math.dist((pose.x, pose.y, pose.z), target)
 
 
-def observed(messages, target):
-    """world.observe's outcome for the messages' cameras and a target point,
-    in an arena without obstacles."""
+def observed(poses, target, arena_half=10.0):
+    """world.observe's outcome for the cameras' poses and a target point, in
+    an arena of the given half-size without obstacles."""
     x, y, z = target
-    world = WorldState([m.pose for m in messages], TargetState(x, y, 0.0, (x, y), z=z),
-                       [], 0, 10.0, (0.5, 1.5), RngStream(0, 0))
+    world = WorldState(list(poses), TargetState(x, y, 0.0, (x, y), z=z),
+                       [], 0, arena_half, (0.5, 1.5), RngStream(0, 0))
     return observe(world)
 
 
@@ -205,13 +204,13 @@ class TestVirtualTracker:
             assert d_beta < 2.5
 
 
-def grid_refine_minimizer(messages, span=25.0, rounds=35, grid=21):
+def grid_refine_minimizer(poses, labels, span=25.0, rounds=35, grid=21):
     """Independent oracle: shrink-and-zoom grid search minimizing the summed
     squared perpendicular distance to every contributing camera's yaw line.
     Halving the window each round keeps the (possibly very anisotropic)
     quadratic bowl inside the search box."""
-    rays = [(m.pose.x, m.pose.y, math.radians(m.pose.yaw_deg))
-            for m in messages if m.label == 1]
+    rays = [(p.x, p.y, math.radians(p.yaw_deg))
+            for p, label in zip(poses, labels) if label == 1]
 
     def objective(px, py):
         total = np.zeros_like(px)
@@ -235,32 +234,32 @@ def grid_refine_minimizer(messages, span=25.0, rounds=35, grid=21):
     return cx, cy
 
 
-def exact_bearing_messages(rng, truth, n_cams, min_angle_deg=5.0):
+def exact_bearing_poses(rng, truth, n_cams, min_angle_deg=5.0):
     """Cameras whose yaw rays pass exactly through the ground-truth point,
     resampled until no two rays are closer than min_angle_deg mod 180."""
     while True:
-        msgs = []
+        poses = []
         yaws = []
-        for j in range(n_cams):
+        for _ in range(n_cams):
             cx, cy = rng.uniform(-20, 20, size=2)
             if math.hypot(truth[0] - cx, truth[1] - cy) < 1.0:
                 break
             yaw = math.degrees(math.atan2(truth[1] - cy, truth[0] - cx))
             yaws.append(yaw)
-            msgs.append(PoseMessage(j, CameraPose(cx, cy, 2.5, 0.0, yaw, 1.0), 1))
+            poses.append(CameraPose(cx, cy, 2.5, 0.0, yaw, 1.0))
         else:
             ok = all(min(abs(a - b) % 180.0, 180.0 - abs(a - b) % 180.0) >= min_angle_deg
                      for i, a in enumerate(yaws) for b in yaws[i + 1:])
             if ok:
-                return msgs
+                return poses
 
 
-def normal_matrix(messages):
+def normal_matrix(poses, labels):
     """Sum of the label-1 cameras' perpendicular projectors I - d d^T."""
     m = np.zeros((2, 2))
-    for msg in messages:
-        if msg.label == 1:
-            yaw = math.radians(msg.pose.yaw_deg)
+    for pose, label in zip(poses, labels):
+        if label == 1:
+            yaw = math.radians(pose.yaw_deg)
             d = np.array([math.cos(yaw), math.sin(yaw)])
             m += np.eye(2) - np.outer(d, d)
     return m
@@ -268,44 +267,47 @@ def normal_matrix(messages):
 
 class TestTriangulate:
     def test_two_line_intersection(self):
-        msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 45.0, 1.0), 1),
-                PoseMessage(1, CameraPose(10, 0, 2.5, 0, 135.0, 1.0), 1)]
-        res = triangulate(msgs)
+        poses = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0), CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
+        res = triangulate(poses, [1, 1])
         assert res.ok
         assert res.estimate[0] == pytest.approx(5.0, abs=1e-9)
         assert res.estimate[1] == pytest.approx(5.0, abs=1e-9)
 
     def test_single_contributor_fails(self):
-        msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 45.0, 1.0), 1),
-                PoseMessage(1, CameraPose(10, 0, 2.5, 0, 135.0, 1.0), 0)]
-        assert not triangulate(msgs).ok
+        poses = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0), CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
+        assert not triangulate(poses, [1, 0]).ok
 
     def test_parallel_rays_fail(self):
-        msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 90.0, 1.0), 1),
-                PoseMessage(1, CameraPose(10, 0, 2.5, 0, 90.0, 1.0), 1)]
-        res = triangulate(msgs)
+        poses = [CameraPose(0, 0, 2.5, 0, 90.0, 1.0), CameraPose(10, 0, 2.5, 0, 90.0, 1.0)]
+        res = triangulate(poses, [1, 1])
         assert not res.ok
         assert res.condition > 1e6
 
-    def test_empty_message_list_rejected(self):
+    def test_empty_camera_list_rejected(self):
         with pytest.raises(ValueError):
-            triangulate([])
+            triangulate([], [])
+
+    @pytest.mark.parametrize("labels", [[1], [1, 1, 1], []])
+    def test_label_count_must_match_the_cameras(self, labels):
+        poses = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0), CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
+        with pytest.raises(ValueError):
+            triangulate(poses, labels)
 
     def test_condition_at_least_one(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             truth = tuple(rng.uniform(-8, 8, size=2))
-            msgs = exact_bearing_messages(rng, truth, int(rng.integers(2, 6)))
-            assert triangulate(msgs).condition >= 1.0
+            poses = exact_bearing_poses(rng, truth, int(rng.integers(2, 6)))
+            assert triangulate(poses, [1] * len(poses)).condition >= 1.0
 
     def test_order_invariance(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
             truth = tuple(rng.uniform(-8, 8, size=2))
-            msgs = exact_bearing_messages(rng, truth, 4)
-            base = triangulate(msgs).estimate
-            perm = [msgs[i] for i in rng.permutation(4)]
-            est = triangulate(perm).estimate
+            poses = exact_bearing_poses(rng, truth, 4)
+            base = triangulate(poses, [1] * 4).estimate
+            perm = [poses[i] for i in rng.permutation(4)]
+            est = triangulate(perm, [1] * 4).estimate
             assert est[0] == pytest.approx(base[0], abs=1e-9)
             assert est[1] == pytest.approx(base[1], abs=1e-9)
 
@@ -313,9 +315,11 @@ class TestTriangulate:
         rng = np.random.default_rng(41)
         for _ in range(2000):
             truth = tuple(rng.uniform(-8, 8, size=2))
-            msgs = exact_bearing_messages(rng, truth, int(rng.integers(2, 6)))
-            sv = np.linalg.svd(normal_matrix(msgs), compute_uv=False)
-            assert triangulate(msgs).condition == pytest.approx(sv[0] / sv[1], rel=1e-9)
+            poses = exact_bearing_poses(rng, truth, int(rng.integers(2, 6)))
+            labels = [1] * len(poses)
+            sv = np.linalg.svd(normal_matrix(poses, labels), compute_uv=False)
+            assert triangulate(poses, labels).condition == pytest.approx(sv[0] / sv[1],
+                                                                         rel=1e-9)
 
     def test_ok_decision_matches_svd_on_random_instances(self):
         rng = np.random.default_rng(43)
@@ -332,27 +336,29 @@ class TestTriangulate:
                     yaws += 10.0 ** rng.uniform(-4.0, 0.0, size=n)
                 yaws = np.array([wrap_angle(y) for y in yaws])
                 n_parallel += 1
-            msgs = [PoseMessage(i, CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
-                                              2.5, 0.0, float(yaws[i]), 1.0),
-                                int(rng.integers(0, 2)) if rng.random() < 0.3 else 1)
-                    for i in range(n)]
-            contributors = sum(m.label == 1 for m in msgs)
-            sv = np.linalg.svd(normal_matrix(msgs), compute_uv=False)
+            poses, labels = [], []
+            for i in range(n):
+                poses.append(CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                                        2.5, 0.0, float(yaws[i]), 1.0))
+                labels.append(int(rng.integers(0, 2)) if rng.random() < 0.3 else 1)
+            contributors = labels.count(1)
+            sv = np.linalg.svd(normal_matrix(poses, labels), compute_uv=False)
             condition = sv[0] / sv[1] if sv[1] > 0.0 else math.inf
             want_ok = contributors >= 2 and condition <= TRIANGULATION_MAX_CONDITION
-            assert triangulate(msgs).ok == want_ok
+            assert triangulate(poses, labels).ok == want_ok
         assert n_parallel > 3000
 
     def test_recovers_truth_and_matches_grid_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             truth = tuple(rng.uniform(-8, 8, size=2))
-            msgs = exact_bearing_messages(rng, truth, int(rng.integers(2, 6)))
-            res = triangulate(msgs)
+            poses = exact_bearing_poses(rng, truth, int(rng.integers(2, 6)))
+            labels = [1] * len(poses)
+            res = triangulate(poses, labels)
             assert res.ok
             assert math.hypot(res.estimate[0] - truth[0],
                               res.estimate[1] - truth[1]) < 1e-9
-            gx, gy = grid_refine_minimizer(msgs)
+            gx, gy = grid_refine_minimizer(poses, labels)
             assert math.hypot(res.estimate[0] - gx, res.estimate[1] - gy) < 1e-6
 
 
@@ -361,37 +367,33 @@ class TestGeometricPoseAction:
         rng = np.random.default_rng(37)
         for _ in range(10_000):
             truth = (rng.uniform(-8, 8), rng.uniform(-8, 8), 0.9)
-            peers = exact_bearing_messages(rng, truth[:2], 2)
+            peers = exact_bearing_poses(rng, truth[:2], 2)
             me = CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
                             rng.uniform(2, 3), rng.uniform(-60, 60),
                             rng.uniform(-179.9, 180), rng.uniform(1, 3.3))
-            msgs = [PoseMessage(0, me, 0),
-                    PoseMessage(1, peers[0].pose, 1),
-                    PoseMessage(2, peers[1].pose, 1)]
-            action = geometric_pose_action(me, triangulate(msgs), GeometricMemory())
+            result = triangulate([me] + peers, [0, 1, 1])
+            action = geometric_pose_action(me, result, GeometricMemory())
             assert action == virtual_tracker_action(me, truth)
 
     def test_no_information_keeps_still(self):
-        msgs = [PoseMessage(0, CameraPose(0, 0, 2.5, 0, 0, 1.0), 0),
-                PoseMessage(1, CameraPose(5, 0, 2.5, 0, 0, 1.0), 0)]
-        assert (geometric_pose_action(msgs[0].pose, triangulate(msgs), GeometricMemory())
+        poses = [CameraPose(0, 0, 2.5, 0, 0, 1.0), CameraPose(5, 0, 2.5, 0, 0, 1.0)]
+        assert (geometric_pose_action(poses[0], triangulate(poses, [0, 0]),
+                                      GeometricMemory())
                 == Action.KEEP_STILL)
 
     def test_memory_fallback(self):
         me = CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0)
-        msgs = [PoseMessage(0, me, 0),
-                PoseMessage(1, CameraPose(5, 0, 2.5, 0, 0, 1.0), 0)]
+        poses = [me, CameraPose(5, 0, 2.5, 0, 0, 1.0)]
         memory = GeometricMemory(last_estimate=(5.0, 5.0))
-        action = geometric_pose_action(me, triangulate(msgs), memory)
+        action = geometric_pose_action(me, triangulate(poses, [0, 0]), memory)
         assert action == virtual_tracker_action(me, (5.0, 5.0, 0.9))
         assert memory.last_estimate == (5.0, 5.0)
 
     def test_success_updates_memory(self):
         me = CameraPose(0, 10, 2.5, 0.0, -90.0, 1.0)
-        peers = [PoseMessage(1, CameraPose(0, 0, 2.5, 0, 45.0, 1.0), 1),
-                 PoseMessage(2, CameraPose(10, 0, 2.5, 0, 135.0, 1.0), 1)]
+        peers = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0), CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
         memory = GeometricMemory()
-        geometric_pose_action(me, triangulate([PoseMessage(0, me, 0)] + peers), memory)
+        geometric_pose_action(me, triangulate([me] + peers, [0, 1, 1]), memory)
         assert memory.last_estimate == pytest.approx((5.0, 5.0), abs=1e-9)
 
 
@@ -451,22 +453,22 @@ class TestSvBaseline:
             == Action.RIGHT
 
 
-def per_camera_system_action(self_index, target, messages, kind, params=None,
+def per_camera_system_action(self_index, target, poses, labels, kind, params=None,
                              memory=None, arena_half=None):
     """The system rule for one camera, every camera on its own: the tracker
     for label 1, else a triangulation or a one-camera policy forward."""
-    own = messages[self_index]
-    if own.label == 1:
-        return virtual_tracker_action(own.pose, target)
+    own = poses[self_index]
+    if labels[self_index] == 1:
+        return virtual_tracker_action(own, target)
     if kind == "geometric":
-        result = triangulate(messages)
+        result = triangulate(poses, labels)
         if result.ok:
             memory.last_estimate = result.estimate
         if memory.last_estimate is None:
             return Action.KEEP_STILL
         x, y = memory.last_estimate
-        return virtual_tracker_action(own.pose, (x, y, 0.9))
-    logits, _, _ = nn.policy_forward(params, self_index, messages, arena_half)
+        return virtual_tracker_action(own, (x, y, 0.9))
+    logits, _, _ = nn.policy_forward(params, self_index, poses, labels, arena_half)
     return Action(int(np.argmax(nn.log_softmax(logits))))
 
 
@@ -478,42 +480,65 @@ def random_pose(rng, arena_half=10.0):
 
 
 class TestSystemAction:
-    def _messages(self, own_label):
-        poses = [CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0),
-                 CameraPose(0, 10, 2.5, 0.0, -45.0, 1.0),
-                 CameraPose(10, 0, 2.5, 0.0, 135.0, 1.0)]
-        labels = [own_label, 1, 1]
-        return [PoseMessage(i, p, g) for i, (p, g) in enumerate(zip(poses, labels))]
+    def _poses(self):
+        return [CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0),
+                CameraPose(0, 10, 2.5, 0.0, -45.0, 1.0),
+                CameraPose(10, 0, 2.5, 0.0, 135.0, 1.0)]
 
     def _memories(self):
         return [GeometricMemory() for _ in range(3)]
 
     def test_own_label_one_uses_tracker(self):
-        msgs = self._messages(1)
+        poses = self._poses()
         target = (5.0, 5.0, 0.9)
-        actions = system_action(observed(msgs, target), msgs, "geometric",
+        actions = system_action(observed(poses, target), [1, 1, 1], "geometric",
                                 memories=self._memories())
-        assert actions == [virtual_tracker_action(m.pose, target) for m in msgs]
+        assert actions == [virtual_tracker_action(p, target) for p in poses]
 
     def test_label_zero_geometric(self):
-        msgs = self._messages(0)
+        poses = self._poses()
         target = (5.0, 5.0, 0.9)
-        actions = system_action(observed(msgs, target), msgs, "geometric",
+        actions = system_action(observed(poses, target), [0, 1, 1], "geometric",
                                 memories=self._memories())
-        assert actions[0] == geometric_pose_action(msgs[0].pose, triangulate(msgs),
+        assert actions[0] == geometric_pose_action(poses[0], triangulate(poses, [0, 1, 1]),
                                                    GeometricMemory())
 
     def test_label_zero_learned_greedy(self):
-        msgs = self._messages(0)
+        poses = self._poses()
         params = nn.init_params(4)
-        got = system_action(observed(msgs, (5.0, 5.0, 0.9)), msgs, "learned",
-                            params=params, arena_half=10.0)
-        assert got[0] == learned_pose_action(msgs, params, 10.0)[0]
+        got = system_action(observed(poses, (5.0, 5.0, 0.9)), [0, 1, 1], "learned",
+                            params=params)
+        assert got[0] == learned_pose_action(poses, [0, 1, 1], params, 10.0)[0]
+
+    def test_learned_reads_the_arena_from_the_state(self):
+        """The observed state's arena_half scales the pose tuples: at 15 m
+        the actions are those of learned_pose_action at 15 m, for random
+        params over random steps, and differ from 10 m somewhere."""
+        rng = np.random.default_rng(61)
+        differs = 0
+        for _ in range(200):
+            params = rand_params(rng)
+            poses = [random_pose(rng, arena_half=15.0) for _ in range(4)]
+            labels = [0, 0, 1, 0]
+            got = system_action(observed(poses, (1.0, 2.0, 0.9), arena_half=15.0),
+                                labels, "learned", params=params)
+            want = learned_pose_action(poses, labels, params, 15.0)
+            assert [got[i] for i in (0, 1, 3)] == want
+            differs += want != learned_pose_action(poses, labels, params, 10.0)
+        assert differs > 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            msgs = self._messages(0)
-            system_action(observed(msgs, (5, 5, 0.9)), msgs, "nonsense")
+            poses = self._poses()
+            system_action(observed(poses, (5, 5, 0.9)), [0, 1, 1], "nonsense")
+
+    @pytest.mark.parametrize("kind", ["geometric", "learned"])
+    @pytest.mark.parametrize("labels", [[0, 1], [1, 1], [0, 1, 1, 1], [1, 1, 1, 1]])
+    def test_label_count_must_match_the_cameras(self, kind, labels):
+        poses = self._poses()
+        with pytest.raises(ValueError):
+            system_action(observed(poses, (5, 5, 0.9)), labels, kind,
+                          params=nn.init_params(4), memories=self._memories())
 
     @pytest.mark.parametrize("kind", ["geometric", "learned"])
     def test_per_step_equals_per_camera_rule(self, kind):
@@ -527,15 +552,17 @@ class TestSystemAction:
         camera_memories = [GeometricMemory() for _ in range(n_cams)]
         remembered = 0
         for _ in range(300):
-            msgs = [PoseMessage(i, random_pose(rng), int(rng.integers(0, 2)))
-                    for i in range(n_cams)]
+            poses, labels = [], []
+            for _ in range(n_cams):
+                poses.append(random_pose(rng))
+                labels.append(int(rng.integers(0, 2)))
             target = (rng.uniform(-8, 8), rng.uniform(-8, 8), 0.9)
-            want = [per_camera_system_action(i, target, msgs, kind, params=params,
-                                             memory=camera_memories[i],
+            want = [per_camera_system_action(i, target, poses, labels, kind,
+                                             params=params, memory=camera_memories[i],
                                              arena_half=10.0)
                     for i in range(n_cams)]
-            got = system_action(observed(msgs, target), msgs, kind, params=params,
-                                memories=step_memories, arena_half=10.0)
+            got = system_action(observed(poses, target), labels, kind, params=params,
+                                memories=step_memories)
             assert got == want
             assert step_memories == camera_memories
             remembered += sum(m.last_estimate is not None for m in step_memories)
@@ -548,17 +575,14 @@ class TestSystemAction:
         me = CameraPose(0, 10, 2.5, 0.0, -90.0, 1.0)
         peers = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0),
                  CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
+        poses = [me] + peers
         memories = [GeometricMemory() for _ in range(3)]
-        first = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 1),
-                 PoseMessage(2, peers[1], 1)]
-        system_action(observed(first, (5.0, 5.0, 0.9)), first, "geometric",
+        system_action(observed(poses, (5.0, 5.0, 0.9)), [0, 1, 1], "geometric",
                       memories=memories)
         estimate = memories[0].last_estimate
         assert estimate == pytest.approx((5.0, 5.0), abs=1e-9)
 
-        second = [PoseMessage(0, me, 0), PoseMessage(1, peers[0], 0),
-                  PoseMessage(2, peers[1], 1)]
-        actions = system_action(observed(second, (-5.0, -5.0, 0.9)), second,
+        actions = system_action(observed(poses, (-5.0, -5.0, 0.9)), [0, 0, 1],
                                 "geometric", memories=memories)
         assert memories[0].last_estimate == estimate
         assert memories[1].last_estimate is None
@@ -568,14 +592,13 @@ class TestSystemAction:
 
 
 class TestLearnedPoseAction:
-    def _messages(self):
-        return [PoseMessage(0, CameraPose(0, 0, 2.5, 10.0, 20.0, 1.5), 0),
-                PoseMessage(1, CameraPose(0, 10, 2.5, -5.0, -45.0, 2.0), 1)]
+    POSES = (CameraPose(0, 0, 2.5, 10.0, 20.0, 1.5), CameraPose(0, 10, 2.5, -5.0, -45.0, 2.0))
+    LABELS = (0, 1)
 
     def test_zero_params_uniform(self):
         params = nn.zeros_like_params()
-        logits, _, _ = nn.policy_forward(params, 0, self._messages(), 10.0)
-        probs = nn.softmax(logits)
+        logits, _, _ = nn.policy_forward(params, 0, self.POSES, self.LABELS, 10.0)
+        probs = softmax(logits)
         assert np.allclose(probs, 1.0 / 11.0, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
@@ -583,18 +606,18 @@ class TestLearnedPoseAction:
         for _ in range(200):
             params = nn.PolicyParams(**{name: rng.normal(0, 1, shape)
                                         for name, shape, _, _ in nn.PARAM_SPECS})
-            logits, _, _ = nn.policy_forward(params, 0, self._messages(), 10.0)
-            assert abs(nn.softmax(logits).sum() - 1.0) < 1e-12
+            logits, _, _ = nn.policy_forward(params, 0, self.POSES, self.LABELS, 10.0)
+            assert abs(softmax(logits).sum() - 1.0) < 1e-12
 
     def test_greedy_deterministic(self):
         params = nn.init_params(7)
-        results = {tuple(learned_pose_action(self._messages(), params, 10.0))
+        results = {tuple(learned_pose_action(self.POSES, self.LABELS, params, 10.0))
                    for _ in range(100)}
         assert len(results) == 1
 
     def test_zero_params_pick_the_lowest_index(self):
         # eleven equal logits tie, and the tie goes to action 0
-        assert (learned_pose_action(self._messages(), nn.zeros_like_params(), 10.0)
+        assert (learned_pose_action(self.POSES, self.LABELS, nn.zeros_like_params(), 10.0)
                 == [Action.KEEP_STILL])
 
     def test_non_finite_weight_rejected(self):
@@ -603,7 +626,7 @@ class TestLearnedPoseAction:
         params = nn.init_params(7)
         params.embed_b[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            learned_pose_action(self._messages(), params, 10.0)
+            learned_pose_action(self.POSES, self.LABELS, params, 10.0)
         state = batch_world([spawn_episode(EpisodeConfig(), 0)])
         with pytest.raises(ValueError, match="non-finite"):
             batch_system_action(state, batch_observe(state), np.array([[0, 1, 1, 0]]),
@@ -618,12 +641,12 @@ class TestLearnedPoseAction:
         for _ in range(400):
             params = rand_params(rng, scale=float(rng.uniform(0.1, 2.0)))
             labels = [int(v) for v in rng.integers(0, 2, size=4)]
-            msgs = [PoseMessage(i, random_pose(rng), g) for i, g in enumerate(labels)]
+            poses = [random_pose(rng) for _ in labels]
             want = []
-            for i, msg in enumerate(msgs):
-                if msg.label == 0:
-                    logits, _, _ = nn.policy_forward(params, i, msgs, 10.0)
+            for i, label in enumerate(labels):
+                if label == 0:
+                    logits, _, _ = nn.policy_forward(params, i, poses, labels, 10.0)
                     want.append(Action(int(np.argmax(nn.log_softmax(logits)))))
-            assert learned_pose_action(msgs, params, 10.0) == want
+            assert learned_pose_action(poses, labels, params, 10.0) == want
             seen.add(labels.count(0))
         assert seen == {0, 1, 2, 3, 4}

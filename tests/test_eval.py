@@ -175,6 +175,10 @@ PINNED_LOGS = [
      "4b66f22aa2c584b75574ab4faf0f54be726590c67c7568b38ede96955e0ef4c5"),
     ("sv", "oracle", EpisodeConfig(n_cameras=2), 7,
      "b96a46a2f6789ed069a1ab37a534070df097533a5e3c802f32b489cdaad91cbb"),
+    # the learned controller scales the pose tuples by the observed state's
+    # arena_half; pinned before system_action read it from the state
+    ("learned", "random:0.5", EpisodeConfig(arena_half=15.0), 8,
+     "4a97bfd66759e0e4d16159e0cc6eda3dc8b6c069ff23d4eb4ae896a7c367140c"),
 ]
 
 

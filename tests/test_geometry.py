@@ -11,11 +11,12 @@ from camtrack.geometry import (
     angle_error,
     bearing_to,
     effective_fov,
-    in_fov,
     segment_box_overlap,
     segment_hits_box,
     wrap_angle,
 )
+from camtrack.rng import RngStream
+from camtrack.world import TargetState, Visibility, WorldState, observe
 
 
 def make_pose(yaw=0.0, pitch=0.0, zoom=1.0, x=0.0, y=0.0, z=0.0):
@@ -199,18 +200,24 @@ class TestEffectiveFov:
 
 
 class TestInFov:
-    def _target_at(self, d_beta):
-        return (10.0 * math.cos(math.radians(d_beta)),
-                10.0 * math.sin(math.radians(d_beta)), 0.0)
+    """world.observe's field-of-view test: in view within half the effective
+    FOV of the aim, on an arena without obstacles."""
+
+    def _visibility(self, pose, d_beta):
+        target = TargetState(10.0 * math.cos(math.radians(d_beta)),
+                             10.0 * math.sin(math.radians(d_beta)), 0.0, (0.0, 0.0),
+                             z=0.0)
+        state = WorldState([pose], target, [], 0, 10.0, (0.5, 1.5), RngStream(0, 0))
+        return observe(state).visibility[0]
 
     def test_inside_half_fov(self):
-        assert in_fov(make_pose(zoom=1.0), self._target_at(44.0))
+        assert self._visibility(make_pose(zoom=1.0), 44.0) is Visibility.VISIBLE
 
     def test_outside_half_fov(self):
-        assert not in_fov(make_pose(zoom=1.0), self._target_at(46.0))
+        assert self._visibility(make_pose(zoom=1.0), 46.0) is Visibility.OUT_OF_VIEW
 
     def test_zoomed_in_narrows(self):
-        assert not in_fov(make_pose(zoom=3.0), self._target_at(20.0))
+        assert self._visibility(make_pose(zoom=3.0), 20.0) is Visibility.OUT_OF_VIEW
 
 
 class TestSegmentHitsBox:

@@ -17,7 +17,6 @@ from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
     BatchMemory,
     GeometricMemory,
-    PoseMessage,
     batch_system_action,
     batch_tracker_action,
     batch_triangulate,
@@ -259,13 +258,25 @@ class TestBatchTracker:
         assert Action.KEEP_STILL in want and Action.LEFT in want
 
 
-def random_messages(rng, n_cams, parallel=False):
+def random_step(rng, n_cams, parallel=False):
+    """One step's camera poses and labels, drawn camera by camera."""
     yaw0 = rng.uniform(-180, 180)
-    return [PoseMessage(i, CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10), 2.5,
-                                      rng.uniform(-60, 60),
-                                      yaw0 if parallel else rng.uniform(-179.9, 180),
-                                      1.0),
-                        int(rng.random() < 0.6)) for i in range(n_cams)]
+    poses, labels = [], []
+    for _ in range(n_cams):
+        poses.append(CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10), 2.5,
+                                rng.uniform(-60, 60),
+                                yaw0 if parallel else rng.uniform(-179.9, 180), 1.0))
+        labels.append(int(rng.random() < 0.6))
+    return poses, labels
+
+
+def step_arrays(groups):
+    """Origins (G, C, 3), pitches, yaws and labels (G, C) of G steps."""
+    origin = np.array([[(p.x, p.y, p.z) for p in poses] for poses, _ in groups])
+    pitch = np.array([[p.pitch_deg for p in poses] for poses, _ in groups])
+    yaw = np.array([[p.yaw_deg for p in poses] for poses, _ in groups])
+    labels = np.array([labels for _, labels in groups])
+    return origin, pitch, yaw, labels
 
 
 class TestPoseTuples:
@@ -275,46 +286,32 @@ class TestPoseTuples:
     def test_array_builder_equals_scalar_builder(self, n_groups, n_cams, seed,
                                                  arena_half):
         rng = np.random.default_rng(seed)
-        groups = [random_messages(rng, n_cams) for _ in range(n_groups)]
+        groups = [random_step(rng, n_cams) for _ in range(n_groups)]
         # yaws on the seam and exact multiples of the rotation step
         seam = [-180.0, -1e-20, 0.0, 90.0, 180.0, -37.123456789012345]
-        groups[0][0] = dataclasses.replace(
-            groups[0][0], pose=dataclasses.replace(groups[0][0].pose,
-                                                   yaw_deg=seam[seed % len(seam)]))
-        origin = np.array([[(m.pose.x, m.pose.y, m.pose.z) for m in g] for g in groups])
-        pitch = np.array([[m.pose.pitch_deg for m in g] for g in groups])
-        yaw = np.array([[m.pose.yaw_deg for m in g] for g in groups])
-        labels = np.array([[m.label for m in g] for g in groups])
+        poses = groups[0][0]
+        poses[0] = dataclasses.replace(poses[0], yaw_deg=seam[seed % len(seam)])
+        origin, pitch, yaw, labels = step_arrays(groups)
         got = nn.pose_tuples(origin, pitch, yaw, labels, arena_half)
         assert got.shape == (n_groups, n_cams, nn.RAW_SIZE)
-        assert got.tobytes() == nn.raw_tuples(groups, arena_half).tobytes()
+        want = np.stack([nn.raw_tuples(poses, labels, arena_half)
+                         for poses, labels in groups])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBatchTriangulate:
     @pytest.mark.parametrize("n_cams", [2, 3, 4, 8])
     def test_equals_scalar(self, n_cams):
         rng = np.random.default_rng(n_cams)
-        groups = [random_messages(rng, n_cams, parallel=k % 7 == 0) for k in range(1500)]
-        origin = np.array([[(m.pose.x, m.pose.y, m.pose.z) for m in g] for g in groups])
-        yaw = np.array([[m.pose.yaw_deg for m in g] for g in groups])
-        labels = np.array([[m.label for m in g] for g in groups])
+        groups = [random_step(rng, n_cams, parallel=k % 7 == 0) for k in range(1500)]
+        origin, _, yaw, labels = step_arrays(groups)
         estimate, ok = batch_triangulate(origin, yaw, labels == 1)
-        results = [triangulate(g) for g in groups]
+        results = [triangulate(poses, labels) for poses, labels in groups]
         assert ok.tolist() == [r.ok for r in results]
         for est, r in zip(estimate.tolist(), results):
             if r.ok:
                 assert bits(est) == bits(r.estimate)
         assert 0 < ok.sum() < len(groups)
-
-
-def batch_of(messages_per_env):
-    """A BatchState whose cameras are the messages' poses."""
-    worlds = []
-    for k, messages in enumerate(messages_per_env):
-        world = spawn_episode(EpisodeConfig(n_cameras=len(messages)), k)
-        world.cameras = [m.pose for m in messages]
-        worlds.append(world)
-    return batch_world(worlds), worlds
 
 
 class TestBatchSystemAction:
@@ -332,11 +329,7 @@ class TestBatchSystemAction:
             labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
             got = batch_system_action(state, outcome, labels, kind, params=PARAMS,
                                       memory=memory)
-            want = [system_action(observe(w),
-                                  [PoseMessage(i, c, g) for i, (c, g)
-                                   in enumerate(zip(w.cameras, row))],
-                                  kind, params=PARAMS, memories=mems,
-                                  arena_half=cfg.arena_half)
+            want = [system_action(observe(w), row, kind, params=PARAMS, memories=mems)
                     for w, row, mems in zip(worlds, labels.tolist(), memories)]
             assert got.tolist() == want
             worlds = [step(w, a).state for w, a in zip(worlds, want)]

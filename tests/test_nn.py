@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camtrack import nn
-from camtrack.controllers import PoseMessage
 from camtrack.geometry import CameraPose
 from camtrack.rng import RngStream
 
@@ -17,14 +16,21 @@ def rand_params(rng, scale=0.5):
                               for name, shape, _, _ in nn.PARAM_SPECS})
 
 
-def rand_messages(rng, n=4):
-    out = []
-    for j in range(n):
-        pose = CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
-                          rng.uniform(2, 3), rng.uniform(-60, 60),
-                          rng.uniform(-179.9, 180), rng.uniform(1, 3.3))
-        out.append(PoseMessage(j, pose, int(rng.integers(0, 2))))
-    return out
+def rand_step(rng, n=4):
+    """One step's camera poses and labels, drawn camera by camera."""
+    poses, labels = [], []
+    for _ in range(n):
+        poses.append(CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                                rng.uniform(2, 3), rng.uniform(-60, 60),
+                                rng.uniform(-179.9, 180), rng.uniform(1, 3.3)))
+        labels.append(int(rng.integers(0, 2)))
+    return poses, labels
+
+
+def softmax(logits):
+    """Reference probabilities over the last axis (nn keeps only log_softmax)."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestBuildFeatures:
@@ -32,19 +38,19 @@ class TestBuildFeatures:
         rng = np.random.default_rng(0)
         params = rand_params(rng)
         pose = CameraPose(1.0, 2.0, 2.5, 5.0, 30.0, 1.2)
-        msgs = [PoseMessage(j, pose, 1) for j in range(4)]
-        f = nn.build_features(params, 0, msgs, 10.0)
-        single = nn.build_features(params, 0, msgs[:1], 10.0)
+        f = nn.build_features(params, 0, [pose] * 4, [1] * 4, 10.0)
+        single = nn.build_features(params, 0, [pose], [1], 10.0)
         assert np.allclose(f, single, atol=1e-15)
 
     def test_permutation_invariance_of_pool(self):
         rng = np.random.default_rng(1)
         params = rand_params(rng)
-        msgs = rand_messages(rng)
-        f = nn.build_features(params, 0, msgs, 10.0)
-        shuffled = [msgs[0], msgs[2], msgs[3], msgs[1]]
+        poses, labels = rand_step(rng)
+        f = nn.build_features(params, 0, poses, labels, 10.0)
+        order = [0, 2, 3, 1]
         # self tuple stays at index 0 under this shuffle
-        g = nn.build_features(params, 0, shuffled, 10.0)
+        g = nn.build_features(params, 0, [poses[i] for i in order],
+                              [labels[i] for i in order], 10.0)
         assert np.allclose(f, g, atol=1e-15)
 
     def test_yaw_seam_continuity(self):
@@ -52,20 +58,38 @@ class TestBuildFeatures:
         params = rand_params(rng)
         a = CameraPose(0, 0, 2.5, 0.0, 180.0, 1.0)
         b = CameraPose(0, 0, 2.5, 0.0, -180.0, 1.0)
-        fa = nn.build_features(params, 0, [PoseMessage(0, a, 1)], 10.0)
-        fb = nn.build_features(params, 0, [PoseMessage(0, b, 1)], 10.0)
+        fa = nn.build_features(params, 0, [a], [1], 10.0)
+        fb = nn.build_features(params, 0, [b], [1], 10.0)
         assert np.allclose(fa, fb, atol=1e-12)
 
     def test_feature_layout(self):
         params = nn.zeros_like_params()
         pose = CameraPose(5.0, -2.0, 2.4, 30.0, 90.0, 1.0)
-        f = nn.build_features(params, 0, [PoseMessage(0, pose, 1)], 10.0)
+        f = nn.build_features(params, 0, [pose], [1], 10.0)
         assert f.shape == (23,)
         assert f[0] == 0.5 and f[1] == -0.2
         assert f[2] == pytest.approx(0.8)
         assert f[3] == pytest.approx(1.0) and abs(f[4]) < 1e-15
         assert f[5] == 0.5 and f[6] == 1.0
         assert np.all(f[7:] == 0.0)  # tanh(0) embeddings
+
+
+class TestRawTuples:
+    def test_one_pose_tuple_per_camera(self):
+        poses, labels = rand_step(np.random.default_rng(74))
+        raws = nn.raw_tuples(poses, labels, 10.0)
+        assert raws.shape == (4, nn.RAW_SIZE)
+        for row, pose, label in zip(raws.tolist(), poses, labels):
+            yaw = math.radians(pose.yaw_deg)
+            assert row == [pose.x / 10.0, pose.y / 10.0, pose.z / nn.HEIGHT_NORM,
+                           math.sin(yaw), math.cos(yaw), pose.pitch_deg / nn.PITCH_NORM,
+                           float(label)]
+
+    @pytest.mark.parametrize("n_labels", [0, 3, 5])
+    def test_label_count_must_match_the_cameras(self, n_labels):
+        poses, _ = rand_step(np.random.default_rng(75))
+        with pytest.raises(ValueError):
+            nn.raw_tuples(poses, [1] * n_labels, 10.0)
 
 
 class TestForward:
@@ -109,11 +133,11 @@ class TestGreedyActions:
         for trial in range(400):
             params = (nn.zeros_like_params() if trial % 10 == 0
                       else rand_params(rng, scale=float(rng.uniform(0.1, 2.0))))
-            raws = nn.raw_tuples([rand_messages(rng)], 10.0)
-            group, cam = np.nonzero(raws[:, :, 6] == 0.0)
-            logits, _, _ = nn.group_forward(params, raws, group, cam)
+            raws = nn.raw_tuples(*rand_step(rng), 10.0)
+            cam = np.flatnonzero(raws[:, 6] == 0.0)
+            logits, _, _ = nn.group_forward(params, raws[None], np.zeros_like(cam), cam)
             want = np.argmax(nn.log_softmax(logits), axis=-1)
-            got = nn.greedy_actions(params, raws[0])
+            got = nn.greedy_actions(params, raws)
             assert got.tolist() == want.tolist()
             if trial % 10 == 0:
                 assert got.tolist() == [0] * cam.size
@@ -124,7 +148,7 @@ class TestGreedyActions:
     def test_non_finite_weight_rejected(self, name):
         params = nn.init_params(2)
         getattr(params, name).flat[3] = np.nan
-        raws = nn.raw_tuples([rand_messages(np.random.default_rng(72))], 10.0)[0]
+        raws = nn.raw_tuples(*rand_step(np.random.default_rng(72)), 10.0)
         raws[:, 6] = 0.0
         with pytest.raises(ValueError, match="non-finite"):
             nn.greedy_actions(params, raws)
@@ -135,7 +159,7 @@ class TestSoftmaxStability:
         for scale in (1.0, 100.0, 700.0):
             logits = np.linspace(-scale, scale, 11)
             logp = nn.log_softmax(logits)
-            p = nn.softmax(logits)
+            p = softmax(logits)
             assert np.isfinite(logp).all() or np.any(np.isneginf(logp))
             assert not np.any(np.isnan(logp))
             assert np.isfinite(p).all()
@@ -191,17 +215,17 @@ class TestBackward:
         h = 1e-5
         for _ in range(5):
             params = rand_params(rng)
-            msgs = rand_messages(rng)
-            i = int(rng.integers(0, len(msgs)))
+            poses, labels = rand_step(rng)
+            i = int(rng.integers(0, len(poses)))
             action = int(rng.integers(0, 11))
             adv, ret = float(rng.normal()), float(rng.normal())
             ec, vc = 0.01, 0.5
 
             def loss():
-                logits, value, _ = nn.policy_forward(params, i, msgs, 10.0)
+                logits, value, _ = nn.policy_forward(params, i, poses, labels, 10.0)
                 return nn.loss_value(logits, value, action, adv, ret, ec, vc)
 
-            logits, value, cache = nn.policy_forward(params, i, msgs, 10.0)
+            logits, value, cache = nn.policy_forward(params, i, poses, labels, 10.0)
             grads = nn.backward(params, cache, action, adv, ret, ec, vc)
             for name, arr in params.arrays():
                 g = getattr(grads, name)
@@ -246,6 +270,11 @@ class TestBackward:
             nn.backward(params, cache, 0, 1.0, 0.0, 0.01, 0.5)
 
 
+def group_tuples(groups, arena_half=10.0):
+    """The (G, C, 7) tuples of G steps of (poses, labels)."""
+    return np.stack([nn.raw_tuples(poses, labels, arena_half) for poses, labels in groups])
+
+
 class TestBatchedBackward:
     """The batched path: rows drawn from several (env, step) groups."""
 
@@ -255,7 +284,7 @@ class TestBatchedBackward:
     def _batch(self, seed):
         rng = np.random.default_rng(seed)
         params = rand_params(rng)
-        groups = [rand_messages(rng) for _ in range(3)]
+        groups = [rand_step(rng) for _ in range(3)]
         b = len(self.GROUP)
         action = rng.integers(0, 11, b)
         adv, ret = rng.normal(size=b), rng.normal(size=b)
@@ -263,7 +292,7 @@ class TestBatchedBackward:
 
     def test_matches_finite_differences_on_every_parameter(self):
         params, groups, action, adv, ret = self._batch(11)
-        raws = nn.raw_tuples(groups, 10.0)
+        raws = group_tuples(groups)
         ec, vc, h = 0.01, 0.5, 1e-5
 
         def loss():
@@ -291,11 +320,12 @@ class TestBatchedBackward:
         params, groups, action, adv, ret = self._batch(12)
         ec, vc = 0.01, 0.5
         logits, values, cache = nn.group_forward(
-            params, nn.raw_tuples(groups, 10.0), self.GROUP, self.CAM)
+            params, group_tuples(groups), self.GROUP, self.CAM)
         batch = nn.backward(params, cache, action, adv, ret, ec, vc)
         total = nn.zeros_like_params()
         for b, (g, c) in enumerate(zip(self.GROUP, self.CAM)):
-            row_logits, row_value, row_cache = nn.policy_forward(params, c, groups[g], 10.0)
+            row_logits, row_value, row_cache = nn.policy_forward(params, c, *groups[g],
+                                                                 10.0)
             assert np.allclose(row_logits, logits[b], atol=1e-12)
             assert row_value == pytest.approx(values[b], abs=1e-12)
             nn.backward(params, row_cache, int(action[b]), float(adv[b]),
@@ -306,7 +336,7 @@ class TestBatchedBackward:
     def test_batch_loss_is_sum_of_row_losses(self):
         params, groups, action, adv, ret = self._batch(13)
         logits, values, _ = nn.group_forward(
-            params, nn.raw_tuples(groups, 10.0), self.GROUP, self.CAM)
+            params, group_tuples(groups), self.GROUP, self.CAM)
         rows = sum(nn.loss_value(logits[b], values[b], action[b], adv[b], ret[b],
                                  0.01, 0.5) for b in range(len(self.GROUP)))
         assert nn.loss_value(logits, values, action, adv, ret, 0.01, 0.5) \
@@ -314,7 +344,7 @@ class TestBatchedBackward:
 
     def test_batched_sampling_matches_single_draws(self):
         rng = np.random.default_rng(14)
-        probs = nn.softmax(rng.normal(0.0, 2.0, (200, 11)))
+        probs = softmax(rng.normal(0.0, 2.0, (200, 11)))
         u = rng.uniform(0.0, 1.0, 200)
         batch = nn.sample_action(probs, u)
         assert [nn.sample_action(p, x) for p, x in zip(probs, u)] == batch.tolist()

@@ -489,6 +489,32 @@ class TestCli:
         assert "camera_height_range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, key", [
+        ('"arena_half": 1' + "0" * 400, "arena_half"),
+        ('"gamma": -1' + "0" * 400, "gamma"),
+        ('"target_speed_range": [0.1, 1' + "0" * 400 + "]", "target_speed_range"),
+        ('"camera_height_range": [1' + "0" * 400 + ", 3]", "camera_height_range"),
+    ])
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys,
+                                                     entry, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{" + entry + "}")
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["rollout", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "too large for a float" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["arena_half", "n_cameras"])
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"%s": 1%s}' % (key, "0" * 5000))
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["rollout", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "malformed config" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry, message", [
         ('"rollout_len": 100000000, "n_envs": 1', "rollout_len"),
         ('"seed": 1, "seed": 2', "duplicate"),

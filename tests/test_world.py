@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 from camtrack import nn
 from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.evaluate import run_episode
-from camtrack.geometry import CameraPose, Obstacle, bearing_to, in_fov, wrap_angle
+from camtrack.geometry import (
+    CameraPose,
+    Obstacle,
+    angle_error,
+    bearing_to,
+    effective_fov,
+    wrap_angle,
+)
 from camtrack.io import write_episode_log
 from camtrack.world import (
     Action,
@@ -27,6 +34,14 @@ from camtrack.world import (
     zoom_reward,
 )
 from camtrack.rng import RngStream
+
+
+def in_fov(pose, target):
+    """Reference frustum test: the target's angle errors within half the
+    effective field of view."""
+    d_alpha, d_beta = angle_error(pose, target)
+    h_fov, v_fov = effective_fov(pose.zoom)
+    return d_beta <= 0.5 * h_fov and d_alpha <= 0.5 * v_fov
 
 
 class TestAction:
