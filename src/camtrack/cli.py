@@ -148,9 +148,11 @@ def _cmd_compare(args) -> int:
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     if not systems:
         raise ConfigError("--systems must name at least one controller")
-    for name in systems:
+    for k, name in enumerate(systems):
         if name not in CONTROLLERS:
             raise ConfigError(f"unknown system {name!r}")
+        if name in systems[:k]:
+            raise ConfigError(f"--systems names {name!r} twice")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     # compare runs seeds 0 .. --seeds - 1

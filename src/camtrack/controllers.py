@@ -23,7 +23,8 @@ target.
 
 batch_tracker_action, batch_triangulate and batch_system_action are the same
 rules over the (E, C) arrays of a world.BatchState; their actions equal the
-scalar functions' bit for bit.
+scalar functions' bit for bit. batch_system_action holds all four systems'
+rules, one system name per episode, so a batch may mix systems.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .world import (
     BETA_MAX_DEG,
     ROTATE_STEP_DEG,
     TARGET_MID_HEIGHT,
+    VIS_VISIBLE,
     ZOOM_ERROR_NORM,
     ZOOM_STEP,
     Action,
@@ -348,31 +350,49 @@ class BatchMemory:
 
 
 def batch_system_action(state: BatchState, outcome: BatchOutcome,
-                        labels: np.ndarray, kind: str,
+                        labels: np.ndarray, systems: list[str] | np.ndarray,
                         params: nn.PolicyParams | None = None,
                         memory: BatchMemory | None = None) -> np.ndarray:
-    """system_action for every episode of a batch -> (E, C) action indices.
+    """One step of each episode's system over a batch -> (E, C) action indices.
 
-    outcome is the latest observation of state, whose bearings and
-    distances the label-1 cameras' tracker reuses. geometric triangulates
-    every episode that has a label-0 camera; learned runs nn.greedy_actions
-    once per such episode, since one forward over all of them would round
-    differently."""
-    pose = labels == 0
-    envs = np.flatnonzero(pose.any(axis=1))
+    systems names one system per episode (virtual, sv, geometric or
+    learned), so one batch can mix them; each episode's actions equal its
+    own system's scalar rule. outcome is the latest observation of state,
+    and one batch_tracker_action call on its bearings and distances serves
+    every row: virtual rows take its action, sv rows keep still where the
+    target is not visible, and the label-1 cameras of geometric and learned
+    rows track. geometric triangulates each of its episodes that has a
+    label-0 camera, and its label-0 cameras aim at their stored estimate
+    (its bearing is swapped in before the tracker call) or keep still
+    without one; learned runs nn.greedy_actions once per such episode,
+    since one forward over all of them would round differently."""
+    kinds = np.asarray(systems)
+    if kinds.shape != labels.shape[:1]:
+        raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
+                         f"got {kinds.shape}")
+    sv, geometric, learned = kinds == "sv", kinds == "geometric", kinds == "learned"
+    if not (sv | geometric | learned | (kinds == "virtual")).all():
+        raise ValueError(f"unknown system in {sorted(set(kinds.tolist()))}")
+    if geometric.any() and memory is None:
+        raise ValueError("geometric controller needs a BatchMemory")
+    if learned.any() and params is None:
+        raise ValueError("learned controller needs params")
+    label0 = labels == 0
+    keep_still = sv[:, None] & (outcome.visibility != VIS_VISIBLE)
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
-    if kind == "geometric":
-        if memory is None:
-            raise ValueError("geometric controller needs a BatchMemory")
+    if geometric.any():
+        geo_pose = label0 & geometric[:, None]
+        envs = np.flatnonzero(geo_pose.any(axis=1))
         if envs.size:
             estimate, ok = batch_triangulate(state.origin[envs], state.yaw[envs],
                                              labels[envs] == 1)
-            update = pose[envs] & ok[:, None]
-            memory.estimate[envs] = np.where(update[..., None], estimate[:, None, :],
-                                             memory.estimate[envs])
-            memory.known[envs] |= update
-        aim = pose & memory.known
+            # each label-0 camera of a successful triangulation stores it
+            rows, cams = np.nonzero(geo_pose[envs] & ok[:, None])
+            memory.estimate[envs[rows], cams] = estimate[rows]
+            memory.known[envs[rows], cams] = True
+        aim = geo_pose & memory.known
+        keep_still |= geo_pose & ~memory.known
         if aim.any():
             # label-0 cameras aim at their estimate, at the target's mid-height
             origin = state.origin[aim]
@@ -382,18 +402,13 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
             b_pitch, b_yaw, distance = b_pitch.copy(), b_yaw.copy(), distance.copy()
             b_pitch[aim], b_yaw[aim] = bearings(points - origin)
             distance[aim] = list(map(math.dist, origin.tolist(), points.tolist()))
-        actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
-                                       b_pitch, b_yaw, distance)
-        actions[pose & ~memory.known] = Action.KEEP_STILL
-    elif kind == "learned":
-        if params is None:
-            raise ValueError("learned controller needs params")
-        actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
-                                       b_pitch, b_yaw, distance)
-        for e in envs.tolist():
+    actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
+                                   b_pitch, b_yaw, distance)
+    actions[keep_still] = Action.KEEP_STILL
+    if learned.any():
+        learned_pose = label0 & learned[:, None]
+        for e in np.flatnonzero(learned_pose.any(axis=1)).tolist():
             raws = nn.pose_tuples(state.origin[e], state.pitch[e], state.yaw[e],
                                   labels[e], state.envs[e].arena_half)
-            actions[e, pose[e]] = nn.greedy_actions(params, raws)
-    else:
-        raise ValueError(f"unknown pose controller kind {kind!r}")
+            actions[e, learned_pose[e]] = nn.greedy_actions(params, raws)
     return actions

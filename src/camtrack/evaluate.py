@@ -6,10 +6,11 @@ rollout and the JSONL logs. Like the array path, it observes each state once
 (world.observe, inside world.step) and its tracker reuses that
 observation's bearings and distances, and it hands system_action that
 observation and the step's labels, as run_lockstep hands
-batch_system_action its labels array. compare_systems steps a system's
-seeds in lockstep through run_lockstep, LOCKSTEP_SEEDS at a time, which
-keeps only what the metrics need; at one episode the scalar path is the
-faster one.
+batch_system_action its labels array. compare_systems rolls every
+compared system in one lockstep batch through run_lockstep: each step makes
+one world step, one observation and one tracker call for all (system, seed)
+episodes, at most LOCKSTEP_EPISODES of them at a time, and keeps only what
+the metrics need; at one episode the scalar path is the faster one.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .controllers import (
     BatchMemory,
     GeometricMemory,
     batch_system_action,
-    batch_tracker_action,
     oracle_switch,
     random_labels,
     sv_baseline_action,
@@ -36,7 +36,6 @@ from .rng import RngStream, advance, peek_randoms, stream_states
 from .world import (
     VIS_OUT_OF_VIEW,
     VIS_VISIBLE,
-    Action,
     Visibility,
     batch_observe,
     batch_step,
@@ -47,11 +46,10 @@ from .world import (
 )
 
 CONTROLLERS = ("virtual", "geometric", "learned", "sv")
-# Seeds compare_systems steps in lockstep at once: its memory is bounded by
-# this, not by the seed count. Smaller chunks lose the lockstep speed: a
-# 400-seed sv compare took 2.9 s of CPU at 128, 2.7 s in one batch and
-# 4.0 s at 32 (Python 3.11.7, numpy 2.4.6, 2 shared vCPUs).
-LOCKSTEP_SEEDS = 128
+# (system, seed) episodes compare_systems steps in one lockstep batch: each
+# chunk holds LOCKSTEP_EPISODES // len(systems) seeds of every system, so
+# its memory is bounded by this, not by the seed count or the systems.
+LOCKSTEP_EPISODES = 128
 
 
 @dataclass(slots=True)
@@ -112,7 +110,7 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     then camera order: the values random_switch and noisy_switch would draw
     one at a time. Deterministic in seed.
     """
-    switch_kind, switch_arg = _check_run(controller, switcher, params, steps)
+    switch_kind, switch_arg = _check_run([controller], switcher, params, steps)
     world = spawn_episode(config, seed)
     n_cams = config.n_cameras
     memories = [GeometricMemory() for _ in range(n_cams)]
@@ -225,41 +223,51 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _check_run(controller: str, switcher: str, params: nn.PolicyParams | None,
+def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None,
                steps: int) -> tuple[str, float | None]:
     """Reject a run run_episode and run_lockstep cannot roll; returns the
     parsed switcher."""
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {controller!r}")
-    if controller == "learned" and params is None:
+    if not systems:
+        raise ValueError("a run needs at least one system")
+    for name in systems:
+        if name not in CONTROLLERS:
+            raise ValueError(f"unknown controller {name!r}")
+    if len(set(systems)) != len(systems):
+        raise ValueError(f"repeated system in {systems}")
+    if "learned" in systems and params is None:
         raise ValueError("the learned controller requires policy params")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     return parse_switcher(switcher)
 
 
-def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
+def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
                  switcher: str = "oracle", params: nn.PolicyParams | None = None,
                  steps: int = DEFAULT_EPISODE_STEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Roll one episode per seed in lockstep, as run_episode would roll each.
+    """Roll one episode per (system, seed) pair in lockstep, as run_episode
+    would roll each.
 
     Returns each step's pose error (d_alpha + d_beta) / 2 and whether the
-    target is in view, both (steps, episodes, cameras). Each episode keeps
+    target is in view, both (steps, episodes, cameras) with system-major
+    episodes: episode s * len(seeds) + k is systems[s] on seeds[k]. All
+    systems share each step's world step, observation and tracker call
+    (batch_system_action applies each episode's rule). Each episode keeps
     its own rng streams in run_episode's draw order, so its values equal
     run_episode's records bit for bit. The random and noisy switchers draw
     every episode's labels of a step in one array call, with the values of
     random_switch and noisy_switch."""
-    switch_kind, switch_arg = _check_run(controller, switcher, params, steps)
-    state = batch_world([spawn_episode(config, seed) for seed in seeds])
-    switch_states = stream_states(RngStream(seed, 1) for seed in seeds)
+    switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
+    episode_systems = np.repeat(systems, len(seeds))
+    episode_seeds = list(seeds) * len(systems)
+    state = batch_world([spawn_episode(config, seed) for seed in episode_seeds])
+    switch_states = stream_states(RngStream(seed, 1) for seed in episode_seeds)
     n_cams = config.n_cameras
     memory = BatchMemory.empty(state.pitch.shape)
     error = np.empty((steps,) + state.pitch.shape)
     in_view = np.empty((steps,) + state.pitch.shape, dtype=bool)
     outcome = batch_observe(state)
     for t in range(steps):
-        vis = outcome.visibility
-        labels = (vis == VIS_VISIBLE).astype(int)
+        labels = (outcome.visibility == VIS_VISIBLE).astype(int)
         if switch_kind != "oracle":
             u = peek_randoms(switch_states, n_cams)
             switch_states = advance(switch_states, n_cams)
@@ -268,17 +276,8 @@ def run_lockstep(config: EpisodeConfig, controller: str, seeds: list[int],
             else:
                 # noisy_switch flips the oracle's label
                 labels = np.where(u < switch_arg, 1 - labels, labels)
-
-        if controller in ("virtual", "sv"):
-            actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
-                                           outcome.bearing_pitch,
-                                           outcome.bearing_yaw, outcome.distance)
-            if controller == "sv":
-                actions[vis != VIS_VISIBLE] = Action.KEEP_STILL
-        else:
-            actions = batch_system_action(state, outcome, labels, controller,
-                                          params=params, memory=memory)
-
+        actions = batch_system_action(state, outcome, labels, episode_systems,
+                                      params=params, memory=memory)
         outcome = batch_step(state, actions)
         error[t] = (outcome.d_alpha + outcome.d_beta) * 0.5
         in_view[t] = outcome.visibility != VIS_OUT_OF_VIEW
@@ -292,39 +291,45 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
                     ) -> list[SystemSummary]:
     """Run every system on the same seeds and summarize both metrics.
 
-    Pairing the seeds removes layout variance from the comparison. Each
-    system's episodes run in lockstep, LOCKSTEP_SEEDS seeds at a time, and
-    only their per-episode metrics are kept across chunks, so memory does
-    not grow with the step arrays of every seed. The per-episode metrics are
-    those of per_camera_mean_error and per_camera_success_rate on
-    run_episode's records, exactly rounded over time the same way.
+    Pairing the seeds removes layout variance from the comparison. All
+    systems' episodes of a chunk of seeds run in one lockstep batch of at
+    most LOCKSTEP_EPISODES (system, seed) episodes, and only their
+    per-episode metrics are kept across chunks, so memory does not grow
+    with the step arrays of every seed. The per-episode metrics are those
+    of per_camera_mean_error and per_camera_success_rate on run_episode's
+    records, exactly rounded over time the same way. A repeated system
+    raises ValueError.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if steps < 1:
         raise ValueError("metrics need at least one step record")
+    _check_run(systems, switcher, params, steps)
     seeds = range(base_seed, base_seed + n_seeds)
     n_cams = config.n_cameras
-    summaries = []
-    for name in systems:
-        episode_me: list[list[float]] = []
-        episode_sr: list[list[float]] = []
-        for start in range(0, n_seeds, LOCKSTEP_SEEDS):
-            error, in_view = run_lockstep(
-                config, name, list(seeds[start:start + LOCKSTEP_SEEDS]),
-                switcher=switcher, params=params, steps=steps)
+    chunk = max(1, LOCKSTEP_EPISODES // len(systems))
+    episode_me: list[list[list[float]]] = [[] for _ in systems]
+    episode_sr: list[list[list[float]]] = [[] for _ in systems]
+    for start in range(0, n_seeds, chunk):
+        chunk_seeds = list(seeds[start:start + chunk])
+        error, in_view = run_lockstep(config, systems, chunk_seeds,
+                                      switcher=switcher, params=params, steps=steps)
+        for s in range(len(systems)):
+            rows = slice(s * len(chunk_seeds), (s + 1) * len(chunk_seeds))
             # one (episode, camera) column at a time, so that only one of
             # them is ever held as Python floats
             lane_me = [math.fsum(lane.tolist()) / steps
-                       for lane in error.reshape(steps, -1).T]
-            episode_me += [lane_me[k:k + n_cams]
-                           for k in range(0, len(lane_me), n_cams)]
-            episode_sr += [[count / steps for count in episode]
-                           for episode in in_view.sum(axis=0).tolist()]
-        per_cam_me = [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)]
-        per_cam_sr = [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)]
-        overall_me = _mean_std([math.fsum(ep) / n_cams for ep in episode_me])
-        overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in episode_sr])
+                       for lane in error[:, rows].reshape(steps, -1).T]
+            episode_me[s] += [lane_me[k:k + n_cams]
+                              for k in range(0, len(lane_me), n_cams)]
+            episode_sr[s] += [[count / steps for count in episode]
+                              for episode in in_view[:, rows].sum(axis=0).tolist()]
+    summaries = []
+    for name, me, sr in zip(systems, episode_me, episode_sr):
+        per_cam_me = [_mean_std([ep[i] for ep in me]) for i in range(n_cams)]
+        per_cam_sr = [_mean_std([ep[i] for ep in sr]) for i in range(n_cams)]
+        overall_me = _mean_std([math.fsum(ep) / n_cams for ep in me])
+        overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in sr])
         summaries.append(SystemSummary(name, n_seeds, per_cam_me, per_cam_sr,
                                        overall_me, overall_sr))
     return summaries

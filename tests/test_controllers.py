@@ -630,7 +630,7 @@ class TestLearnedPoseAction:
         state = batch_world([spawn_episode(EpisodeConfig(), 0)])
         with pytest.raises(ValueError, match="non-finite"):
             batch_system_action(state, batch_observe(state), np.array([[0, 1, 1, 0]]),
-                                "learned", params=params)
+                                ["learned"], params=params)
 
     def test_equals_one_camera_forward_per_label_zero_camera(self):
         """Random params and steps of 4 cameras with 0-4 label-0 cameras: one

@@ -1,8 +1,9 @@
 """The lockstep array world against the scalar one-episode path, bit for bit:
 batch_step and batch_observe against E step and observe calls, the array
 tracker and triangulation against virtual_tracker_action and triangulate,
-batch_system_action against system_action, and compare_systems against
-per-seed run_episode summaries; and the scalar path's tracker fed the
+batch_system_action (one system or all four in one batch) against the
+scalar rules, and compare_systems and run_lockstep against per-seed
+run_episode summaries and records; and the scalar path's tracker fed the
 previous observation against virtual_tracker_action on the true target."""
 import dataclasses
 import math
@@ -20,6 +21,7 @@ from camtrack.controllers import (
     batch_system_action,
     batch_tracker_action,
     batch_triangulate,
+    sv_baseline_action,
     system_action,
     tracker_action,
     triangulate,
@@ -52,6 +54,7 @@ from camtrack.world import (
 from test_world import episode_configs
 
 PARAMS = nn.init_params(3)
+ALL_SYSTEMS = ["virtual", "sv", "geometric", "learned"]
 
 
 def bits(values) -> bytes:
@@ -327,8 +330,8 @@ class TestBatchSystemAction:
         rng = np.random.default_rng(1)
         for _ in range(60):
             labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
-            got = batch_system_action(state, outcome, labels, kind, params=PARAMS,
-                                      memory=memory)
+            got = batch_system_action(state, outcome, labels, [kind] * len(seeds),
+                                      params=PARAMS, memory=memory)
             want = [system_action(observe(w), row, kind, params=PARAMS, memories=mems)
                     for w, row, mems in zip(worlds, labels.tolist(), memories)]
             assert got.tolist() == want
@@ -342,10 +345,66 @@ class TestBatchSystemAction:
                     if m.last_estimate is not None:
                         assert bits(m.last_estimate) == memory.estimate[e, c].tobytes()
 
+    def test_mixed_systems_equal_their_scalar_rules(self):
+        """One batch of all four systems: each episode's actions equal its
+        own system's scalar rule (tracker_action, sv_baseline_action or
+        system_action) on its own observation, step after step."""
+        cfg = EpisodeConfig(n_cameras=5, n_obstacles=12)
+        systems = ["virtual", "sv", "geometric", "learned", "geometric", "sv",
+                   "learned", "virtual"]
+        worlds = [spawn_episode(cfg, s) for s in range(len(systems))]
+        state = batch_world([spawn_episode(cfg, s) for s in range(len(systems))])
+        memories = [[GeometricMemory() for _ in range(5)] for _ in systems]
+        memory = BatchMemory.empty(state.pitch.shape)
+        outcome = batch_observe(state)
+        rng = np.random.default_rng(2)
+        kept_still = 0
+        for _ in range(60):
+            labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
+            got = batch_system_action(state, outcome, labels, systems, params=PARAMS,
+                                      memory=memory)
+            want = []
+            for w, row, mems, name in zip(worlds, labels.tolist(), memories, systems):
+                seen = observe(w)
+                scalar = zip(w.cameras, seen.visibility, seen.bearing_pitch,
+                             seen.bearing_yaw, seen.distance)
+                if name == "virtual":
+                    want.append([tracker_action(p, *rest[1:]) for p, *rest in scalar])
+                elif name == "sv":
+                    want.append([sv_baseline_action(*args) for args in scalar])
+                    kept_still += seen.visibility.count(Visibility.VISIBLE) < 5
+                else:
+                    want.append(system_action(seen, row, name, params=PARAMS,
+                                              memories=mems))
+            assert got.tolist() == want
+            worlds = [step(w, a).state for w, a in zip(worlds, want)]
+            outcome = batch_step(state, got)
+        assert kept_still > 0
+        # only geometric episodes remember an estimate
+        assert memory.known[[2, 4]].any()
+        assert not memory.known[[0, 1, 3, 5, 6, 7]].any()
+
     def test_unknown_kind_rejected(self):
-        state = batch_world([spawn_episode(EpisodeConfig(), 0)])
+        state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])
+        for systems in (["pose", "pose"], ["sv", "Geometric"]):
+            with pytest.raises(ValueError, match="unknown system"):
+                batch_system_action(state, batch_observe(state), np.zeros((2, 4), int),
+                                    systems, params=PARAMS,
+                                    memory=BatchMemory.empty((2, 4)))
+
+    @pytest.mark.parametrize("systems", [["sv"], ["sv", "sv", "sv"]])
+    def test_one_system_per_episode_required(self, systems):
+        state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])
+        with pytest.raises(ValueError, match="one system per episode"):
+            batch_system_action(state, batch_observe(state), np.zeros((2, 4), int),
+                                systems)
+
+    @pytest.mark.parametrize("system", ["geometric", "learned"])
+    def test_pose_controller_inputs_required(self, system):
+        state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])
         with pytest.raises(ValueError):
-            batch_system_action(state, batch_observe(state), np.zeros((1, 4), int), "sv")
+            batch_system_action(state, batch_observe(state), np.zeros((2, 4), int),
+                                ["sv", system])
 
 
 class TestCarriedBearings:
@@ -419,69 +478,105 @@ class TestCompareLockstep:
 
     @pytest.mark.parametrize("cfg", [EpisodeConfig(n_cameras=8, n_obstacles=15),
                                      EpisodeConfig(n_cameras=2, n_obstacles=0)])
-    @pytest.mark.parametrize("system", ["sv", "geometric", "learned"])
-    def test_lockstep_steps_equal_records(self, cfg, system):
+    @pytest.mark.parametrize("systems, switcher", [
+        (["sv"], "noisy:0.2"), (["geometric"], "noisy:0.2"), (["learned"], "noisy:0.2"),
+        (ALL_SYSTEMS, "oracle"), (ALL_SYSTEMS, "random:0.5"), (ALL_SYSTEMS, "noisy:0.2"),
+    ], ids=["sv", "geometric", "learned", "all-oracle", "all-random:0.5",
+            "all-noisy:0.2"])
+    def test_lockstep_steps_equal_records(self, cfg, systems, switcher):
+        """Every (system, seed) row of one lockstep batch, system-major,
+        equals that episode's run_episode records bit for bit."""
         seeds = [3, 40, 41]
-        error, in_view = run_lockstep(cfg, system, seeds, switcher="noisy:0.2",
+        error, in_view = run_lockstep(cfg, systems, seeds, switcher=switcher,
                                       params=PARAMS, steps=120)
-        for e, seed in enumerate(seeds):
-            records = run_episode(cfg, system, "noisy:0.2", params=PARAMS,
-                                  seed=seed, steps=120)
-            assert bits([[(a + b) * 0.5 for a, b in zip(r.d_alpha, r.d_beta)]
-                         for r in records]) == error[:, e].tobytes()
-            assert [[v is not Visibility.OUT_OF_VIEW for v in r.visibility]
-                    for r in records] == in_view[:, e].tolist()
+        assert error.shape == in_view.shape == (120, len(systems) * 3, cfg.n_cameras)
+        for s, system in enumerate(systems):
+            for k, seed in enumerate(seeds):
+                records = run_episode(cfg, system, switcher, params=PARAMS,
+                                      seed=seed, steps=120)
+                row = s * len(seeds) + k
+                assert bits([[(a + b) * 0.5 for a, b in zip(r.d_alpha, r.d_beta)]
+                             for r in records]) == error[:, row].tobytes()
+                assert [[v is not Visibility.OUT_OF_VIEW for v in r.visibility]
+                        for r in records] == in_view[:, row].tolist()
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             compare_systems(EpisodeConfig(), ["sv"], 2, steps=0)
 
     def test_run_lockstep_steps_bounds(self):
-        error, in_view = run_lockstep(EpisodeConfig(), "sv", [0, 1], "random:0.5",
+        error, in_view = run_lockstep(EpisodeConfig(), ["sv"], [0, 1], "random:0.5",
                                       steps=0)
         assert error.shape == in_view.shape == (0, 2, 4)
+        error, _ = run_lockstep(EpisodeConfig(), ["sv", "virtual"], [0, 1], steps=0)
+        assert error.shape == (0, 4, 4)
         with pytest.raises(ValueError, match="steps must be >= 0"):
-            run_lockstep(EpisodeConfig(), "sv", [0, 1], steps=-1)
+            run_lockstep(EpisodeConfig(), ["sv"], [0, 1], steps=-1)
+
+    def test_repeated_system_rejected(self):
+        """A repeated system would roll the same episodes twice and grow the
+        batch; compare_systems and run_lockstep reject it before any step."""
+        with pytest.raises(ValueError, match="repeated system"):
+            compare_systems(EpisodeConfig(), ["sv", "geometric", "sv"], 2, steps=5)
+        with pytest.raises(ValueError, match="repeated system"):
+            run_lockstep(EpisodeConfig(), ["geometric", "geometric"], [0], steps=5)
+
+    def test_empty_system_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one system"):
+            compare_systems(EpisodeConfig(), [], 2, steps=5)
+        with pytest.raises(ValueError, match="at least one system"):
+            run_lockstep(EpisodeConfig(), [], [0], steps=5)
 
     def test_seed_chunks_write_the_one_chunk_csv(self, tmp_path, monkeypatch):
-        """More seeds than one lockstep chunk: the comparison CSV is byte for
-        byte the one all seeds in one chunk give."""
-        n_seeds = evaluate.LOCKSTEP_SEEDS + 5
+        """More episodes than one lockstep batch: every run_lockstep call holds
+        at most LOCKSTEP_EPISODES (system, seed) rows, one call per chunk of
+        seeds, and the comparison CSV is byte for byte the one a single
+        batch of all rows gives."""
+        n_seeds = evaluate.LOCKSTEP_EPISODES + 5
         systems = ["sv", "geometric", "learned"]
+        rows = []
+        real_lockstep = evaluate.run_lockstep
+
+        def counting(config, systems, seeds, *args, **kwargs):
+            rows.append(len(systems) * len(seeds))
+            return real_lockstep(config, systems, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "run_lockstep", counting)
         chunked = tmp_path / "chunked.csv"
         write_comparison_csv(compare_systems(EpisodeConfig(), systems, n_seeds,
                                              steps=30, params=PARAMS,
                                              switcher="noisy:0.2", base_seed=7),
                              chunked)
-        calls = []
-        real_lockstep = evaluate.run_lockstep
+        chunk = evaluate.LOCKSTEP_EPISODES // len(systems)
+        assert len(rows) == math.ceil(n_seeds / chunk) > 1
+        assert max(rows) <= evaluate.LOCKSTEP_EPISODES
+        assert sum(rows) == n_seeds * len(systems)
 
-        def one_chunk(config, controller, seeds, *args, **kwargs):
-            calls.append(len(seeds))
-            return real_lockstep(config, controller, seeds, *args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "run_lockstep", one_chunk)
-        monkeypatch.setattr(evaluate, "LOCKSTEP_SEEDS", n_seeds)
+        rows.clear()
+        monkeypatch.setattr(evaluate, "LOCKSTEP_EPISODES", n_seeds * len(systems))
         whole = tmp_path / "whole.csv"
         write_comparison_csv(compare_systems(EpisodeConfig(), systems, n_seeds,
                                              steps=30, params=PARAMS,
                                              switcher="noisy:0.2", base_seed=7),
                              whole)
-        assert calls == [n_seeds] * len(systems)
+        assert rows == [n_seeds * len(systems)]
         assert chunked.read_bytes() == whole.read_bytes()
 
     def test_peak_memory_is_flat_in_the_seed_count(self):
-        """Doubling the seeds past two chunks barely moves the traced peak;
-        one lockstep batch of all seeds would double it."""
-        peaks = []
-        for n_seeds in (2 * evaluate.LOCKSTEP_SEEDS, 4 * evaluate.LOCKSTEP_SEEDS):
-            tracemalloc.start()
-            try:
-                compare_systems(EpisodeConfig(), ["sv"], n_seeds, steps=10)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.25 * peaks[0]
+        """Doubling the seeds past two chunks barely moves the traced peak,
+        for one system and for two in one batch; one lockstep batch of all
+        seeds would double it."""
+        for systems in (["sv"], ["sv", "geometric"]):
+            peaks = []
+            for n_seeds in (2 * evaluate.LOCKSTEP_EPISODES,
+                            4 * evaluate.LOCKSTEP_EPISODES):
+                tracemalloc.start()
+                try:
+                    compare_systems(EpisodeConfig(), systems, n_seeds, steps=10)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.25 * peaks[0], systems
 
     def test_learned_requires_params(self):
         with pytest.raises(ValueError):

@@ -664,6 +664,13 @@ class TestCli:
         assert cli_main(["compare", "--systems", "sv,wizard", "--seeds", "2",
                          "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_compare_repeated_system_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(["compare", "--systems", "sv,geometric,sv", "--seeds", "2",
+                         "--out", str(out)]) == 2
+        assert "'sv'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_learned_needs_checkpoint(self, tmp_path, capsys):
         assert cli_main(["compare", "--systems", "learned", "--seeds", "2",
                          "--out", str(tmp_path / "x.csv")]) == 2
