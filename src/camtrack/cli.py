@@ -13,8 +13,8 @@ import traceback
 from pathlib import Path
 
 from .config import ConfigError, EpisodeConfig, TrainConfig, check_seed, load_config
+from .controllers import SYSTEMS
 from .evaluate import (
-    CONTROLLERS,
     compare_systems,
     episode_report,
     format_comparison,
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one controller")
     ev.add_argument("--config", help="JSON config file")
-    ev.add_argument("--controller", required=True, choices=CONTROLLERS)
+    ev.add_argument("--controller", required=True, choices=SYSTEMS)
     ev.add_argument("--switcher", default="oracle",
                     help="oracle, random:P or noisy:E (default oracle)")
     ev.add_argument("--checkpoint", help="policy checkpoint (learned controller)")
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     roll = sub.add_parser("rollout", help="log one episode as JSONL")
     roll.add_argument("--config", help="JSON config file")
-    roll.add_argument("--controller", default="geometric", choices=CONTROLLERS)
+    roll.add_argument("--controller", default="geometric", choices=SYSTEMS)
     roll.add_argument("--switcher", default="oracle")
     roll.add_argument("--checkpoint")
     roll.add_argument("--seed", type=int, default=0)
@@ -149,7 +149,7 @@ def _cmd_compare(args) -> int:
     if not systems:
         raise ConfigError("--systems must name at least one controller")
     for k, name in enumerate(systems):
-        if name not in CONTROLLERS:
+        if name not in SYSTEMS:
             raise ConfigError(f"unknown system {name!r}")
         if name in systems[:k]:
             raise ConfigError(f"--systems names {name!r} twice")

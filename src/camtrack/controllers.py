@@ -13,17 +13,18 @@ Four ways to pick one of the 11 camera commands:
   * sv_baseline_action     - no collaboration: track when the target is
     visible, freeze otherwise.
 
-Switchers produce the per-camera binary label (1 = tracking trusted) that
-system_action uses to choose between the tracker and a pose controller.
-system_action takes the step's observation (world.observe) and one label
-per camera: the pose controllers read the poses all cameras share from the
-observed state, once per step, and the label-1 cameras' tracker reuses the
-observation's bearings and distances instead of recomputing them from the
-target.
+A system (one of SYSTEMS) is one rule for combining them: virtual tracks
+with every camera, sv runs sv_baseline_action on each, and geometric and
+learned track with their label-1 cameras and hand the label-0 ones to their
+pose controller. Switchers produce that per-camera binary label (1 =
+tracking trusted). system_action holds the four rules for one step; it
+takes the step's observation (world.observe) and one label per camera: the
+pose controllers read the shared poses from the observed state once per
+step, and the tracker reuses the observation's bearings and distances.
 
 batch_tracker_action, batch_triangulate and batch_system_action are the same
 rules over the (E, C) arrays of a world.BatchState; their actions equal the
-scalar functions' bit for bit. batch_system_action holds all four systems'
+scalar functions' bit for bit. batch_system_action holds the same four
 rules, one system name per episode, so a batch may mix systems.
 """
 from __future__ import annotations
@@ -65,6 +66,8 @@ from .world import (
     desired_zooms,
 )
 
+# The compared systems, in the order the CLI lists them.
+SYSTEMS = ("virtual", "geometric", "learned", "sv")
 TRIANGULATION_MAX_CONDITION = 1e6
 
 # The tracker's score is separable: each action's score is a pitch term plus
@@ -244,21 +247,31 @@ def sv_baseline_action(pose: CameraPose, vis: Visibility, bearing_pitch: float,
     return Action.KEEP_STILL
 
 
-def system_action(outcome: StepOutcome, labels, kind: str,
+def system_action(outcome: StepOutcome, labels, system: str,
                   params: nn.PolicyParams | None = None,
                   memories: list[GeometricMemory] | None = None) -> list[Action]:
-    """One step of the full system, one action per camera of the observed
-    state in camera order: label-1 cameras track directly, label-0 cameras
-    defer to the pose controller selected by kind, which reads the step's
-    shared poses once for all of them.
+    """One step of the named system, one action per camera of the observed
+    state in camera order (see the module docstring for the four rules).
 
     outcome is the latest observation: its state holds the cameras' poses
-    and the arena, and its bearings and distances are what the label-1
-    cameras' tracker reuses. labels holds one label per camera."""
+    and the arena, and its visibility, bearings and distances are what the
+    tracker reuses. labels holds one label per camera, for every system."""
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
     state = outcome.state
     poses = state.cameras
+    if len(labels) != len(poses):
+        raise ValueError(f"expected one label per camera ({len(poses)}), "
+                         f"got {len(labels)}")
+    b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
+                                outcome.distance)
+    if system == "virtual":
+        return list(map(tracker_action, poses, b_pitch, b_yaw, distance))
+    if system == "sv":
+        return list(map(sv_baseline_action, poses, outcome.visibility, b_pitch,
+                        b_yaw, distance))
     pose_cams = [i for i, label in enumerate(labels) if label == 0]
-    if kind == "geometric":
+    if system == "geometric":
         if memories is None:
             raise ValueError("geometric controller needs one GeometricMemory "
                              "per camera")
@@ -267,19 +280,16 @@ def system_action(outcome: StepOutcome, labels, kind: str,
             result = triangulate(poses, labels)
             pose_actions = [geometric_pose_action(poses[i], result, memories[i])
                             for i in pose_cams]
-    elif kind == "learned":
+    else:
         if params is None:
             raise ValueError("learned controller needs params")
         pose_actions = (learned_pose_action(poses, labels, params, state.arena_half)
                         if pose_cams else [])
-    else:
-        raise ValueError(f"unknown pose controller kind {kind!r}")
     pose_iter = iter(pose_actions)
     return [next(pose_iter) if label == 0
-            else tracker_action(pose, b_pitch, b_yaw, distance)
-            for pose, label, b_pitch, b_yaw, distance in zip(
-                poses, labels, outcome.bearing_pitch, outcome.bearing_yaw,
-                outcome.distance, strict=True)]
+            else tracker_action(pose, pitch, yaw, dist)
+            for pose, label, pitch, yaw, dist in zip(poses, labels, b_pitch, b_yaw,
+                                                     distance)]
 
 
 def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
@@ -370,9 +380,10 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if kinds.shape != labels.shape[:1]:
         raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
                          f"got {kinds.shape}")
+    unknown = set(kinds.tolist()).difference(SYSTEMS)
+    if unknown:
+        raise ValueError(f"unknown system in {sorted(unknown)}")
     sv, geometric, learned = kinds == "sv", kinds == "geometric", kinds == "learned"
-    if not (sv | geometric | learned | (kinds == "virtual")).all():
-        raise ValueError(f"unknown system in {sorted(set(kinds.tolist()))}")
     if geometric.any() and memory is None:
         raise ValueError("geometric controller needs a BatchMemory")
     if learned.any() and params is None:

@@ -2,11 +2,10 @@
 and paired multi-seed system comparisons.
 
 run_episode rolls one episode and records every step; it serves eval,
-rollout and the JSONL logs. Like the array path, it observes each state once
-(world.observe, inside world.step) and its tracker reuses that
-observation's bearings and distances, and it hands system_action that
-observation and the step's labels, as run_lockstep hands
-batch_system_action its labels array. compare_systems rolls every
+rollout and the JSONL logs. It has the array path's shape: it observes each
+state once (world.observe, inside world.step) and makes one system_action
+call per step with that observation and the step's labels, as run_lockstep
+makes one batch_system_action call per step. compare_systems rolls every
 compared system in one lockstep batch through run_lockstep: each step makes
 one world step, one observation and one tracker call for all (system, seed)
 episodes, at most LOCKSTEP_EPISODES of them at a time, and keeps only what
@@ -20,16 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import DEFAULT_EPISODE_STEPS, ConfigError, EpisodeConfig
+from .config import DEFAULT_EPISODE_STEPS, ConfigError, EpisodeConfig, check_seed
 from .controllers import (
+    SYSTEMS,
     BatchMemory,
     GeometricMemory,
     batch_system_action,
     oracle_switch,
     random_labels,
-    sv_baseline_action,
     system_action,
-    tracker_action,
 )
 from .geometry import CameraPose
 from .rng import RngStream, advance, peek_randoms, stream_states
@@ -45,7 +43,6 @@ from .world import (
     step,
 )
 
-CONTROLLERS = ("virtual", "geometric", "learned", "sv")
 # (system, seed) episodes compare_systems steps in one lockstep batch: each
 # chunk holds LOCKSTEP_EPISODES // len(systems) seeds of every system, so
 # its memory is bounded by this, not by the seed count or the systems.
@@ -131,18 +128,8 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
         else:
             labels = [1 - g if flip else g
                       for g, flip in zip(map(oracle_switch, vis_now), draws[t])]
-
-        if controller == "virtual":
-            actions = list(map(tracker_action, world.cameras, outcome.bearing_pitch,
-                               outcome.bearing_yaw, outcome.distance))
-        elif controller == "sv":
-            actions = list(map(sv_baseline_action, world.cameras, vis_now,
-                               outcome.bearing_pitch, outcome.bearing_yaw,
-                               outcome.distance))
-        else:
-            actions = system_action(outcome, labels, controller,
-                                    params=params, memories=memories)
-
+        actions = system_action(outcome, labels, controller,
+                                params=params, memories=memories)
         outcome = step(world, actions)
         world = outcome.state
         records.append(StepRecord(
@@ -230,8 +217,8 @@ def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None
     if not systems:
         raise ValueError("a run needs at least one system")
     for name in systems:
-        if name not in CONTROLLERS:
-            raise ValueError(f"unknown controller {name!r}")
+        if name not in SYSTEMS:
+            raise ValueError(f"unknown system {name!r}")
     if len(set(systems)) != len(systems):
         raise ValueError(f"repeated system in {systems}")
     if "learned" in systems and params is None:
@@ -257,6 +244,8 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     every episode's labels of a step in one array call, with the values of
     random_switch and noisy_switch."""
     switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
+    if not seeds:
+        raise ValueError("a lockstep run needs at least one seed")
     episode_systems = np.repeat(systems, len(seeds))
     episode_seeds = list(seeds) * len(systems)
     state = batch_world([spawn_episode(config, seed) for seed in episode_seeds])
@@ -297,17 +286,20 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     per-episode metrics are kept across chunks, so memory does not grow
     with the step arrays of every seed. The per-episode metrics are those
     of per_camera_mean_error and per_camera_success_rate on run_episode's
-    records, exactly rounded over time the same way. A repeated system
-    raises ValueError.
+    records, exactly rounded over time the same way. A repeated system, or
+    a first or last seed outside [0, 2**64), raises ValueError.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if steps < 1:
         raise ValueError("metrics need at least one step record")
     _check_run(systems, switcher, params, steps)
+    check_seed("base_seed", base_seed)
+    check_seed("base_seed + n_seeds - 1", base_seed + n_seeds - 1)
     seeds = range(base_seed, base_seed + n_seeds)
     n_cams = config.n_cameras
-    chunk = max(1, LOCKSTEP_EPISODES // len(systems))
+    # at most four systems, so a chunk holds at least 32 seeds
+    chunk = LOCKSTEP_EPISODES // len(systems)
     episode_me: list[list[list[float]]] = [[] for _ in systems]
     episode_sr: list[list[list[float]]] = [[] for _ in systems]
     for start in range(0, n_seeds, chunk):

@@ -7,6 +7,8 @@ zoom; one discrete action per camera is applied per step.
 step advances one episode: it applies the actions, moves the target and
 scores every camera of the new state in one observe pass, which also yields
 each camera's bearing and distance to the target for the next step's tracker.
+observe holds the one-episode visibility rule, and visibility_of applies it
+to one camera.
 batch_step advances E episodes in lockstep, with the camera poses, sight
 lines and rewards held as (E, C) arrays, and batch_observe is observe's twin;
 they equal E step calls bit for bit, but cost more than step for a single
@@ -15,12 +17,12 @@ episode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
 import numpy as np
 
-from .config import ConfigError, EpisodeConfig
+from .config import ConfigError, EpisodeConfig, check_seed
 from .geometry import (
     BASE_H_FOV_DEG,
     BASE_V_FOV_DEG,
@@ -29,7 +31,6 @@ from .geometry import (
     PITCH_LIMIT_DEG,
     ZOOM_MAX,
     ZOOM_MIN,
-    angle_error,
     bearing_angles,
     bearings,
     clamp_pitch,
@@ -166,9 +167,10 @@ def spawn_episode(config: EpisodeConfig, seed: int) -> WorldState:
 
     Cameras sit on the arena perimeter looking roughly at the center, the
     target spawns in the central half, obstacles are resampled until none
-    covers the target spawn.
+    covers the target spawn. The seed must lie in [0, 2**64).
     """
     config.validate()
+    check_seed("seed", seed)
     rng = RngStream(seed, 0)
     h = config.arena_half
 
@@ -279,29 +281,10 @@ def apply_action(pose: CameraPose, action: Action) -> CameraPose:
     return CameraPose(pose.x, pose.y, pose.z, pitch, yaw, zoom)
 
 
-def _classify(pose: CameraPose, origin: tuple[float, float, float],
-              direction: tuple[float, float, float], obstacles: list[Obstacle],
-              d_alpha: float, d_beta: float) -> Visibility:
-    # Out-of-view takes precedence over occlusion; direction is the sight
-    # line from origin to the target, tested against every box.
-    h_fov, v_fov = effective_fov(pose.zoom)
-    if d_beta > 0.5 * h_fov or d_alpha > 0.5 * v_fov:
-        return Visibility.OUT_OF_VIEW
-    for box in obstacles:
-        if segment_box_overlap(origin, direction, box) is not None:
-            return Visibility.OCCLUDED
-    return Visibility.VISIBLE
-
-
 def visibility_of(state: WorldState, i: int) -> Visibility:
-    """Visibility of the target from camera i in the current state."""
-    pose = state.cameras[i]
-    tp = state.target.point()
-    tx, ty, tz = tp
-    d_alpha, d_beta = angle_error(pose, tp)
-    return _classify(pose, (pose.x, pose.y, pose.z),
-                     (tx - pose.x, ty - pose.y, tz - pose.z), state.obstacles,
-                     d_alpha, d_beta)
+    """Visibility of the target from camera i in the current state: observe's
+    rule applied to camera i alone."""
+    return observe(replace(state, cameras=[state.cameras[i]])).visibility[0]
 
 
 def direction_reward(vis: Visibility, d_alpha: float, d_beta: float) -> float:
@@ -344,7 +327,15 @@ def observe(state: WorldState) -> StepOutcome:
         d_alpha = abs(pose.pitch_deg - b_pitch)
         d_beta = abs(wrap_angle(pose.yaw_deg - b_yaw))
         distance = math.dist(origin, tp)
-        vis = _classify(pose, origin, direction, obstacles, d_alpha, d_beta)
+        h_fov, v_fov = effective_fov(pose.zoom)
+        if d_beta > 0.5 * h_fov or d_alpha > 0.5 * v_fov:
+            vis = Visibility.OUT_OF_VIEW
+        else:
+            vis = Visibility.VISIBLE
+            for box in obstacles:
+                if segment_box_overlap(origin, direction, box) is not None:
+                    vis = Visibility.OCCLUDED
+                    break
         r = (direction_reward(vis, d_alpha, d_beta)
              + zoom_reward(vis, pose.zoom, distance))
         if r > 1.0:
@@ -422,7 +413,9 @@ def desired_zooms(distance: np.ndarray) -> np.ndarray:
 
 def batch_world(worlds: list[WorldState]) -> BatchState:
     """Lockstep state of the given episodes (from spawn_episode), which must
-    share their camera and obstacle counts."""
+    be at least one and share their camera and obstacle counts."""
+    if not worlds:
+        raise ValueError("a lockstep batch needs at least one episode")
     n_cams = len(worlds[0].cameras)
     n_obs = len(worlds[0].obstacles)
     if any(len(w.cameras) != n_cams or len(w.obstacles) != n_obs for w in worlds):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from camtrack import nn
 from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
+    SYSTEMS,
     TRIANGULATION_MAX_CONDITION,
     GeometricMemory,
     batch_system_action,
@@ -18,6 +19,7 @@ from camtrack.controllers import (
     random_switch,
     sv_baseline_action,
     system_action,
+    tracker_action,
     triangulate,
     virtual_tracker_action,
 )
@@ -454,12 +456,18 @@ class TestSvBaseline:
 
 
 def per_camera_system_action(self_index, target, poses, labels, kind, params=None,
-                             memory=None, arena_half=None):
-    """The system rule for one camera, every camera on its own: the tracker
-    for label 1, else a triangulation or a one-camera policy forward."""
+                             memory=None, arena_half=None, vis=None):
+    """The system rule for one camera, every camera on its own: sv's
+    baseline on the camera's visibility vis, the tracker for virtual and for
+    label 1, else a triangulation or a one-camera policy forward."""
     own = poses[self_index]
-    if labels[self_index] == 1:
-        return virtual_tracker_action(own, target)
+    origin = (own.x, own.y, own.z)
+    b = bearing_to(origin, target)
+    distance = math.dist(origin, target)
+    if kind == "sv":
+        return sv_baseline_action(own, vis, b.pitch_deg, b.yaw_deg, distance)
+    if kind == "virtual" or labels[self_index] == 1:
+        return tracker_action(own, b.pitch_deg, b.yaw_deg, distance)
     if kind == "geometric":
         result = triangulate(poses, labels)
         if result.ok:
@@ -528,11 +536,12 @@ class TestSystemAction:
         assert differs > 0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            poses = self._poses()
-            system_action(observed(poses, (5, 5, 0.9)), [0, 1, 1], "nonsense")
+        poses = self._poses()
+        for kind in ("nonsense", "Geometric", "pose"):
+            with pytest.raises(ValueError, match="unknown system"):
+                system_action(observed(poses, (5, 5, 0.9)), [0, 1, 1], kind)
 
-    @pytest.mark.parametrize("kind", ["geometric", "learned"])
+    @pytest.mark.parametrize("kind", SYSTEMS)
     @pytest.mark.parametrize("labels", [[0, 1], [1, 1], [0, 1, 1, 1], [1, 1, 1, 1]])
     def test_label_count_must_match_the_cameras(self, kind, labels):
         poses = self._poses()
@@ -540,34 +549,43 @@ class TestSystemAction:
             system_action(observed(poses, (5, 5, 0.9)), labels, kind,
                           params=nn.init_params(4), memories=self._memories())
 
-    @pytest.mark.parametrize("kind", ["geometric", "learned"])
+    @pytest.mark.parametrize("kind", SYSTEMS)
     def test_per_step_equals_per_camera_rule(self, kind):
         """300 random steps of 4 cameras with random labels, the geometric
         memories carried across steps: the per-step system gives each camera
-        the action the per-camera rule gives it, and leaves the same memory."""
+        the action the per-camera rule gives it (tracker_action for virtual,
+        sv_baseline_action on the camera's visibility for sv), and leaves the
+        same memory."""
         rng = np.random.default_rng(53)
         params = rand_params(rng)
         n_cams = 4
         step_memories = [GeometricMemory() for _ in range(n_cams)]
         camera_memories = [GeometricMemory() for _ in range(n_cams)]
-        remembered = 0
+        remembered = visible = 0
         for _ in range(300):
             poses, labels = [], []
             for _ in range(n_cams):
                 poses.append(random_pose(rng))
                 labels.append(int(rng.integers(0, 2)))
             target = (rng.uniform(-8, 8), rng.uniform(-8, 8), 0.9)
+            outcome = observed(poses, target)
             want = [per_camera_system_action(i, target, poses, labels, kind,
                                              params=params, memory=camera_memories[i],
-                                             arena_half=10.0)
+                                             arena_half=10.0,
+                                             vis=outcome.visibility[i])
                     for i in range(n_cams)]
-            got = system_action(observed(poses, target), labels, kind, params=params,
+            got = system_action(outcome, labels, kind, params=params,
                                 memories=step_memories)
             assert got == want
             assert step_memories == camera_memories
             remembered += sum(m.last_estimate is not None for m in step_memories)
+            visible += outcome.visibility.count(Visibility.VISIBLE)
         if kind == "geometric":
             assert remembered > 0
+        else:
+            assert remembered == 0
+        # visible and hidden cameras both occur, so sv both tracks and keeps still
+        assert 0 < visible < 300 * n_cams
 
     def test_memory_carries_across_steps(self):
         """Triangulation succeeds, then fails: the label-0 camera keeps

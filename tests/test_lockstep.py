@@ -1,8 +1,8 @@
 """The lockstep array world against the scalar one-episode path, bit for bit:
 batch_step and batch_observe against E step and observe calls, the array
 tracker and triangulation against virtual_tracker_action and triangulate,
-batch_system_action (one system or all four in one batch) against the
-scalar rules, and compare_systems and run_lockstep against per-seed
+batch_system_action (one system or all four in one batch) against
+system_action, and compare_systems and run_lockstep against per-seed
 run_episode summaries and records; and the scalar path's tracker fed the
 previous observation against virtual_tracker_action on the true target."""
 import dataclasses
@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camtrack import evaluate, nn
-from camtrack.config import EpisodeConfig
+from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.controllers import (
     BatchMemory,
     GeometricMemory,
     batch_system_action,
     batch_tracker_action,
     batch_triangulate,
-    sv_baseline_action,
     system_action,
     tracker_action,
     triangulate,
@@ -40,6 +39,7 @@ from camtrack.geometry import CameraPose, Obstacle, bearing_to
 from camtrack.io import write_comparison_csv
 from camtrack.world import (
     VISIBILITIES,
+    VIS_VISIBLE,
     Action,
     Visibility,
     batch_observe,
@@ -347,8 +347,7 @@ class TestBatchSystemAction:
 
     def test_mixed_systems_equal_their_scalar_rules(self):
         """One batch of all four systems: each episode's actions equal its
-        own system's scalar rule (tracker_action, sv_baseline_action or
-        system_action) on its own observation, step after step."""
+        own system's system_action on its own observation, step after step."""
         cfg = EpisodeConfig(n_cameras=5, n_obstacles=12)
         systems = ["virtual", "sv", "geometric", "learned", "geometric", "sv",
                    "learned", "virtual"]
@@ -363,20 +362,12 @@ class TestBatchSystemAction:
             labels = (rng.random(state.pitch.shape) < 0.7).astype(int)
             got = batch_system_action(state, outcome, labels, systems, params=PARAMS,
                                       memory=memory)
-            want = []
-            for w, row, mems, name in zip(worlds, labels.tolist(), memories, systems):
-                seen = observe(w)
-                scalar = zip(w.cameras, seen.visibility, seen.bearing_pitch,
-                             seen.bearing_yaw, seen.distance)
-                if name == "virtual":
-                    want.append([tracker_action(p, *rest[1:]) for p, *rest in scalar])
-                elif name == "sv":
-                    want.append([sv_baseline_action(*args) for args in scalar])
-                    kept_still += seen.visibility.count(Visibility.VISIBLE) < 5
-                else:
-                    want.append(system_action(seen, row, name, params=PARAMS,
-                                              memories=mems))
+            want = [system_action(observe(w), row, name, params=PARAMS, memories=mems)
+                    for w, row, mems, name in zip(worlds, labels.tolist(), memories,
+                                                  systems)]
             assert got.tolist() == want
+            # the sv episodes (rows 1 and 5) keep these cameras still
+            kept_still += int((outcome.visibility[[1, 5]] != VIS_VISIBLE).sum())
             worlds = [step(w, a).state for w, a in zip(worlds, want)]
             outcome = batch_step(state, got)
         assert kept_still > 0
@@ -526,6 +517,35 @@ class TestCompareLockstep:
             compare_systems(EpisodeConfig(), [], 2, steps=5)
         with pytest.raises(ValueError, match="at least one system"):
             run_lockstep(EpisodeConfig(), [], [0], steps=5)
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_lockstep(EpisodeConfig(), ["sv"], [], steps=5)
+        with pytest.raises(ValueError, match="at least one episode"):
+            batch_world([])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        """The rng streams would reduce such a seed modulo 2**64 and replay
+        another seed's episode."""
+        with pytest.raises(ConfigError, match="unsigned 64-bit"):
+            run_episode(EpisodeConfig(), "sv", seed=seed, steps=2)
+        with pytest.raises(ConfigError, match="unsigned 64-bit"):
+            run_lockstep(EpisodeConfig(), ["sv"], [0, seed], steps=2)
+
+    @pytest.mark.parametrize("base_seed, n_seeds", [(-1, 1), (-1, 3), (2 ** 64, 1),
+                                                    (2 ** 64 - 2, 3)])
+    def test_compare_seeds_checked_before_any_chunk(self, base_seed, n_seeds,
+                                                    monkeypatch):
+        """compare_systems rejects a first or last seed outside [0, 2**64)
+        before it rolls the first chunk."""
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(evaluate, "run_lockstep", no_chunk)
+        with pytest.raises(ConfigError, match="unsigned 64-bit"):
+            compare_systems(EpisodeConfig(), ["sv"], n_seeds, steps=2,
+                            base_seed=base_seed)
 
     def test_seed_chunks_write_the_one_chunk_csv(self, tmp_path, monkeypatch):
         """More episodes than one lockstep batch: every run_lockstep call holds

@@ -28,6 +28,7 @@ from camtrack.world import (
     apply_action,
     desired_zoom,
     direction_reward,
+    observe,
     spawn_episode,
     step,
     visibility_of,
@@ -367,6 +368,31 @@ def episode_configs(draw):
         obstacle_height_range=pair(0.1, 3.0, 2.0),
         target_speed_range=pair(0.01, 0.3, 0.3),
         camera_height_range=pair(0.5, 4.0, 2.0))
+
+
+class TestVisibilityOf:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=episode_configs(), seed=st.integers(0, 2 ** 64 - 1),
+           aims=st.lists(st.tuples(st.booleans(), st.floats(-60.0, 60.0),
+                                   st.floats(-179.9, 180.0), st.floats(1.0, 3.3)),
+                         min_size=8, max_size=8))
+    def test_equals_observe(self, cfg, seed, aims):
+        """On random layouts with obstacles, each camera either aimed near
+        the target or at a random pose: visibility_of(state, i) is
+        observe(state).visibility[i] for every camera."""
+        cfg = dataclasses.replace(cfg, n_obstacles=max(cfg.n_obstacles, 1))
+        world = spawn_episode(cfg, seed)
+        tp = world.target.point()
+        cams = []
+        for cam, (near, pitch, yaw, zoom) in zip(world.cameras, aims):
+            if near:
+                b = bearing_to((cam.x, cam.y, cam.z), tp)
+                pitch = min(max(b.pitch_deg + pitch / 4.0, -60.0), 60.0)
+                yaw = wrap_angle(b.yaw_deg + yaw / 4.0)
+            cams.append(dataclasses.replace(cam, pitch_deg=pitch, yaw_deg=yaw, zoom=zoom))
+        world.cameras = cams
+        assert ([visibility_of(world, i) for i in range(len(cams))]
+                == observe(world).visibility)
 
 
 class TestEpisodeProperties:
