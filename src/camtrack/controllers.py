@@ -389,6 +389,7 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if learned.any() and params is None:
         raise ValueError("learned controller needs params")
     label0 = labels == 0
+    origin = state.origin[state.world]
     keep_still = sv[:, None] & (outcome.visibility != VIS_VISIBLE)
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
@@ -396,7 +397,7 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
         geo_pose = label0 & geometric[:, None]
         envs = np.flatnonzero(geo_pose.any(axis=1))
         if envs.size:
-            estimate, ok = batch_triangulate(state.origin[envs], state.yaw[envs],
+            estimate, ok = batch_triangulate(origin[envs], state.yaw[envs],
                                              labels[envs] == 1)
             # each label-0 camera of a successful triangulation stores it
             rows, cams = np.nonzero(geo_pose[envs] & ok[:, None])
@@ -406,20 +407,20 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
         keep_still |= geo_pose & ~memory.known
         if aim.any():
             # label-0 cameras aim at their estimate, at the target's mid-height
-            origin = state.origin[aim]
-            points = np.empty_like(origin)
+            aim_origin = origin[aim]
+            points = np.empty_like(aim_origin)
             points[:, :2] = memory.estimate[aim]
             points[:, 2] = TARGET_MID_HEIGHT
             b_pitch, b_yaw, distance = b_pitch.copy(), b_yaw.copy(), distance.copy()
-            b_pitch[aim], b_yaw[aim] = bearings(points - origin)
-            distance[aim] = list(map(math.dist, origin.tolist(), points.tolist()))
+            b_pitch[aim], b_yaw[aim] = bearings(points - aim_origin)
+            distance[aim] = list(map(math.dist, aim_origin.tolist(), points.tolist()))
     actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
                                    b_pitch, b_yaw, distance)
     actions[keep_still] = Action.KEEP_STILL
     if learned.any():
         learned_pose = label0 & learned[:, None]
         for e in np.flatnonzero(learned_pose.any(axis=1)).tolist():
-            raws = nn.pose_tuples(state.origin[e], state.pitch[e], state.yaw[e],
-                                  labels[e], state.envs[e].arena_half)
+            raws = nn.pose_tuples(origin[e], state.pitch[e], state.yaw[e],
+                                  labels[e], state.envs[state.world[e]].arena_half)
             actions[e, learned_pose[e]] = nn.greedy_actions(params, raws)
     return actions

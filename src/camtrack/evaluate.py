@@ -238,17 +238,21 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     target is in view, both (steps, episodes, cameras) with system-major
     episodes: episode s * len(seeds) + k is systems[s] on seeds[k]. All
     systems share each step's world step, observation and tracker call
-    (batch_system_action applies each episode's rule). Each episode keeps
-    its own rng streams in run_episode's draw order, so its values equal
-    run_episode's records bit for bit. The random and noisy switchers draw
-    every episode's labels of a step in one array call, with the values of
-    random_switch and noisy_switch."""
+    (batch_system_action applies each episode's rule), and the episodes of
+    one seed share one world: it is spawned once, and its target walk and
+    sight lines are computed once per step for all systems, since they
+    depend on no camera pose. Each seed's world stream and each episode's
+    switcher stream keep run_episode's draw order, so each episode's values
+    equal run_episode's records bit for bit. The random and noisy switchers
+    draw every episode's labels of a step in one array call, with the
+    values of random_switch and noisy_switch."""
     switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
     if not seeds:
         raise ValueError("a lockstep run needs at least one seed")
     episode_systems = np.repeat(systems, len(seeds))
     episode_seeds = list(seeds) * len(systems)
-    state = batch_world([spawn_episode(config, seed) for seed in episode_seeds])
+    state = batch_world([spawn_episode(config, seed) for seed in seeds],
+                        rows=np.tile(np.arange(len(seeds)), len(systems)))
     switch_states = stream_states(RngStream(seed, 1) for seed in episode_seeds)
     n_cams = config.n_cameras
     memory = BatchMemory.empty(state.pitch.shape)
@@ -300,8 +304,9 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     n_cams = config.n_cameras
     # at most four systems, so a chunk holds at least 32 seeds
     chunk = LOCKSTEP_EPISODES // len(systems)
-    episode_me: list[list[list[float]]] = [[] for _ in systems]
-    episode_sr: list[list[list[float]]] = [[] for _ in systems]
+    # per system, one (seeds, cameras) float array of each metric per chunk
+    episode_me: list[list[np.ndarray]] = [[] for _ in systems]
+    episode_sr: list[list[np.ndarray]] = [[] for _ in systems]
     for start in range(0, n_seeds, chunk):
         chunk_seeds = list(seeds[start:start + chunk])
         error, in_view = run_lockstep(config, systems, chunk_seeds,
@@ -312,16 +317,15 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
             # them is ever held as Python floats
             lane_me = [math.fsum(lane.tolist()) / steps
                        for lane in error[:, rows].reshape(steps, -1).T]
-            episode_me[s] += [lane_me[k:k + n_cams]
-                              for k in range(0, len(lane_me), n_cams)]
-            episode_sr[s] += [[count / steps for count in episode]
-                              for episode in in_view[:, rows].sum(axis=0).tolist()]
+            episode_me[s].append(np.array(lane_me).reshape(-1, n_cams))
+            episode_sr[s].append(in_view[:, rows].sum(axis=0) / steps)
     summaries = []
     for name, me, sr in zip(systems, episode_me, episode_sr):
-        per_cam_me = [_mean_std([ep[i] for ep in me]) for i in range(n_cams)]
-        per_cam_sr = [_mean_std([ep[i] for ep in sr]) for i in range(n_cams)]
-        overall_me = _mean_std([math.fsum(ep) / n_cams for ep in me])
-        overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in sr])
+        me, sr = np.concatenate(me), np.concatenate(sr)
+        per_cam_me = [_mean_std(column) for column in me.T.tolist()]
+        per_cam_sr = [_mean_std(column) for column in sr.T.tolist()]
+        overall_me = _mean_std([math.fsum(ep) / n_cams for ep in me.tolist()])
+        overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in sr.tolist()])
         summaries.append(SystemSummary(name, n_seeds, per_cam_me, per_cam_sr,
                                        overall_me, overall_sr))
     return summaries

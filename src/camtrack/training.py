@@ -110,8 +110,8 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
             rank = np.cumsum(g0, axis=1)[env, cam] - 1
             uniforms = peek_randoms(agent, n_cams)
             agent = advance(agent, g0.sum(axis=1))
-            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
-                                  arena_half)
+            raws = nn.pose_tuples(state.origin[state.world], state.pitch, state.yaw,
+                                  labels, arena_half)
             logits, _, _ = nn.group_forward(params, raws, env, cam)
             sampled = nn.sample_action(np.exp(nn.log_softmax(logits)),
                                        uniforms[env, rank])
@@ -139,7 +139,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
         bootstrap = np.zeros((n_envs, n_cams))
         live = ~done[-1]
         if live.any():
-            raws = nn.pose_tuples(state.origin[live], state.pitch[live],
+            raws = nn.pose_tuples(state.origin[state.world[live]], state.pitch[live],
                                   state.yaw[live], labels[live], arena_half)
             features, _ = nn.encode(params, raws)
             bootstrap[live] = nn.forward(params, features)[1]

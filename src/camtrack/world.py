@@ -9,15 +9,22 @@ scores every camera of the new state in one observe pass, which also yields
 each camera's bearing and distance to the target for the next step's tracker.
 observe holds the one-episode visibility rule, and visibility_of applies it
 to one camera.
-batch_step advances E episodes in lockstep, with the camera poses, sight
-lines and rewards held as (E, C) arrays, and batch_observe is observe's twin;
-they equal E step calls bit for bit, but cost more than step for a single
-episode.
+batch_step advances E rows in lockstep, with the camera poses and rewards
+held as (E, C) arrays, and batch_observe is observe's twin. Rows may share
+a world: the world work (spawning, the target walk, bearings, distances and
+sight lines) is done once per world, and only what depends on a row's poses
+(field of view, angle errors, zoom error, reward) once per row. Each row
+equals its own step calls bit for bit, but a batch costs more than step
+for a single episode.
+
+The target walks straight legs toward a waypoint, so the obstacles a leg can
+touch are found once, on its first step, and each step of the leg tests
+only those.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -93,9 +100,19 @@ class Visibility(Enum):
     OUT_OF_VIEW = "X"
 
 
+# Footprint margin of a leg's candidate obstacles: far above the rounding of
+# the steps along the leg, far below any footprint.
+LEG_MARGIN = 1e-6
+
+
 @dataclass(slots=True)
 class TargetState:
-    """The walking target: position, current leg of its random walk, pauses."""
+    """The walking target: position, current leg of its random walk, pauses.
+
+    leg_obstacles caches the obstacles, in the world's order, whose
+    footprints widened by LEG_MARGIN the straight leg from the leg's first
+    position to the waypoint touches; None until that first step. It is
+    derived state, so it takes no part in equality."""
 
     x: float
     y: float
@@ -103,6 +120,8 @@ class TargetState:
     waypoint: tuple[float, float]
     pause_steps_remaining: int = 0
     z: float = TARGET_MID_HEIGHT
+    leg_obstacles: tuple[Obstacle, ...] | None = field(default=None, compare=False,
+                                                       repr=False)
 
     def point(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -216,12 +235,14 @@ def advance_target(state: WorldState) -> TargetState:
     Paused targets just count down. A step that would cross into an obstacle
     footprint is truncated a hair before the boundary and forces a fresh
     waypoint; reaching the waypoint redraws waypoint and speed and may start
-    a pause.
+    a pause. A step tests only its leg's obstacles (found on the leg's first
+    step), which hold every obstacle the step can touch.
     """
     t = state.target
     rng = state.rng
     if t.pause_steps_remaining > 0:
-        return TargetState(t.x, t.y, t.speed, t.waypoint, t.pause_steps_remaining - 1)
+        return TargetState(t.x, t.y, t.speed, t.waypoint, t.pause_steps_remaining - 1,
+                           leg_obstacles=t.leg_obstacles)
 
     wx, wy = t.waypoint
     dx = wx - t.x
@@ -235,9 +256,18 @@ def advance_target(state: WorldState) -> TargetState:
         ux = uy = 0.0
 
     mx, my = ux * step_len, uy * step_len
+    origin = (t.x, t.y, 0.0)
+    leg = t.leg_obstacles
+    if leg is None:
+        # the leg's first step: the obstacles the rest of the leg can touch
+        leg = tuple(box for box in state.obstacles if segment_box_overlap(
+            origin, (dx, dy, 0.0),
+            Obstacle(box.min_x - LEG_MARGIN, box.min_y - LEG_MARGIN,
+                     box.max_x + LEG_MARGIN, box.max_y + LEG_MARGIN, box.height))
+            is not None)
     hit_t = None
-    origin, move = (t.x, t.y, 0.0), (mx, my, 0.0)
-    for box in state.obstacles:
+    move = (mx, my, 0.0)
+    for box in leg:
         # at ground level the z slab always passes, so this is the 2-D
         # footprint test
         overlap = segment_box_overlap(origin, move, box)
@@ -259,7 +289,7 @@ def advance_target(state: WorldState) -> TargetState:
         if rng.random() < PAUSE_PROBABILITY:
             pause = rng.randint(*PAUSE_STEPS)
         return TargetState(nx, ny, speed, waypoint, pause)
-    return TargetState(nx, ny, t.speed, t.waypoint)
+    return TargetState(nx, ny, t.speed, t.waypoint, leg_obstacles=leg)
 
 
 def apply_action(pose: CameraPose, action: Action) -> CameraPose:
@@ -373,27 +403,32 @@ _DELTA_ARRAY = np.array(ACTION_DELTAS)
 
 @dataclass(slots=True)
 class BatchState:
-    """E episodes of C cameras and O obstacles, stepped in lockstep.
+    """E rows of C cameras on W worlds of O obstacles, stepped in lockstep.
 
-    The camera poses are arrays. envs[e] holds episode e's target,
-    obstacles, rng and t; its cameras list is empty. box_lo and box_hi are
-    every obstacle's lower and upper corner minus every camera's origin,
-    axis first (3, E, C, O): the subtractions the slab test makes, done once
-    per episode because the cameras never move."""
+    A world is one episode's layout and target walk: envs[w] holds its
+    target, obstacles, rng and t (its cameras list is empty), origin[w] its
+    cameras' positions, and box_lo[:, w] and box_hi[:, w] every obstacle's
+    lower and upper corner minus every camera's origin, axis first: the
+    subtractions the slab test makes, done once per world because the
+    cameras never move. A row is one set of camera poses on a world:
+    world[e] is row e's world, and pitch, yaw and zoom hold the rows' poses.
+    The rows of one world share its target walk and sight lines, which
+    depend on no pose."""
 
     envs: list[WorldState]
-    origin: np.ndarray   # (E, C, 3)
+    world: np.ndarray    # (E,) index into envs
+    origin: np.ndarray   # (W, C, 3)
     pitch: np.ndarray    # (E, C)
     yaw: np.ndarray      # (E, C)
     zoom: np.ndarray     # (E, C)
-    box_lo: np.ndarray   # (3, E, C, O)
-    box_hi: np.ndarray   # (3, E, C, O)
+    box_lo: np.ndarray   # (3, W, C, O)
+    box_hi: np.ndarray   # (3, W, C, O)
 
 
 @dataclass(slots=True)
 class BatchOutcome:
     """StepOutcome's per-camera quantities as (E, C) arrays, plus each
-    camera's bearing and distance to its episode's target, which the next
+    camera's bearing and distance to its world's target, which the next
     step's tracker reuses. visibility holds VIS_* codes."""
 
     visibility: np.ndarray
@@ -411,64 +446,70 @@ def desired_zooms(distance: np.ndarray) -> np.ndarray:
     return clamp_zoom(distance / ZOOM_DISTANCE_SCALE)
 
 
-def batch_world(worlds: list[WorldState]) -> BatchState:
+def batch_world(worlds: list[WorldState],
+                rows: list[int] | np.ndarray | None = None) -> BatchState:
     """Lockstep state of the given episodes (from spawn_episode), which must
-    be at least one and share their camera and obstacle counts."""
+    be at least one and share their camera and obstacle counts. rows[e] is
+    the index in worlds of row e's episode (by default each episode has one
+    row); every row starts from its episode's camera poses."""
     if not worlds:
         raise ValueError("a lockstep batch needs at least one episode")
     n_cams = len(worlds[0].cameras)
     n_obs = len(worlds[0].obstacles)
     if any(len(w.cameras) != n_cams or len(w.obstacles) != n_obs for w in worlds):
         raise ValueError("lockstep episodes need equal camera and obstacle counts")
+    rows = np.arange(len(worlds)) if rows is None else np.array(rows)
+    if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
+            or rows.min() < 0 or rows.max() >= len(worlds)):
+        raise ValueError("rows must be a non-empty list of episode indices")
     shape = (len(worlds), n_cams)
-    state = BatchState([None] * len(worlds), np.empty(shape + (3,)), np.empty(shape),
-                       np.empty(shape), np.empty(shape),
+    poses = (len(rows), n_cams)
+    state = BatchState([None] * len(worlds), rows, np.empty(shape + (3,)),
+                       np.empty(poses), np.empty(poses), np.empty(poses),
                        np.empty((3,) + shape + (n_obs,)), np.empty((3,) + shape + (n_obs,)))
-    for e, world in enumerate(worlds):
-        batch_reset(state, e, world)
+    for w, world in enumerate(worlds):
+        batch_reset(state, w, world)
     return state
 
 
-def batch_reset(state: BatchState, e: int, world: WorldState) -> None:
-    """Replace episode e of the batch by world, a fresh episode."""
+def batch_reset(state: BatchState, w: int, world: WorldState) -> None:
+    """Replace world w of the batch by world, a fresh episode; every row on
+    world w takes world's camera poses."""
     cams = world.cameras
-    state.origin[e] = [(c.x, c.y, c.z) for c in cams]
-    state.pitch[e] = [c.pitch_deg for c in cams]
-    state.yaw[e] = [c.yaw_deg for c in cams]
-    state.zoom[e] = [c.zoom for c in cams]
+    rows = state.world == w
+    state.origin[w] = [(c.x, c.y, c.z) for c in cams]
+    state.pitch[rows] = [c.pitch_deg for c in cams]
+    state.yaw[rows] = [c.yaw_deg for c in cams]
+    state.zoom[rows] = [c.zoom for c in cams]
     lo = np.array([(b.min_x, b.min_y, 0.0) for b in world.obstacles]).reshape(-1, 3)
     hi = np.array([(b.max_x, b.max_y, b.height) for b in world.obstacles]).reshape(-1, 3)
     # (3, 1, O) corners minus (3, C, 1) origins
-    origin = state.origin[e].T[:, :, None]
-    state.box_lo[:, e] = lo.T[:, None, :] - origin
-    state.box_hi[:, e] = hi.T[:, None, :] - origin
-    state.envs[e] = WorldState([], world.target, world.obstacles, world.t,
+    origin = state.origin[w].T[:, :, None]
+    state.box_lo[:, w] = lo.T[:, None, :] - origin
+    state.box_hi[:, w] = hi.T[:, None, :] - origin
+    state.envs[w] = WorldState([], world.target, world.obstacles, world.t,
                                world.arena_half, world.speed_range, world.rng)
 
 
 def batch_observe(state: BatchState) -> BatchOutcome:
-    """observe for every episode of the batch: angle errors, visibility
-    (field of view first, then one slab test per obstacle along the sight
-    line), the clipped reward, and each camera's bearing and distance."""
-    n_cams = state.pitch.shape[1]
+    """observe for every row of the batch. Once per world: each camera's
+    bearing and distance to the target and one slab test per obstacle along
+    its sight line. Then per row, reading its world's values: the angle
+    errors, visibility (field of view first, then the sight line) and the
+    clipped reward."""
+    n_worlds, n_cams = state.origin.shape[:2]
     targets = [env.target.point() for env in state.envs]
     direction = np.array(targets)[:, None, :] - state.origin
     b_pitch, b_yaw = bearings(direction)
     distance = np.array(list(map(
         math.dist, state.origin.reshape(-1, 3).tolist(),
-        [tp for tp in targets for _ in range(n_cams)]))).reshape(state.pitch.shape)
-
-    d_alpha = np.abs(state.pitch - b_pitch)
-    d_beta = np.abs(wrap_angles(state.yaw - b_yaw))
-    d_xi = np.abs(state.zoom - desired_zooms(distance))
-    out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
-           | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
+        [tp for tp in targets for _ in range(n_cams)]))).reshape(n_worlds, n_cams)
 
     # The slab test of segment_box_overlap over all sight lines and boxes,
     # axis first so that the three slabs combine element-wise. A slab whose
     # direction component is 0 passes exactly when the origin lies within it
     # (box_lo <= 0 <= box_hi), and sets no bound on t.
-    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, E, C, 1)
+    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, W, C, 1)
     flat = axis_dir == 0.0
     inv = np.divide(1.0, axis_dir, out=np.zeros_like(axis_dir), where=~flat)
     t0 = state.box_lo * inv
@@ -483,6 +524,14 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     leave = np.minimum(np.minimum(np.minimum(far[0], far[1]), far[2]), 1.0)
     occluded = (enter <= leave).any(axis=-1)
 
+    # each row reads its world's values
+    w = state.world
+    b_pitch, b_yaw, distance, occluded = b_pitch[w], b_yaw[w], distance[w], occluded[w]
+    d_alpha = np.abs(state.pitch - b_pitch)
+    d_beta = np.abs(wrap_angles(state.yaw - b_yaw))
+    d_xi = np.abs(state.zoom - desired_zooms(distance))
+    out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
+           | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
     visibility = np.where(out, VIS_OUT_OF_VIEW,
                           np.where(occluded, VIS_OCCLUDED, VIS_VISIBLE))
     # direction_reward + zoom_reward, clipped
@@ -496,8 +545,8 @@ def batch_observe(state: BatchState) -> BatchOutcome:
 
 
 def batch_step(state: BatchState, actions: np.ndarray) -> BatchOutcome:
-    """step for every episode of the batch, in place: apply the (E, C)
-    action indices, move each target with its own rng, and score every
+    """step for every row of the batch, in place: apply the (E, C) action
+    indices, move each world's target once with its own rng, and score every
     camera on the resulting state."""
     actions = np.asarray(actions)
     if actions.shape != state.pitch.shape:

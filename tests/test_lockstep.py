@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camtrack import evaluate, nn
+from camtrack import world as world_module
 from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.controllers import (
     BatchMemory,
@@ -42,7 +43,9 @@ from camtrack.world import (
     VIS_VISIBLE,
     Action,
     Visibility,
+    BatchOutcome,
     batch_observe,
+    batch_reset,
     batch_step,
     batch_world,
     observe,
@@ -227,6 +230,130 @@ class TestBatchStep:
         with pytest.raises(ValueError):
             batch_world([spawn_episode(EpisodeConfig(), 0),
                          spawn_episode(EpisodeConfig(n_obstacles=3), 0)])
+
+
+def cut_short(world):
+    """The world with its target's waypoint moved to the middle of the first
+    obstacle's footprint, so that its first leg is cut short there."""
+    box = world.obstacles[0]
+    world.target.waypoint = ((box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2)
+    return world
+
+
+def outcome_bytes(outcome):
+    return [getattr(outcome, f.name).tobytes() for f in dataclasses.fields(BatchOutcome)]
+
+
+class TestSharedWorlds:
+    """Rows on one world against one world per row, bit for bit."""
+
+    SEEDS = (5, 6, 7)
+
+    def episodes(self, cfg):
+        # seed 5 pauses first; seed 7's first leg ends at an obstacle's footprint
+        return [tweaked_episode(cfg, 5, [False], [0], 12),
+                tweaked_episode(cfg, 6, [True, False], [0, 2], 0),
+                cut_short(tweaked_episode(cfg, 7, [False], [0], 0))]
+
+    def test_shared_world_equals_one_world_per_row(self):
+        """One seed under sv and under geometric: two rows on one world give
+        every BatchOutcome array and every row's state of the same two rows
+        on a world each, over 500 steps, through a pause and a cut-short
+        leg."""
+        cfg = EpisodeConfig()
+        systems = ["sv"] * 3 + ["geometric"] * 3
+        shared = batch_world(self.episodes(cfg), rows=[0, 1, 2, 0, 1, 2])
+        separate = batch_world(self.episodes(cfg) + self.episodes(cfg))
+        assert len(shared.envs) == 3 and len(separate.envs) == 6
+        memories = [BatchMemory.empty((6, 4)), BatchMemory.empty((6, 4))]
+        outcomes = [batch_observe(shared), batch_observe(separate)]
+        paused = cut = 0
+        for _ in range(500):
+            assert outcome_bytes(outcomes[0]) == outcome_bytes(outcomes[1])
+            for e in range(6):
+                env = shared.envs[shared.world[e]]
+                assert env == separate.envs[e]
+                assert env.target.point() == separate.envs[e].target.point()
+            assert shared.pitch.tobytes() == separate.pitch.tobytes()
+            assert shared.yaw.tobytes() == separate.yaw.tobytes()
+            assert shared.zoom.tobytes() == separate.zoom.tobytes()
+            before = [(env.target.point()[:2], env.target.waypoint)
+                      for env in shared.envs]
+            paused += sum(env.target.pause_steps_remaining > 0 for env in shared.envs)
+            actions = [batch_system_action(state, outcome,
+                                           (outcome.visibility == VIS_VISIBLE).astype(int),
+                                           systems, memory=memory)
+                       for state, outcome, memory in zip((shared, separate), outcomes,
+                                                         memories)]
+            assert actions[0].tolist() == actions[1].tolist()
+            outcomes = [batch_step(shared, actions[0]), batch_step(separate, actions[1])]
+            # a new waypoint although the old one was not reached: cut short
+            cut += sum(waypoint != env.target.waypoint
+                       and env.target.point()[:2] != waypoint
+                       for (_, waypoint), env in zip(before, shared.envs))
+        assert outcome_bytes(outcomes[0]) == outcome_bytes(outcomes[1])
+        assert paused >= 12 and cut >= 1
+
+    def test_reset_updates_every_row_of_the_world(self):
+        """batch_reset of a world that several rows share puts every one of
+        them at the fresh episode's poses; the other world's rows keep theirs."""
+        cfg = EpisodeConfig()
+        state = batch_world([spawn_episode(cfg, 0), spawn_episode(cfg, 1)],
+                            rows=[0, 1, 0, 1])
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            batch_step(state, rng.integers(0, len(Action), size=(4, 4)))
+        kept = [state.pitch[[1, 3]].copy(), state.yaw[[1, 3]].copy(),
+                state.zoom[[1, 3]].copy()]
+        batch_reset(state, 0, spawn_episode(cfg, 9))
+        fresh = batch_world([spawn_episode(cfg, 9)] * 2)
+        for got, want in zip((state.pitch, state.yaw, state.zoom),
+                             (fresh.pitch, fresh.yaw, fresh.zoom)):
+            assert got[[0, 2]].tobytes() == want.tobytes()
+        assert [a.tobytes() for a in kept] == [state.pitch[[1, 3]].tobytes(),
+                                               state.yaw[[1, 3]].tobytes(),
+                                               state.zoom[[1, 3]].tobytes()]
+        assert state.envs[0] == fresh.envs[0] and state.envs[0].t == 0
+        assert state.envs[1].t == 20
+        got = batch_observe(state)
+        want = batch_observe(fresh)
+        for name in (f.name for f in dataclasses.fields(BatchOutcome)):
+            assert getattr(got, name)[[0, 2]].tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("rows", [[], [1], [-1], [[0]], [0.0]])
+    def test_rows_must_index_the_episodes(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            batch_world([spawn_episode(EpisodeConfig(), 0)], rows=rows)
+
+    def test_compare_walks_each_seed_once(self, monkeypatch):
+        """Two systems over n seeds: each chunk spawns each of its seeds once
+        and walks each seed's target once per step."""
+        counts = {"spawn": 0, "advance": 0}
+        chunks = []
+        real_spawn = evaluate.spawn_episode
+        real_advance = world_module.advance_target
+        real_lockstep = evaluate.run_lockstep
+
+        def counting_spawn(config, seed):
+            counts["spawn"] += 1
+            return real_spawn(config, seed)
+
+        def counting_advance(state):
+            counts["advance"] += 1
+            return real_advance(state)
+
+        def counting_lockstep(config, systems, seeds, *args, **kwargs):
+            counts.update(spawn=0, advance=0)
+            result = real_lockstep(config, systems, seeds, *args, **kwargs)
+            chunks.append((len(seeds), counts["spawn"], counts["advance"]))
+            return result
+
+        monkeypatch.setattr(evaluate, "spawn_episode", counting_spawn)
+        monkeypatch.setattr(world_module, "advance_target", counting_advance)
+        monkeypatch.setattr(evaluate, "run_lockstep", counting_lockstep)
+        chunk = evaluate.LOCKSTEP_EPISODES // 2
+        compare_systems(EpisodeConfig(), ["sv", "geometric"], chunk + 3, steps=6)
+        assert chunks == [(chunk, chunk, chunk * 6), (3, 3, 3 * 6)]
 
 
 def tracker_inputs(poses, targets):

@@ -16,14 +16,19 @@ from camtrack.geometry import (
     angle_error,
     bearing_to,
     effective_fov,
+    segment_box_overlap,
     wrap_angle,
 )
 from camtrack.io import write_episode_log
 from camtrack.world import (
+    LEG_MARGIN,
+    PAUSE_PROBABILITY,
+    PAUSE_STEPS,
     Action,
     TargetState,
     Visibility,
     WorldState,
+    _draw_waypoint,
     advance_target,
     apply_action,
     desired_zoom,
@@ -205,6 +210,148 @@ class TestAdvanceTarget:
                           and box.min_y < nxt.y < box.max_y)
                 assert not inside, f"target entered a footprint at step {k}"
             world.target = nxt
+
+
+def advance_every_obstacle(state):
+    """advance_target's step as it reads without leg candidates: every step
+    slab-tests every obstacle of the world."""
+    t = state.target
+    rng = state.rng
+    if t.pause_steps_remaining > 0:
+        return TargetState(t.x, t.y, t.speed, t.waypoint, t.pause_steps_remaining - 1)
+    wx, wy = t.waypoint
+    dx = wx - t.x
+    dy = wy - t.y
+    dist = math.hypot(dx, dy)
+    arrives = dist <= t.speed
+    step_len = dist if arrives else t.speed
+    if dist > 0.0:
+        ux, uy = dx / dist, dy / dist
+    else:
+        ux = uy = 0.0
+    mx, my = ux * step_len, uy * step_len
+    hit_t = None
+    for box in state.obstacles:
+        overlap = segment_box_overlap((t.x, t.y, 0.0), (mx, my, 0.0), box)
+        if overlap is not None and (hit_t is None or overlap[0] < hit_t):
+            hit_t = overlap[0]
+    if hit_t is not None:
+        back = max(step_len * hit_t - 1e-9, 0.0)
+        waypoint = _draw_waypoint(rng, state.arena_half, state.obstacles)
+        return TargetState(t.x + ux * back, t.y + uy * back, t.speed, waypoint)
+    nx, ny = t.x + mx, t.y + my
+    if arrives:
+        waypoint = _draw_waypoint(rng, state.arena_half, state.obstacles)
+        speed = rng.uniform(*state.speed_range)
+        pause = 0
+        if rng.random() < PAUSE_PROBABILITY:
+            pause = rng.randint(*PAUSE_STEPS)
+        return TargetState(nx, ny, speed, waypoint, pause)
+    return TargetState(nx, ny, t.speed, t.waypoint)
+
+
+# distances of a leg from an obstacle's edge or corner; negative ones cross it
+GRAZE_OFFSETS = [0.0, 1e-12, 1e-9, 5e-7, 0.99 * LEG_MARGIN, LEG_MARGIN,
+                 1.01 * LEG_MARGIN, 2 * LEG_MARGIN, 1e-3]
+# (corner, tangent along which a leg only touches it, outward normal)
+CORNERS = [((0, 0), (1, -1), (-1, -1)), ((1, 0), (1, 1), (1, -1)),
+           ((1, 1), (1, -1), (1, 1)), ((0, 1), (1, 1), (-1, 1))]
+
+
+@st.composite
+def grazing_walks(draw):
+    """Obstacles, and a target whose first leg runs along an edge of one of
+    them, or past one of its corners, at a tiny offset (outside, on it or
+    inside), possibly paused first."""
+    coord = st.floats(-9.0, 9.0)
+    size = st.floats(0.3, 3.0)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        cx, cy, w, d = draw(coord), draw(coord), draw(size), draw(size)
+        boxes.append(Obstacle(cx - w / 2, cy - d / 2, cx + w / 2, cy + d / 2, 2.0))
+    box = draw(st.sampled_from(boxes))
+    offset = draw(st.sampled_from(GRAZE_OFFSETS)) * draw(st.sampled_from([1.0, -1.0]))
+    before, after = draw(size), draw(size)
+    xs, ys = (box.min_x, box.max_x), (box.min_y, box.max_y)
+    edge = draw(st.sampled_from(["bottom", "top", "left", "right", "corner"]))
+    if edge in ("bottom", "top"):
+        y = box.min_y - offset if edge == "bottom" else box.max_y + offset
+        start, end = (box.min_x - before, y), (box.max_x + after, y)
+    elif edge in ("left", "right"):
+        x = box.min_x - offset if edge == "left" else box.max_x + offset
+        start, end = (x, box.min_y - before), (x, box.max_y + after)
+    else:
+        (i, j), (tx, ty), (nx, ny) = draw(st.sampled_from(CORNERS))
+        h = math.sqrt(0.5)
+        cx, cy = xs[i] + offset * nx * h, ys[j] + offset * ny * h
+        start = (cx - before * tx * h, cy - before * ty * h)
+        end = (cx + after * tx * h, cy + after * ty * h)
+    if draw(st.booleans()):
+        start, end = end, start
+    target = TargetState(*start, draw(st.floats(0.05, 1.0)), end,
+                         draw(st.sampled_from([0, 0, 4])))
+    return boxes, target
+
+
+class TestLegObstacles:
+    """advance_target tests only the obstacles of the target's current leg."""
+
+    def _world(self, target, obstacles, seed=0):
+        return WorldState([], target, list(obstacles), 0, 10.0, (0.05, 1.0),
+                          RngStream(seed, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk=grazing_walks(), seed=st.integers(0, 2 ** 64 - 1),
+           drops=st.sets(st.integers(0, 119), max_size=4))
+    def test_equals_testing_every_obstacle(self, walk, seed, drops):
+        """Step for step, the leg walk and a walk that tests every obstacle
+        give equal targets and rng states: along and across edges and
+        corners within LEG_MARGIN, through hits that redraw the waypoint,
+        pauses and arrivals, from a TargetState built without a leg and
+        after the leg is dropped mid-way."""
+        obstacles, target = walk
+        fast = self._world(target, obstacles, seed)
+        slow = self._world(dataclasses.replace(target), obstacles, seed)
+        for k in range(120):
+            got, want = advance_target(fast), advance_every_obstacle(slow)
+            assert got == want
+            assert fast.rng == slow.rng
+            leg = got.leg_obstacles
+            if leg is not None:
+                assert list(leg) == [b for b in obstacles if b in leg]
+            if k in drops:
+                got = dataclasses.replace(got, leg_obstacles=None)
+            fast.target, slow.target = got, want
+
+    @pytest.mark.parametrize("offset, candidate", [
+        (-1e-9, True), (0.0, True), (1e-7, True), (0.99 * LEG_MARGIN, True),
+        (2 * LEG_MARGIN, False), (1e-3, False)])
+    def test_candidates_are_footprints_widened_by_the_margin(self, offset, candidate):
+        box = Obstacle(1.0, 1.0, 2.0, 2.0, 1.0)
+        far = Obstacle(5.0, 5.0, 6.0, 6.0, 1.0)
+        target = TargetState(0.0, 1.0 - offset, 0.1, (3.0, 1.0 - offset))
+        nxt = advance_target(self._world(target, [far, box]))
+        assert nxt.leg_obstacles == ((box,) if candidate else ())
+
+    def test_leg_is_kept_along_the_leg_and_dropped_at_its_end(self):
+        box = Obstacle(1.0, -1.0, 2.0, 1.0, 2.0)
+        world = self._world(TargetState(0.0, 0.0, 0.3, (5.0, 0.0)), [box])
+        world.target = advance_target(world)
+        assert world.target.leg_obstacles == (box,)
+        world.target = dataclasses.replace(world.target, pause_steps_remaining=2)
+        for _ in range(2):
+            world.target = advance_target(world)
+            assert world.target.leg_obstacles == (box,)
+        for _ in range(2):
+            world.target = advance_target(world)
+            assert world.target.leg_obstacles == (box,)
+        world.target = advance_target(world)   # cut short at x = 1
+        assert world.target.x == pytest.approx(1.0, abs=1e-8)
+        assert world.target.leg_obstacles is None
+
+    def test_leg_takes_no_part_in_equality(self):
+        target = TargetState(0.0, 0.0, 0.3, (5.0, 0.0))
+        assert dataclasses.replace(target, leg_obstacles=()) == target
 
 
 class TestVisibility:
