@@ -33,7 +33,6 @@ from .evaluate import (
     success_rate,
 )
 from .geometry import (
-    Bearing,
     CameraPose,
     Obstacle,
     angle_error,

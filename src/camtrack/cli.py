@@ -3,7 +3,10 @@
 Subcommands: train (learn a pose policy), eval (score one controller),
 compare (paired multi-seed system comparison), rollout (log one episode).
 Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
-raised where user input is read), 1 any other error.
+raised where user input is read), 1 any other error. The commands check only
+their own flags: the seeds, --episodes, --checkpoint, and eval's --switcher
+before it makes the log directory. evaluate rejects a bad system list or
+switcher spec with a ConfigError before anything is written.
 """
 from __future__ import annotations
 
@@ -144,15 +147,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     episode_cfg, _ = _load_configs(args.config)
-    parse_switcher(args.switcher)
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    if not systems:
-        raise ConfigError("--systems must name at least one controller")
-    for k, name in enumerate(systems):
-        if name not in SYSTEMS:
-            raise ConfigError(f"unknown system {name!r}")
-        if name in systems[:k]:
-            raise ConfigError(f"--systems names {name!r} twice")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     # compare runs seeds 0 .. --seeds - 1
@@ -168,7 +163,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_rollout(args) -> int:
     episode_cfg, _ = _load_configs(args.config)
-    parse_switcher(args.switcher)
     check_seed("--seed", args.seed)
     params = _load_params_if_needed([args.controller], args.checkpoint)
     records = run_episode(episode_cfg, args.controller, switcher=args.switcher,

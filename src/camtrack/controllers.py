@@ -145,8 +145,8 @@ def virtual_tracker_action(pose: CameraPose,
     """tracker_action toward a target point: the oracle stand-in for a
     working image tracker, which reads the true target position."""
     origin = (pose.x, pose.y, pose.z)
-    b = bearing_to(origin, target)
-    return tracker_action(pose, b.pitch_deg, b.yaw_deg, math.dist(origin, target))
+    b_pitch, b_yaw = bearing_to(origin, target)
+    return tracker_action(pose, b_pitch, b_yaw, math.dist(origin, target))
 
 
 def triangulate(poses: list[CameraPose], labels) -> TriangulationResult:

@@ -215,16 +215,16 @@ def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None
     """Reject a run run_episode and run_lockstep cannot roll; returns the
     parsed switcher."""
     if not systems:
-        raise ValueError("a run needs at least one system")
+        raise ConfigError("a run needs at least one system")
     for name in systems:
         if name not in SYSTEMS:
-            raise ValueError(f"unknown system {name!r}")
+            raise ConfigError(f"unknown system {name!r}")
     if len(set(systems)) != len(systems):
-        raise ValueError(f"repeated system in {systems}")
+        raise ConfigError(f"repeated system in {systems}")
     if "learned" in systems and params is None:
-        raise ValueError("the learned controller requires policy params")
+        raise ConfigError("the learned controller requires policy params")
     if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     return parse_switcher(switcher)
 
 
@@ -248,7 +248,7 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     values of random_switch and noisy_switch."""
     switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
     if not seeds:
-        raise ValueError("a lockstep run needs at least one seed")
+        raise ConfigError("a lockstep run needs at least one seed")
     episode_systems = np.repeat(systems, len(seeds))
     episode_seeds = list(seeds) * len(systems)
     state = batch_world([spawn_episode(config, seed) for seed in seeds],
@@ -291,12 +291,12 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     with the step arrays of every seed. The per-episode metrics are those
     of per_camera_mean_error and per_camera_success_rate on run_episode's
     records, exactly rounded over time the same way. A repeated system, or
-    a first or last seed outside [0, 2**64), raises ValueError.
+    a first or last seed outside [0, 2**64), raises ConfigError.
     """
     if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+        raise ConfigError("n_seeds must be >= 1")
     if steps < 1:
-        raise ValueError("metrics need at least one step record")
+        raise ConfigError("metrics need at least one step record")
     _check_run(systems, switcher, params, steps)
     check_seed("base_seed", base_seed)
     check_seed("base_seed + n_seeds - 1", base_seed + n_seeds - 1)

@@ -40,14 +40,6 @@ class CameraPose:
 
 
 @dataclass(frozen=True, slots=True)
-class Bearing:
-    """Direction from an observer point to a target point."""
-
-    pitch_deg: float
-    yaw_deg: float
-
-
-@dataclass(frozen=True, slots=True)
 class Obstacle:
     """Axis-aligned box standing on the ground plane (base at z = 0)."""
 
@@ -74,8 +66,8 @@ def wrap_angle(a: float) -> float:
 
 
 def bearing_angles(dx: float, dy: float, dz: float) -> tuple[float, float]:
-    """(pitch, yaw) of the direction (dx, dy, dz), bearing_to's values
-    without the Bearing; raises for the zero vector."""
+    """(pitch, yaw) of the direction (dx, dy, dz); raises for the zero
+    vector."""
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
         raise ValueError("bearing undefined for coincident points")
@@ -84,10 +76,10 @@ def bearing_angles(dx: float, dy: float, dz: float) -> tuple[float, float]:
 
 
 def bearing_to(origin: tuple[float, float, float],
-               target: tuple[float, float, float]) -> Bearing:
-    """Bearing from origin toward target; raises for coincident points."""
-    return Bearing(*bearing_angles(target[0] - origin[0], target[1] - origin[1],
-                                   target[2] - origin[2]))
+               target: tuple[float, float, float]) -> tuple[float, float]:
+    """(pitch, yaw) from origin toward target; raises for coincident points."""
+    return bearing_angles(target[0] - origin[0], target[1] - origin[1],
+                          target[2] - origin[2])
 
 
 def angle_error(pose: CameraPose,
@@ -95,9 +87,9 @@ def angle_error(pose: CameraPose,
     """Absolute (pitch, yaw) error between where the camera points and the
     bearing to the target. The yaw error is taken on the circle, so it never
     exceeds 180."""
-    b = bearing_to((pose.x, pose.y, pose.z), target)
-    d_alpha = abs(pose.pitch_deg - b.pitch_deg)
-    d_beta = abs(wrap_angle(pose.yaw_deg - b.yaw_deg))
+    b_pitch, b_yaw = bearing_to((pose.x, pose.y, pose.z), target)
+    d_alpha = abs(pose.pitch_deg - b_pitch)
+    d_beta = abs(wrap_angle(pose.yaw_deg - b_yaw))
     return d_alpha, d_beta
 
 

@@ -71,9 +71,6 @@ class PolicyParams:
         for name, _, _, _ in PARAM_SPECS:
             yield name, getattr(self, name)
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(**{name: arr.copy() for name, arr in self.arrays()})
-
     def mean_abs(self) -> float:
         total = sum(float(np.abs(arr).sum()) for _, arr in self.arrays())
         count = sum(arr.size for _, arr in self.arrays())

@@ -65,14 +65,14 @@ def naive_tracker(pose, target):
 def brute_force_scores(pose, target):
     """Score of each of the 11 actions, each computed in full on its own,
     with the tracker's clamping and summation order."""
-    b = bearing_to((pose.x, pose.y, pose.z), target)
+    b_pitch, b_yaw = bearing_to((pose.x, pose.y, pose.z), target)
     xi_star = desired_zoom(math.dist((pose.x, pose.y, pose.z), target))
     scores = []
     for dp, dy, dz in ACTION_DELTAS:
         pitch = min(max(pose.pitch_deg + dp, -60.0), 60.0)
         zoom = min(max(pose.zoom + dz, 1.0), 3.3)
-        d_alpha = abs(pitch - b.pitch_deg)
-        d_beta = abs(wrap_angle(pose.yaw_deg + dy - b.yaw_deg))
+        d_alpha = abs(pitch - b_pitch)
+        d_beta = abs(wrap_angle(pose.yaw_deg + dy - b_yaw))
         scores.append(d_alpha / ALPHA_MAX_DEG + d_beta / BETA_MAX_DEG
                       + abs(zoom - xi_star) / ZOOM_ERROR_NORM)
     return scores
@@ -98,8 +98,8 @@ def target_at(pose, d_pitch, d_yaw, distance=12.0):
 
 def sight(pose, target):
     """The bearing pitch, bearing yaw and distance from the camera to the target."""
-    b = bearing_to((pose.x, pose.y, pose.z), target)
-    return b.pitch_deg, b.yaw_deg, math.dist((pose.x, pose.y, pose.z), target)
+    b_pitch, b_yaw = bearing_to((pose.x, pose.y, pose.z), target)
+    return b_pitch, b_yaw, math.dist((pose.x, pose.y, pose.z), target)
 
 
 def observed(poses, target, arena_half=10.0):
@@ -462,12 +462,12 @@ def per_camera_system_action(self_index, target, poses, labels, kind, params=Non
     label 1, else a triangulation or a one-camera policy forward."""
     own = poses[self_index]
     origin = (own.x, own.y, own.z)
-    b = bearing_to(origin, target)
+    b_pitch, b_yaw = bearing_to(origin, target)
     distance = math.dist(origin, target)
     if kind == "sv":
-        return sv_baseline_action(own, vis, b.pitch_deg, b.yaw_deg, distance)
+        return sv_baseline_action(own, vis, b_pitch, b_yaw, distance)
     if kind == "virtual" or labels[self_index] == 1:
-        return tracker_action(own, b.pitch_deg, b.yaw_deg, distance)
+        return tracker_action(own, b_pitch, b_yaw, distance)
     if kind == "geometric":
         result = triangulate(poses, labels)
         if result.ok:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from camtrack import evaluate, nn
-from camtrack.config import EpisodeConfig
+from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.controllers import noisy_switch, oracle_switch, random_switch
 from camtrack.evaluate import (
     StepRecord,
@@ -15,6 +15,7 @@ from camtrack.evaluate import (
     parse_switcher,
     per_camera_mean_error,
     run_episode,
+    run_lockstep,
     success_rate,
 )
 from camtrack.geometry import CameraPose
@@ -305,3 +306,55 @@ class TestCompareSystems:
     def test_seed_count_validated(self):
         with pytest.raises(ValueError):
             compare_systems(EpisodeConfig(), ["sv"], 0)
+
+
+def _run(entry, systems, seeds=(0,), switcher="oracle", params=None, steps=5):
+    """One run through run_episode (one system), run_lockstep or
+    compare_systems (seeds 0 .. len(seeds) - 1)."""
+    cfg = EpisodeConfig()
+    if entry == "run_episode":
+        (system,) = systems
+        return run_episode(cfg, system, switcher, params=params, steps=steps)
+    if entry == "run_lockstep":
+        return run_lockstep(cfg, systems, list(seeds), switcher, params=params,
+                            steps=steps)
+    return compare_systems(cfg, systems, len(seeds), steps=steps, params=params,
+                           switcher=switcher)
+
+
+# (name, entries, run arguments, message): every bad run evaluate rejects
+BAD_RUNS = [
+    ("no-system", ("run_lockstep", "compare_systems"), {"systems": []},
+     "at least one system"),
+    ("unknown-system", ("run_episode", "run_lockstep", "compare_systems"),
+     {"systems": ["wizard"]}, "unknown system 'wizard'"),
+    ("repeated-system", ("run_lockstep", "compare_systems"),
+     {"systems": ["sv", "geometric", "sv"]}, "repeated system"),
+    ("learned-without-params", ("run_episode", "run_lockstep", "compare_systems"),
+     {"systems": ["learned"]}, "requires policy params"),
+    ("bad-switcher", ("run_episode", "run_lockstep", "compare_systems"),
+     {"systems": ["sv"], "switcher": "bogus"}, "unknown switcher"),
+    ("negative-steps", ("run_episode", "run_lockstep"),
+     {"systems": ["sv"], "steps": -1}, "steps must be >= 0"),
+    ("no-seed", ("run_lockstep",), {"systems": ["sv"], "seeds": ()},
+     "at least one seed"),
+    ("no-seed", ("compare_systems",), {"systems": ["sv"], "seeds": ()},
+     "n_seeds must be >= 1"),
+    ("zero-steps", ("compare_systems",), {"systems": ["sv"], "steps": 0},
+     "at least one step record"),
+]
+
+
+@pytest.mark.parametrize("entry, kwargs, message", [
+    pytest.param(entry, kwargs, message, id=f"{entry}-{name}")
+    for name, entries, kwargs, message in BAD_RUNS for entry in entries])
+def test_bad_run_is_a_config_error_before_any_world(entry, kwargs, message,
+                                                    monkeypatch):
+    """evaluate owns the run checks: each bad run raises ConfigError (the
+    CLI's exit 2) before a world is spawned."""
+    def no_world(*args, **kwargs):
+        raise AssertionError("a world was spawned")
+
+    monkeypatch.setattr(evaluate, "spawn_episode", no_world)
+    with pytest.raises(ConfigError, match=message):
+        _run(entry, **kwargs)

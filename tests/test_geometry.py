@@ -9,6 +9,7 @@ from camtrack.geometry import (
     CameraPose,
     Obstacle,
     angle_error,
+    bearing_angles,
     bearing_to,
     effective_fov,
     segment_box_overlap,
@@ -106,20 +107,26 @@ class TestWrapAngle:
 
 class TestBearing:
     def test_axis_aligned(self):
-        b = bearing_to((0, 0, 0), (1, 0, 0))
-        assert b.yaw_deg == 0.0
-        assert b.pitch_deg == 0.0
+        pitch, yaw = bearing_to((0, 0, 0), (1, 0, 0))
+        assert yaw == 0.0
+        assert pitch == 0.0
 
     def test_symmetry_diagonal(self):
-        b = bearing_to((0, 0, 0), (0, 1, 1))
-        assert b.yaw_deg == pytest.approx(90.0)
-        assert b.pitch_deg == pytest.approx(45.0)
+        pitch, yaw = bearing_to((0, 0, 0), (0, 1, 1))
+        assert yaw == pytest.approx(90.0)
+        assert pitch == pytest.approx(45.0)
 
     def test_oblique(self):
         # independent calculator: atan2(4, 3) in degrees
-        b = bearing_to((0, 0, 2), (3, 4, 2))
-        assert b.yaw_deg == pytest.approx(53.13010235415598, abs=1e-9)
-        assert b.pitch_deg == 0.0
+        pitch, yaw = bearing_to((0, 0, 2), (3, 4, 2))
+        assert yaw == pytest.approx(53.13010235415598, abs=1e-9)
+        assert pitch == 0.0
+
+    def test_is_bearing_angles_of_the_difference(self):
+        o, t = (1.5, -2.0, 3.0), (-4.0, 0.25, 1.0)
+        b = bearing_to(o, t)
+        assert type(b) is tuple
+        assert b == bearing_angles(t[0] - o[0], t[1] - o[1], t[2] - o[2])
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
@@ -132,9 +139,9 @@ class TestBearing:
             q = rng.uniform(-50, 50, size=3)
             if tuple(p) == tuple(q):
                 continue
-            b = bearing_to(tuple(p), tuple(q))
-            assert -90.0 <= b.pitch_deg <= 90.0
-            assert -180.0 < b.yaw_deg <= 180.0
+            pitch, yaw = bearing_to(tuple(p), tuple(q))
+            assert -90.0 <= pitch <= 90.0
+            assert -180.0 < yaw <= 180.0
 
 
 class TestAngleError:

@@ -97,8 +97,8 @@ def assert_outcome_equal(state, e, outcome, scalar_world, scalar=None):
     assert state.envs[e].t == scalar_world.t
     assert state.envs[e].rng == scalar_world.rng
     bearings = [bearing_to((c.x, c.y, c.z), tp) for c in cams]
-    assert bits([b.pitch_deg for b in bearings]) == outcome.bearing_pitch[e].tobytes()
-    assert bits([b.yaw_deg for b in bearings]) == outcome.bearing_yaw[e].tobytes()
+    assert bits([pitch for pitch, _ in bearings]) == outcome.bearing_pitch[e].tobytes()
+    assert bits([yaw for _, yaw in bearings]) == outcome.bearing_yaw[e].tobytes()
     assert bits([math.dist((c.x, c.y, c.z), tp) for c in cams]) \
         == outcome.distance[e].tobytes()
     codes = [VISIBILITIES.index(visibility_of(scalar_world, i)) for i in range(len(cams))]
@@ -177,8 +177,7 @@ class TestBatchStep:
     ])
     def test_touching_counts(self, camera, target, box):
         world = spawn_episode(EpisodeConfig(n_cameras=2, n_obstacles=1), 0)
-        b = bearing_to(camera, target)
-        world.cameras = [CameraPose(*camera, b.pitch_deg, b.yaw_deg, 1.0)] * 2
+        world.cameras = [CameraPose(*camera, *bearing_to(camera, target), 1.0)] * 2
         world.obstacles = [box]
         world.target.x, world.target.y, world.target.z = target
         assert visibility_of(world, 0) is Visibility.OCCLUDED
@@ -360,8 +359,8 @@ def tracker_inputs(poses, targets):
     """The array tracker's inputs for camera poses and their targets."""
     bearings = [bearing_to((p.x, p.y, p.z), t) for p, t in zip(poses, targets)]
     return (np.array([p.pitch_deg for p in poses]), np.array([p.yaw_deg for p in poses]),
-            np.array([p.zoom for p in poses]), np.array([b.pitch_deg for b in bearings]),
-            np.array([b.yaw_deg for b in bearings]),
+            np.array([p.zoom for p in poses]), np.array([pitch for pitch, _ in bearings]),
+            np.array([yaw for _, yaw in bearings]),
             np.array([math.dist((p.x, p.y, p.z), t) for p, t in zip(poses, targets)]))
 
 

@@ -675,6 +675,33 @@ class TestCli:
         assert cli_main(["compare", "--systems", "learned", "--seeds", "2",
                          "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--systems", ","], "at least one system"),
+        (["--systems", "sv", "--switcher", "bogus"], "unknown switcher"),
+    ], ids=["empty-systems", "bad-switcher"])
+    def test_compare_bad_run_exits_two_before_any_episode(self, flags, message,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+        """compare holds no copy of the run checks: compare_systems rejects
+        the run before its first lockstep batch."""
+        import camtrack.evaluate
+
+        def no_lockstep(*args, **kwargs):
+            raise AssertionError("a lockstep batch ran")
+
+        monkeypatch.setattr(camtrack.evaluate, "run_lockstep", no_lockstep)
+        out = tmp_path / "x.csv"
+        assert cli_main(["compare", *flags, "--seeds", "2", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rollout_bad_switcher_exits_two_and_writes_nothing(self, tmp_path,
+                                                               capsys):
+        out = tmp_path / "o.jsonl"
+        assert cli_main(["rollout", "--switcher", "bogus", "--out", str(out)]) == 2
+        assert "unknown switcher" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_episode_log_directory(self, tmp_path, capsys):
         logdir = tmp_path / "logs"
         assert cli_main(["eval", "--controller", "sv", "--seed", "5",

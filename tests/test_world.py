@@ -131,8 +131,8 @@ class TestSpawnEpisode:
             world = spawn_episode(cfg, seed)
             assert len(world.cameras) == 4
             for cam in world.cameras:
-                to_center = bearing_to((cam.x, cam.y, 0.0), (0.0, 0.0, 0.0))
-                off = abs(wrap_angle(cam.yaw_deg - to_center.yaw_deg))
+                _, to_center = bearing_to((cam.x, cam.y, 0.0), (0.0, 0.0, 0.0))
+                off = abs(wrap_angle(cam.yaw_deg - to_center))
                 assert off <= 90.0
                 assert off <= 30.0 + 1e-9
 
@@ -431,9 +431,9 @@ class TestStep:
         world = spawn_episode(cfg, 5)
         # point every camera straight away from the target
         for i, cam in enumerate(world.cameras):
-            b = bearing_to((cam.x, cam.y, cam.z), world.target.point())
+            _, b_yaw = bearing_to((cam.x, cam.y, cam.z), world.target.point())
             world.cameras[i] = CameraPose(cam.x, cam.y, cam.z, 0.0,
-                                          wrap_angle(b.yaw_deg + 180.0), cam.zoom)
+                                          wrap_angle(b_yaw + 180.0), cam.zoom)
         world.target.pause_steps_remaining = 10
         out = step(world, [Action.KEEP_STILL] * 4)
         assert all(v is Visibility.OUT_OF_VIEW for v in out.visibility)
@@ -441,9 +441,9 @@ class TestStep:
 
     def test_aligned_camera_reward_is_one(self):
         target = TargetState(10.0, 0.0, 0.1, (0.0, 0.0), pause_steps_remaining=5)
-        b = bearing_to((0.0, 0.0, 2.0), target.point())
+        b_pitch, b_yaw = bearing_to((0.0, 0.0, 2.0), target.point())
         dist = math.dist((0.0, 0.0, 2.0), target.point())
-        cam = CameraPose(0.0, 0.0, 2.0, b.pitch_deg, b.yaw_deg, desired_zoom(dist))
+        cam = CameraPose(0.0, 0.0, 2.0, b_pitch, b_yaw, desired_zoom(dist))
         world = WorldState([cam], target, [], 0, 10.0, (0.05, 0.2), RngStream(0, 0))
         out = step(world, [Action.KEEP_STILL])
         assert out.visibility[0] is Visibility.VISIBLE
@@ -533,9 +533,9 @@ class TestVisibilityOf:
         cams = []
         for cam, (near, pitch, yaw, zoom) in zip(world.cameras, aims):
             if near:
-                b = bearing_to((cam.x, cam.y, cam.z), tp)
-                pitch = min(max(b.pitch_deg + pitch / 4.0, -60.0), 60.0)
-                yaw = wrap_angle(b.yaw_deg + yaw / 4.0)
+                b_pitch, b_yaw = bearing_to((cam.x, cam.y, cam.z), tp)
+                pitch = min(max(b_pitch + pitch / 4.0, -60.0), 60.0)
+                yaw = wrap_angle(b_yaw + yaw / 4.0)
             cams.append(dataclasses.replace(cam, pitch_deg=pitch, yaw_deg=yaw, zoom=zoom))
         world.cameras = cams
         assert ([visibility_of(world, i) for i in range(len(cams))]
