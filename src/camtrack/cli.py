@@ -3,10 +3,11 @@
 Subcommands: train (learn a pose policy), eval (score one controller),
 compare (paired multi-seed system comparison), rollout (log one episode).
 Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
-raised where user input is read), 1 any other error. The commands check only
-their own flags: the seeds, --episodes, --checkpoint, and eval's --switcher
-before it makes the log directory. evaluate rejects a bad system list or
-switcher spec with a ConfigError before anything is written.
+raised where user input is read, an unreadable --config or --checkpoint
+file included), 1 any other error, such as a failed write. The commands
+check only their own flags: the seeds, --episodes, --checkpoint, and eval's
+--switcher before it makes the log directory. evaluate rejects a bad system
+list or switcher spec with a ConfigError before anything is written.
 """
 from __future__ import annotations
 

@@ -162,12 +162,15 @@ def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
     """Parse a flat JSON config into (EpisodeConfig, TrainConfig).
 
     Missing keys take defaults; unknown, repeated and out-of-range keys
-    raise ConfigError naming the offending key.
+    raise ConfigError naming the offending key, and so does a file that
+    cannot be read.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except ConfigError:

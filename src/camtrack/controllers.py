@@ -373,9 +373,9 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     target is not visible, and the label-1 cameras of geometric and learned
     rows track. geometric triangulates each of its episodes that has a
     label-0 camera, and its label-0 cameras aim at their stored estimate
-    (its bearing is swapped in before the tracker call) or keep still
-    without one; learned runs nn.greedy_actions once per such episode,
-    since one forward over all of them would round differently."""
+    (its bearing and distance are swapped in before the tracker call) or
+    keep still without one; learned runs nn.greedy_actions once per such
+    episode, since one forward over all of them would round differently."""
     kinds = np.asarray(systems)
     if kinds.shape != labels.shape[:1]:
         raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
@@ -412,8 +412,7 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
             points[:, :2] = memory.estimate[aim]
             points[:, 2] = TARGET_MID_HEIGHT
             b_pitch, b_yaw, distance = b_pitch.copy(), b_yaw.copy(), distance.copy()
-            b_pitch[aim], b_yaw[aim] = bearings(points - aim_origin)
-            distance[aim] = list(map(math.dist, aim_origin.tolist(), points.tolist()))
+            b_pitch[aim], b_yaw[aim], distance[aim] = bearings(points - aim_origin)
     actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
                                    b_pitch, b_yaw, distance)
     actions[keep_still] = Action.KEEP_STILL

@@ -184,11 +184,13 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where(r > 180.0, r - 360.0, r)
 
 
-def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bearing_to over an array of target-minus-origin vectors (..., 3) ->
-    (pitch, yaw) arrays; raises for coincident points. hypot and atan2 are
-    taken with math, one element at a time, because numpy's round
-    differently; the degree conversion is one multiplication in both."""
+    (pitch, yaw, distance) arrays; raises for coincident points. hypot and
+    atan2 are taken with math, one element at a time, because numpy's round
+    differently; the degree conversion is one multiplication in both. The
+    distance hypot(dx, dy, dz) is math.dist(origin, target) bit for bit:
+    both take the same norm of the same absolute differences."""
     if not delta.any(axis=-1).all():
         raise ValueError("bearing undefined for coincident points")
     dx, dy, dz = (delta[..., i].ravel().tolist() for i in range(3))
@@ -196,7 +198,8 @@ def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape = delta.shape[:-1]
     yaw = np.degrees(np.array(list(map(math.atan2, dy, dx)))).reshape(shape)
     pitch = np.degrees(np.array(list(map(math.atan2, dz, horizontal)))).reshape(shape)
-    return pitch, wrap_angles(yaw)
+    distance = np.array(list(map(math.hypot, dx, dy, dz))).reshape(shape)
+    return pitch, wrap_angles(yaw), distance
 
 
 def clamp_pitch(pitch: np.ndarray) -> np.ndarray:

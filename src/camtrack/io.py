@@ -41,7 +41,10 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     view = memoryview(data)
     offset = 0
 

@@ -123,18 +123,11 @@ class ForwardCache:
     group: np.ndarray | None = None
 
 
-def _pose_tuple(origin, pitch: float, yaw: float, label, arena_half: float) -> tuple:
-    """One camera's pose tuple; pose_tuples builds the same values as arrays."""
-    yaw = math.radians(yaw)
-    return (origin[0] / arena_half, origin[1] / arena_half, origin[2] / HEIGHT_NORM,
-            math.sin(yaw), math.cos(yaw), pitch / PITCH_NORM, float(label))
-
-
 def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
                 labels: np.ndarray, arena_half: float) -> np.ndarray:
     """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples (..., 7)
     of camera origins (..., 3), pitches, yaws and labels (...), filled one
-    column at a time with _pose_tuple's arithmetic. sin and cos stay in
+    column at a time with raw_tuples' arithmetic. sin and cos stay in
     math: numpy's vectorized kernels need not round as libm does."""
     raws = np.empty(pitch.shape + (RAW_SIZE,))
     raws[..., :2] = origin[..., :2] / arena_half
@@ -149,10 +142,12 @@ def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
 
 def raw_tuples(poses, labels, arena_half: float) -> np.ndarray:
     """pose_tuples of one step's C camera poses and their labels -> (C, 7),
-    one _pose_tuple per camera: cheaper than the array builder for one step
-    of one episode."""
-    return np.array([_pose_tuple((p.x, p.y, p.z), p.pitch_deg, p.yaw_deg, label,
-                                 arena_half)
+    one tuple per camera: cheaper than the array builder for one step of
+    one episode."""
+    return np.array([(p.x / arena_half, p.y / arena_half, p.z / HEIGHT_NORM,
+                      math.sin(math.radians(p.yaw_deg)),
+                      math.cos(math.radians(p.yaw_deg)),
+                      p.pitch_deg / PITCH_NORM, float(label))
                      for p, label in zip(poses, labels, strict=True)], dtype=float)
 
 

@@ -5,9 +5,10 @@ camera's switcher label is drawn at random; label-1 cameras act through the
 groundtruth tracker, label-0 cameras act through the sampled policy, and only
 label-0 camera-steps contribute gradients. Returns are discounted over each
 camera's full reward sequence so that the credit a pose action receives also
-reflects the steps where the tracker took over afterwards. An environment
-is reset as soon as its episode reaches DEFAULT_EPISODE_STEPS, inside a
-window too, and returns do not cross that boundary.
+reflects the steps where the tracker took over afterwards. Every
+environment starts at t = 0, so all episodes reach DEFAULT_EPISODE_STEPS on
+the same step, inside a window too: the whole batch is then re-spawned, and
+returns do not cross that boundary.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import nn
 from .config import DEFAULT_EPISODE_STEPS, EpisodeConfig, TrainConfig
 from .controllers import batch_tracker_action, random_labels
 from .rng import RngStream, advance, peek_randoms, stream_states
-from .world import batch_observe, batch_reset, batch_step, batch_world, spawn_episode
+from .world import batch_observe, batch_step, batch_world, spawn_episode
 
 
 @dataclass
@@ -71,7 +72,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     The environments step in lockstep through world.batch_step. Each
     agent stream draws, per step, its labels and then one sampling uniform
     per label-0 camera in camera order: the labels one step ahead, in one
-    _draw_labels call after the previous step's resets (so the bootstrap
+    _draw_labels call after the previous step's re-spawn (so the bootstrap
     reads them too), the uniforms in one array call at the step. A step
     builds all environments' pose tuples from the pose arrays at once and
     runs one policy forward over the label-0 cameras; the label-1 cameras'
@@ -91,8 +92,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
 
     reseed = [RngStream(train_cfg.seed, 1000 + e) for e in range(n_envs)]
     agent = stream_states(RngStream(train_cfg.seed, 2000 + e) for e in range(n_envs))
-    state = batch_world([spawn_episode(episode_cfg, reseed[e].next_u64())
-                         for e in range(n_envs)])
+    state = batch_world([spawn_episode(episode_cfg, r.next_u64()) for r in reseed])
     outcome = batch_observe(state)
     labels, agent = _draw_labels(agent, n_cams, p_pose)
 
@@ -101,8 +101,8 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
     env_steps = 0
     while collected < train_cfg.total_steps:
         window: list[_RolloutStep] = []
-        # done[k, e]: env e's episode ended at window step k
-        done = np.zeros((train_cfg.rollout_len, n_envs), dtype=bool)
+        # done[k]: the episodes ended at window step k
+        done = [False] * train_cfg.rollout_len
         for k in range(train_cfg.rollout_len):
             # the j-th label-0 camera of an env samples with its j-th uniform
             g0 = labels == 0
@@ -110,8 +110,8 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
             rank = np.cumsum(g0, axis=1)[env, cam] - 1
             uniforms = peek_randoms(agent, n_cams)
             agent = advance(agent, g0.sum(axis=1))
-            raws = nn.pose_tuples(state.origin[state.world], state.pitch, state.yaw,
-                                  labels, arena_half)
+            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
+                                  arena_half)
             logits, _, _ = nn.group_forward(params, raws, env, cam)
             sampled = nn.sample_action(np.exp(nn.log_softmax(logits)),
                                        uniforms[env, rank])
@@ -123,29 +123,24 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
             actions[env, cam] = sampled
             outcome = batch_step(state, actions)
             window.append(_RolloutStep(raws, env, cam, sampled, outcome.reward))
-            for e, world in enumerate(state.envs):
-                if world.t >= DEFAULT_EPISODE_STEPS:
-                    batch_reset(state, e, spawn_episode(episode_cfg,
-                                                        reseed[e].next_u64()))
-                    done[k, e] = True
-            if done[k].any():
+            if state.envs[0].t >= DEFAULT_EPISODE_STEPS:
+                state = batch_world([spawn_episode(episode_cfg, r.next_u64())
+                                     for r in reseed])
                 outcome = batch_observe(state)
+                done[k] = True
             labels, agent = _draw_labels(agent, n_cams, p_pose)
         env_steps += train_cfg.rollout_len * n_envs
 
         # bootstrap with the value of the actual next observation, under the
-        # labels its step will use; zero where the episode ended at the
+        # labels its step will use; zero when the episodes ended at the
         # window's last step
-        bootstrap = np.zeros((n_envs, n_cams))
-        live = ~done[-1]
-        if live.any():
-            raws = nn.pose_tuples(state.origin[state.world[live]], state.pitch[live],
-                                  state.yaw[live], labels[live], arena_half)
-            features, _ = nn.encode(params, raws)
-            bootstrap[live] = nn.forward(params, features)[1]
+        bootstrap = 0.0
+        if not done[-1]:
+            features, _ = nn.encode(params, nn.pose_tuples(
+                state.origin, state.pitch, state.yaw, labels, arena_half))
+            bootstrap = nn.forward(params, features)[1]
         returns = nn.compute_returns(np.array([s.rewards for s in window]),
-                                     bootstrap, train_cfg.gamma,
-                                     done=done[:, :, None])
+                                     bootstrap, train_cfg.gamma, done=done)
 
         count = sum(s.env.size for s in window)
         if count == 0:

@@ -15,7 +15,9 @@ a world: the world work (spawning, the target walk, bearings, distances and
 sight lines) is done once per world, and only what depends on a row's poses
 (field of view, angle errors, zoom error, reward) once per row. Each row
 equals its own step calls bit for bit, but a batch costs more than step
-for a single episode.
+for a single episode. batch_world loads a whole batch in one pass, and a
+batch is never reset one world at a time: its episodes start together and
+end together, and a new batch replaces it.
 
 The target walks straight legs toward a waypoint, so the obstacles a leg can
 touch are found once, on its first step, and each step of the leg tests
@@ -462,33 +464,20 @@ def batch_world(worlds: list[WorldState],
     if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
             or rows.min() < 0 or rows.max() >= len(worlds)):
         raise ValueError("rows must be a non-empty list of episode indices")
-    shape = (len(worlds), n_cams)
-    poses = (len(rows), n_cams)
-    state = BatchState([None] * len(worlds), rows, np.empty(shape + (3,)),
-                       np.empty(poses), np.empty(poses), np.empty(poses),
-                       np.empty((3,) + shape + (n_obs,)), np.empty((3,) + shape + (n_obs,)))
-    for w, world in enumerate(worlds):
-        batch_reset(state, w, world)
-    return state
-
-
-def batch_reset(state: BatchState, w: int, world: WorldState) -> None:
-    """Replace world w of the batch by world, a fresh episode; every row on
-    world w takes world's camera poses."""
-    cams = world.cameras
-    rows = state.world == w
-    state.origin[w] = [(c.x, c.y, c.z) for c in cams]
-    state.pitch[rows] = [c.pitch_deg for c in cams]
-    state.yaw[rows] = [c.yaw_deg for c in cams]
-    state.zoom[rows] = [c.zoom for c in cams]
-    lo = np.array([(b.min_x, b.min_y, 0.0) for b in world.obstacles]).reshape(-1, 3)
-    hi = np.array([(b.max_x, b.max_y, b.height) for b in world.obstacles]).reshape(-1, 3)
-    # (3, 1, O) corners minus (3, C, 1) origins
-    origin = state.origin[w].T[:, :, None]
-    state.box_lo[:, w] = lo.T[:, None, :] - origin
-    state.box_hi[:, w] = hi.T[:, None, :] - origin
-    state.envs[w] = WorldState([], world.target, world.obstacles, world.t,
-                               world.arena_half, world.speed_range, world.rng)
+    cams = np.array([[(c.x, c.y, c.z, c.pitch_deg, c.yaw_deg, c.zoom)
+                      for c in w.cameras] for w in worlds], dtype=float)
+    cams = cams.reshape(len(worlds), n_cams, 6)
+    origin = np.ascontiguousarray(cams[..., :3])
+    pitch, yaw, zoom = np.moveaxis(cams[rows, :, 3:], -1, 0).copy()
+    corners = np.array([[(b.min_x, b.min_y, 0.0, b.max_x, b.max_y, b.height)
+                         for b in w.obstacles] for w in worlds], dtype=float)
+    # (2, 3, W, 1, O) lower and upper corners minus (3, W, C, 1) origins
+    box_lo, box_hi = (np.moveaxis(corners.reshape(len(worlds), n_obs, 6), -1, 0)
+                      .reshape(2, 3, len(worlds), 1, n_obs)
+                      - np.moveaxis(origin, -1, 0)[..., None])
+    envs = [WorldState([], w.target, w.obstacles, w.t, w.arena_half, w.speed_range,
+                       w.rng) for w in worlds]
+    return BatchState(envs, rows, origin, pitch, yaw, zoom, box_lo, box_hi)
 
 
 def batch_observe(state: BatchState) -> BatchOutcome:
@@ -497,13 +486,9 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     its sight line. Then per row, reading its world's values: the angle
     errors, visibility (field of view first, then the sight line) and the
     clipped reward."""
-    n_worlds, n_cams = state.origin.shape[:2]
-    targets = [env.target.point() for env in state.envs]
-    direction = np.array(targets)[:, None, :] - state.origin
-    b_pitch, b_yaw = bearings(direction)
-    distance = np.array(list(map(
-        math.dist, state.origin.reshape(-1, 3).tolist(),
-        [tp for tp in targets for _ in range(n_cams)]))).reshape(n_worlds, n_cams)
+    direction = (np.array([env.target.point() for env in state.envs])[:, None, :]
+                 - state.origin)
+    b_pitch, b_yaw, distance = bearings(direction)
 
     # The slab test of segment_box_overlap over all sight lines and boxes,
     # axis first so that the three slabs combine element-wise. A slab whose

@@ -11,6 +11,7 @@ from camtrack.geometry import (
     angle_error,
     bearing_angles,
     bearing_to,
+    bearings,
     effective_fov,
     segment_box_overlap,
     segment_hits_box,
@@ -142,6 +143,54 @@ class TestBearing:
             pitch, yaw = bearing_to(tuple(p), tuple(q))
             assert -90.0 <= pitch <= 90.0
             assert -180.0 < yaw <= 180.0
+
+
+class TestBearings:
+    """The array bearings against bearing_to and math.dist, bit for bit."""
+
+    @staticmethod
+    def check(origins, targets):
+        origins = np.asarray(origins, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        pitch, yaw, distance = bearings(targets - origins)
+        assert pitch.shape == yaw.shape == distance.shape == origins.shape[:-1]
+        pairs = list(zip(origins.reshape(-1, 3).tolist(),
+                         targets.reshape(-1, 3).tolist()))
+        want = [bearing_to(o, t) for o, t in pairs]
+        assert np.array([p for p, _ in want]).tobytes() == pitch.tobytes()
+        assert np.array([y for _, y in want]).tobytes() == yaw.tobytes()
+        assert (np.array([math.dist(o, t) for o, t in pairs]).tobytes()
+                == distance.tobytes())
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 20.0, 1e3, 1e150])
+    def test_random_pairs_match_math_dist(self, scale):
+        rng = np.random.default_rng(11)
+        origins = rng.uniform(-scale, scale, size=(4000, 3))
+        self.check(origins, rng.uniform(-scale, scale, size=(4000, 3)))
+        # nearby points: small differences of large coordinates
+        self.check(origins, origins + rng.uniform(-1e-9, 1e-9, size=(4000, 3)) * scale)
+
+    def test_axis_aligned_and_signed_zero_deltas(self):
+        origins, targets = [], []
+        for axis in range(3):
+            for length in (1.0, -1.0, 3.5, -1e-300, 1e300):
+                for zero in (0.0, -0.0):
+                    origin = [zero, -zero, zero]
+                    target = [-zero, zero, -zero]
+                    target[axis] = origin[axis] + length
+                    origins.append(origin)
+                    targets.append(target)
+        self.check(origins, targets)
+
+    def test_keeps_the_leading_shape(self):
+        rng = np.random.default_rng(2)
+        self.check(rng.uniform(-10, 10, size=(2, 3, 3)),
+                   rng.uniform(-10, 10, size=(2, 3, 3)))
+
+    def test_coincident_points_rejected(self):
+        delta = np.array([[1.0, 2.0, 3.0], [0.0, -0.0, 0.0]])
+        with pytest.raises(ValueError, match="coincident"):
+            bearings(delta)
 
 
 class TestAngleError:

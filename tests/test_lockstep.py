@@ -45,7 +45,6 @@ from camtrack.world import (
     Visibility,
     BatchOutcome,
     batch_observe,
-    batch_reset,
     batch_step,
     batch_world,
     observe,
@@ -292,32 +291,6 @@ class TestSharedWorlds:
                        for (_, waypoint), env in zip(before, shared.envs))
         assert outcome_bytes(outcomes[0]) == outcome_bytes(outcomes[1])
         assert paused >= 12 and cut >= 1
-
-    def test_reset_updates_every_row_of_the_world(self):
-        """batch_reset of a world that several rows share puts every one of
-        them at the fresh episode's poses; the other world's rows keep theirs."""
-        cfg = EpisodeConfig()
-        state = batch_world([spawn_episode(cfg, 0), spawn_episode(cfg, 1)],
-                            rows=[0, 1, 0, 1])
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            batch_step(state, rng.integers(0, len(Action), size=(4, 4)))
-        kept = [state.pitch[[1, 3]].copy(), state.yaw[[1, 3]].copy(),
-                state.zoom[[1, 3]].copy()]
-        batch_reset(state, 0, spawn_episode(cfg, 9))
-        fresh = batch_world([spawn_episode(cfg, 9)] * 2)
-        for got, want in zip((state.pitch, state.yaw, state.zoom),
-                             (fresh.pitch, fresh.yaw, fresh.zoom)):
-            assert got[[0, 2]].tobytes() == want.tobytes()
-        assert [a.tobytes() for a in kept] == [state.pitch[[1, 3]].tobytes(),
-                                               state.yaw[[1, 3]].tobytes(),
-                                               state.zoom[[1, 3]].tobytes()]
-        assert state.envs[0] == fresh.envs[0] and state.envs[0].t == 0
-        assert state.envs[1].t == 20
-        got = batch_observe(state)
-        want = batch_observe(fresh)
-        for name in (f.name for f in dataclasses.fields(BatchOutcome)):
-            assert getattr(got, name)[[0, 2]].tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("rows", [[], [1], [-1], [[0]], [0.0]])
     def test_rows_must_index_the_episodes(self, rows):

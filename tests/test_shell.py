@@ -470,9 +470,31 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
+        """A --config file that cannot be read is bad input: exit 2."""
+        out = tmp_path / "o.jsonl"
         code = cli_main(["rollout", "--config", str(tmp_path / "absent.json"),
-                         "--out", str(tmp_path / "o.jsonl")])
-        assert code == 1
+                         "--out", str(out)])
+        assert code == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["eval", "--controller", "learned", "--episode-log", "logs"],
+        ["compare", "--systems", "sv,learned", "--seeds", "2", "--out", "x.csv"],
+        ["rollout", "--controller", "learned", "--out", "o.jsonl"],
+    ], ids=["eval", "compare", "rollout"])
+    def test_missing_checkpoint_exits_two_and_writes_nothing(self, flags, tmp_path,
+                                                            capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli_main([*flags, "--checkpoint", str(tmp_path / "absent.ckpt")])
+        assert code == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli_main(["rollout", "--out", str(blocker / "o.jsonl")]) == 1
 
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
