@@ -71,7 +71,6 @@ class EpisodeReport:
     per_camera_success_rate: list[float]
     mean_error: float
     success_rate: float
-    episode_len: int
 
 
 def parse_switcher(spec: str) -> tuple[str, float | None]:
@@ -184,8 +183,7 @@ def episode_report(records: list[StepRecord]) -> EpisodeReport:
     sr = per_camera_success_rate(records)
     return EpisodeReport(me, sr,
                          math.fsum(me) / len(me),
-                         math.fsum(sr) / len(sr),
-                         len(records))
+                         math.fsum(sr) / len(sr))
 
 
 @dataclass
@@ -194,7 +192,6 @@ class SystemSummary:
     overall, for one system."""
 
     name: str
-    n_seeds: int
     per_camera_me: list[tuple[float, float]]
     per_camera_sr: list[tuple[float, float]]
     mean_error: tuple[float, float]
@@ -304,29 +301,26 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
     n_cams = config.n_cameras
     # at most four systems, so a chunk holds at least 32 seeds
     chunk = LOCKSTEP_EPISODES // len(systems)
-    # per system, one (seeds, cameras) float array of each metric per chunk
-    episode_me: list[list[np.ndarray]] = [[] for _ in systems]
-    episode_sr: list[list[np.ndarray]] = [[] for _ in systems]
+    # one (systems, seeds, cameras) float array of each metric per chunk
+    shape = (len(systems), -1, n_cams)
+    episode_me, episode_sr = [], []
     for start in range(0, n_seeds, chunk):
-        chunk_seeds = list(seeds[start:start + chunk])
-        error, in_view = run_lockstep(config, systems, chunk_seeds,
+        error, in_view = run_lockstep(config, systems, list(seeds[start:start + chunk]),
                                       switcher=switcher, params=params, steps=steps)
-        for s in range(len(systems)):
-            rows = slice(s * len(chunk_seeds), (s + 1) * len(chunk_seeds))
-            # one (episode, camera) column at a time, so that only one of
-            # them is ever held as Python floats
-            lane_me = [math.fsum(lane.tolist()) / steps
-                       for lane in error[:, rows].reshape(steps, -1).T]
-            episode_me[s].append(np.array(lane_me).reshape(-1, n_cams))
-            episode_sr[s].append(in_view[:, rows].sum(axis=0) / steps)
+        # one (episode, camera) column at a time, so that only one of them
+        # is ever held as Python floats
+        lane_me = [math.fsum(lane.tolist()) / steps
+                   for lane in error.reshape(steps, -1).T]
+        episode_me.append(np.reshape(lane_me, shape))
+        episode_sr.append(np.reshape(in_view.sum(axis=0) / steps, shape))
     summaries = []
-    for name, me, sr in zip(systems, episode_me, episode_sr):
-        me, sr = np.concatenate(me), np.concatenate(sr)
+    for name, me, sr in zip(systems, np.concatenate(episode_me, axis=1),
+                            np.concatenate(episode_sr, axis=1)):
         per_cam_me = [_mean_std(column) for column in me.T.tolist()]
         per_cam_sr = [_mean_std(column) for column in sr.T.tolist()]
         overall_me = _mean_std([math.fsum(ep) / n_cams for ep in me.tolist()])
         overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in sr.tolist()])
-        summaries.append(SystemSummary(name, n_seeds, per_cam_me, per_cam_sr,
+        summaries.append(SystemSummary(name, per_cam_me, per_cam_sr,
                                        overall_me, overall_sr))
     return summaries
 

@@ -10,11 +10,11 @@ against finite differences.
 A camera's input is its pose tuple and the pooled tuples of its step:
 raw_tuples builds one step's (C, 7) tuples from an episode's camera poses
 and labels, and pose_tuples the same values from the arrays of a batch.
-Training runs group_forward (features, value head and the backward cache);
-the greedy controller runs greedy_actions, which embeds one step's tuples
-and runs only the trunk and the policy head over its label-0 rows. Both
-share the embedding and trunk arithmetic (_embed, _trunk), so a greedy
-action is the argmax of the log-probabilities training computes.
+_encode, the one feature builder, embeds each group once and builds the
+asked-for cameras' features. Training runs group_forward (value head and
+backward cache too); the greedy controller runs greedy_actions: only the
+trunk and policy head over its label-0 rows. Both read _encode and _trunk,
+so a greedy action is the argmax of the log-probabilities training computes.
 """
 from __future__ import annotations
 
@@ -151,22 +151,19 @@ def raw_tuples(poses, labels, arena_half: float) -> np.ndarray:
                      for p, label in zip(poses, labels, strict=True)], dtype=float)
 
 
-def _embed(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings (..., C, 16) of the tuples raws (..., C, 7) and each
-    group's mean embedding (..., 1, 16)."""
+def _encode(params: PolicyParams, raws: np.ndarray, *rows
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Features (..., 23) of the cameras raws[rows] of the tuples raws
+    (..., C, 7), each its own tuple followed by its group's mean embedding,
+    and the embeddings (..., C, 16). rows indexes the leading axes, camera
+    last (index arrays, a boolean mask or scalars); each group is embedded
+    once."""
     embeds = np.tanh(raws @ params.embed_w.T + params.embed_b)
-    return embeds, np.add.reduce(embeds, axis=-2, keepdims=True) / raws.shape[-2]
-
-
-def encode(params: PolicyParams, raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Embed each group's tuples once and mean-pool them.
-
-    Returns the features (..., C, 23) of every camera, its own tuple followed
-    by its group's pooled embedding, and the embeddings (..., C, 16)."""
-    embeds, pooled = _embed(params, raws)
-    features = np.empty(raws.shape[:-1] + (FEATURE_SIZE,))
-    features[..., :RAW_SIZE] = raws
-    features[..., RAW_SIZE:] = pooled
+    pooled = np.add.reduce(embeds, axis=-2) / raws.shape[-2]
+    own = raws[rows]
+    features = np.empty(own.shape[:-1] + (FEATURE_SIZE,))
+    features[..., :RAW_SIZE] = own
+    features[..., RAW_SIZE:] = pooled[rows[:-1]]
     return features, embeds
 
 
@@ -174,14 +171,13 @@ def build_features(params: PolicyParams, self_index: int, poses, labels,
                    arena_half: float) -> np.ndarray:
     """Observation vector for one camera: its own normalized pose tuple
     concatenated with the mean embedding of all cameras' tuples."""
-    features, _ = encode(params, raw_tuples(poses, labels, arena_half))
-    return features[self_index]
+    return _encode(params, raw_tuples(poses, labels, arena_half), self_index)[0]
 
 
 def _trunk(params: PolicyParams, features: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two tanh trunk layers and the policy head on features (..., 23)
-    -> (h1, h2, logits); forward and greedy_actions both run this."""
+    -> (h1, h2, logits); forward and greedy_actions run it on _encode's."""
     h1 = np.tanh(features @ params.trunk1_w.T + params.trunk1_b)
     h2 = np.tanh(h1 @ params.trunk2_w.T + params.trunk2_b)
     return h1, h2, h2 @ params.policy_w.T + params.policy_b
@@ -210,9 +206,10 @@ def group_forward(params: PolicyParams, raws: np.ndarray, group, cam
                   ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Forward for rows (group[b], cam[b]) of the tuples raws (G, C, 7), each
     group embedded once -> logits (B, 11), values (B,) and a cache that also
-    supports embed-layer gradients. Scalar group and cam give one 1-D row."""
-    features, embeds = encode(params, raws)
-    logits, values, cache = forward(params, features[group, cam])
+    supports embed-layer gradients. Scalar group and cam give one 1-D row;
+    index arrays of any one shape (...) give logits (..., 11)."""
+    features, embeds = _encode(params, raws, group, cam)
+    logits, values, cache = forward(params, features)
     cache.raws, cache.embeds, cache.group = raws, embeds, np.atleast_1d(group)
     return logits, values, cache
 
@@ -229,13 +226,10 @@ def policy_forward(params: PolicyParams, self_index: int, poses, labels,
 def greedy_actions(params: PolicyParams, raws: np.ndarray) -> np.ndarray:
     """Greedy action indices of the label-0 cameras of one step's pose
     tuples raws (C, 7), in camera order: the argmax of log_softmax (lowest
-    index on ties) of the logits group_forward gives those rows, with the
-    same arithmetic but no value head and no backward cache."""
-    _, pooled = _embed(params, raws)
-    pose = raws[:, 6] == 0.0
-    features = np.empty((np.count_nonzero(pose), FEATURE_SIZE))
-    features[:, :RAW_SIZE] = raws[pose]
-    features[:, RAW_SIZE:] = pooled
+    index on ties) of the logits group_forward gives those rows: the same
+    _encode features and _trunk arithmetic, with no value head and no
+    backward cache."""
+    features, _ = _encode(params, raws, raws[:, 6] == 0.0)
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     return log_softmax(_trunk(params, features)[2]).argmax(axis=-1)

@@ -136,9 +136,9 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig
         # window's last step
         bootstrap = 0.0
         if not done[-1]:
-            features, _ = nn.encode(params, nn.pose_tuples(
-                state.origin, state.pitch, state.yaw, labels, arena_half))
-            bootstrap = nn.forward(params, features)[1]
+            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
+                                  arena_half)
+            bootstrap = nn.group_forward(params, raws, *np.indices(labels.shape))[1]
         returns = nn.compute_returns(np.array([s.rewards for s in window]),
                                      bootstrap, train_cfg.gamma, done=done)
 

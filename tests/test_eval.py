@@ -279,7 +279,6 @@ class TestMetrics:
         report = episode_report(recs)
         assert report.mean_error == pytest.approx(mean_error(recs), abs=1e-12)
         assert report.success_rate == pytest.approx(success_rate(recs), abs=1e-15)
-        assert report.episode_len == 40
         assert report.per_camera_mean_error == per_camera_mean_error(recs)
         assert all(0.0 <= s <= 1.0 for s in report.per_camera_success_rate)
 

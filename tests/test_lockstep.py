@@ -549,7 +549,7 @@ def reference_summaries(cfg, name, n_seeds, steps, params, switcher, base_seed):
         episode_sr.append(per_camera_success_rate(records))
     n_cams = cfg.n_cameras
     return SystemSummary(
-        name, n_seeds,
+        name,
         [_mean_std([ep[i] for ep in episode_me]) for i in range(n_cams)],
         [_mean_std([ep[i] for ep in episode_sr]) for i in range(n_cams)],
         _mean_std([math.fsum(ep) / n_cams for ep in episode_me]),

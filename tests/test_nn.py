@@ -123,6 +123,81 @@ class TestForward:
             nn.forward(params, np.zeros(22))
 
 
+def reference_features(params, raws, group, cam):
+    """Camera cam of group group: its own tuple followed by its group's mean
+    embedding, the cameras summed one at a time in camera order."""
+    embeds = np.tanh(raws @ params.embed_w.T + params.embed_b)
+    members = embeds[group] if raws.ndim == 3 else embeds
+    pooled = members[0].copy()
+    for e in members[1:]:
+        pooled += e
+    own = raws[group, cam] if raws.ndim == 3 else raws[cam]
+    return np.concatenate([own, pooled / len(members)])
+
+
+class TestEncode:
+    """_encode against reference_features bit for bit, for every kind of rows
+    its callers pass."""
+
+    def groups(self, rng, n_groups, n_cams=4):
+        params = rand_params(rng, scale=float(rng.uniform(0.1, 2.0)))
+        raws = np.array([nn.raw_tuples(*rand_step(rng, n_cams), 10.0)
+                         for _ in range(n_groups)])
+        return params, raws
+
+    def test_index_arrays(self):
+        rng = np.random.default_rng(81)
+        for _ in range(50):
+            params, raws = self.groups(rng, int(rng.integers(1, 6)))
+            group = rng.integers(0, raws.shape[0], 9)
+            cam = rng.integers(0, raws.shape[1], 9)
+            features, embeds = nn._encode(params, raws, group, cam)
+            assert features.shape == (9, nn.FEATURE_SIZE)
+            for b in range(9):
+                assert features[b].tobytes() == reference_features(
+                    params, raws, group[b], cam[b]).tobytes()
+            assert embeds.tobytes() == np.tanh(
+                raws @ params.embed_w.T + params.embed_b).tobytes()
+
+    def test_boolean_mask(self):
+        rng = np.random.default_rng(82)
+        seen = set()
+        for _ in range(100):
+            params, raws = self.groups(rng, 1)
+            raws = raws[0]
+            mask = raws[:, 6] == 0.0
+            features, _ = nn._encode(params, raws, mask)
+            want = [reference_features(params, raws, None, c)
+                    for c in np.flatnonzero(mask)]
+            assert features.shape == (mask.sum(), nn.FEATURE_SIZE)
+            want = np.array(want).reshape(-1, nn.FEATURE_SIZE)
+            assert features.tobytes() == want.tobytes()
+            seen.add(int(mask.sum()))
+        assert seen == {0, 1, 2, 3, 4}
+
+    def test_scalar_rows(self):
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            params, raws = self.groups(rng, 3)
+            g, c = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+            want = reference_features(params, raws, g, c).tobytes()
+            assert nn._encode(params, raws, g, c)[0].tobytes() == want
+            one = raws[g]
+            assert nn._encode(params, one, c)[0].tobytes() == reference_features(
+                params, one, None, c).tobytes()
+
+    def test_indices_rows(self):
+        rng = np.random.default_rng(84)
+        for n_cams in (1, 2, 4, 7):
+            params, raws = self.groups(rng, 5, n_cams)
+            features, _ = nn._encode(params, raws, *np.indices(raws.shape[:2]))
+            assert features.shape == (5, n_cams, nn.FEATURE_SIZE)
+            for g in range(5):
+                for c in range(n_cams):
+                    assert features[g, c].tobytes() == reference_features(
+                        params, raws, g, c).tobytes()
+
+
 class TestGreedyActions:
     def test_equals_argmax_of_group_forward(self):
         """Random params and steps of 4 cameras with 0-4 label-0 cameras, and
