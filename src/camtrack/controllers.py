@@ -44,7 +44,6 @@ from .geometry import (
     bearings,
     clamp_pitch,
     clamp_zoom,
-    wrap_angle,
     wrap_angles,
 )
 from .rng import RngStream
@@ -55,6 +54,7 @@ from .world import (
     ROTATE_STEP_DEG,
     TARGET_MID_HEIGHT,
     VIS_VISIBLE,
+    ZOOM_DISTANCE_SCALE,
     ZOOM_ERROR_NORM,
     ZOOM_STEP,
     Action,
@@ -62,7 +62,6 @@ from .world import (
     BatchState,
     StepOutcome,
     Visibility,
-    desired_zoom,
     desired_zooms,
 )
 
@@ -112,27 +111,58 @@ def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
     candidates, and each axis's three terms are computed once and summed
     per action (pitch + yaw + zoom, left to right).
     """
-    xi_star = desired_zoom(distance)
-
-    # same clamping as apply_action
-    pitch_terms = []
-    for dp in _PITCH_DELTAS:
-        pitch = pose.pitch_deg + dp
-        if pitch > PITCH_LIMIT_DEG:
-            pitch = PITCH_LIMIT_DEG
-        elif pitch < -PITCH_LIMIT_DEG:
-            pitch = -PITCH_LIMIT_DEG
-        pitch_terms.append(abs(pitch - bearing_pitch) / ALPHA_MAX_DEG)
-    yaw_terms = [abs(wrap_angle(pose.yaw_deg + dy - bearing_yaw)) / BETA_MAX_DEG
-                 for dy in _YAW_DELTAS]
-    zoom_terms = []
-    for dz in _ZOOM_DELTAS:
-        zoom = pose.zoom + dz
-        if zoom > ZOOM_MAX:
-            zoom = ZOOM_MAX
-        elif zoom < ZOOM_MIN:
-            zoom = ZOOM_MIN
-        zoom_terms.append(abs(zoom - xi_star) / ZOOM_ERROR_NORM)
+    # desired_zoom, then each axis's three candidates with apply_action's
+    # wrap and clamps, written out. The unmoved candidates skip the + 0.0 of
+    # a zero delta, which could change only the sign of a zero that the
+    # term's abs drops.
+    xi_star = distance / ZOOM_DISTANCE_SCALE
+    if xi_star < ZOOM_MIN:
+        xi_star = ZOOM_MIN
+    elif xi_star > ZOOM_MAX:
+        xi_star = ZOOM_MAX
+    pitch = pose.pitch_deg
+    up = pitch + ROTATE_STEP_DEG
+    down = pitch - ROTATE_STEP_DEG
+    if pitch > PITCH_LIMIT_DEG:
+        pitch = PITCH_LIMIT_DEG
+    elif pitch < -PITCH_LIMIT_DEG:
+        pitch = -PITCH_LIMIT_DEG
+    if up > PITCH_LIMIT_DEG:
+        up = PITCH_LIMIT_DEG
+    elif up < -PITCH_LIMIT_DEG:
+        up = -PITCH_LIMIT_DEG
+    if down > PITCH_LIMIT_DEG:
+        down = PITCH_LIMIT_DEG
+    elif down < -PITCH_LIMIT_DEG:
+        down = -PITCH_LIMIT_DEG
+    pitch_terms = (abs(pitch - bearing_pitch) / ALPHA_MAX_DEG,
+                   abs(up - bearing_pitch) / ALPHA_MAX_DEG,
+                   abs(down - bearing_pitch) / ALPHA_MAX_DEG)
+    yaw = pose.yaw_deg
+    still = (yaw - bearing_yaw) % 360.0
+    left = (yaw - ROTATE_STEP_DEG - bearing_yaw) % 360.0
+    right = (yaw + ROTATE_STEP_DEG - bearing_yaw) % 360.0
+    yaw_terms = (abs(still - 360.0 if still > 180.0 else still) / BETA_MAX_DEG,
+                 abs(left - 360.0 if left > 180.0 else left) / BETA_MAX_DEG,
+                 abs(right - 360.0 if right > 180.0 else right) / BETA_MAX_DEG)
+    zoom = pose.zoom
+    zoom_in = zoom + ZOOM_STEP
+    zoom_out = zoom - ZOOM_STEP
+    if zoom > ZOOM_MAX:
+        zoom = ZOOM_MAX
+    elif zoom < ZOOM_MIN:
+        zoom = ZOOM_MIN
+    if zoom_in > ZOOM_MAX:
+        zoom_in = ZOOM_MAX
+    elif zoom_in < ZOOM_MIN:
+        zoom_in = ZOOM_MIN
+    if zoom_out > ZOOM_MAX:
+        zoom_out = ZOOM_MAX
+    elif zoom_out < ZOOM_MIN:
+        zoom_out = ZOOM_MIN
+    zoom_terms = (abs(zoom - xi_star) / ZOOM_ERROR_NORM,
+                  abs(zoom_in - xi_star) / ZOOM_ERROR_NORM,
+                  abs(zoom_out - xi_star) / ZOOM_ERROR_NORM)
 
     scores = [pitch_terms[i] + yaw_terms[j] + zoom_terms[k]
               for i, j, k in _ACTION_TERMS]
@@ -270,26 +300,28 @@ def system_action(outcome: StepOutcome, labels, system: str,
     if system == "sv":
         return list(map(sv_baseline_action, poses, outcome.visibility, b_pitch,
                         b_yaw, distance))
-    pose_cams = [i for i, label in enumerate(labels) if label == 0]
-    if system == "geometric":
-        if memories is None:
-            raise ValueError("geometric controller needs one GeometricMemory "
-                             "per camera")
-        pose_actions = []
-        if pose_cams:
-            result = triangulate(poses, labels)
-            pose_actions = [geometric_pose_action(poses[i], result, memories[i])
-                            for i in pose_cams]
-    else:
-        if params is None:
-            raise ValueError("learned controller needs params")
-        pose_actions = (learned_pose_action(poses, labels, params, state.arena_half)
-                        if pose_cams else [])
-    pose_iter = iter(pose_actions)
-    return [next(pose_iter) if label == 0
-            else tracker_action(pose, pitch, yaw, dist)
-            for pose, label, pitch, yaw, dist in zip(poses, labels, b_pitch, b_yaw,
-                                                     distance)]
+    if system == "geometric" and memories is None:
+        raise ValueError("geometric controller needs one GeometricMemory per camera")
+    if system == "learned" and params is None:
+        raise ValueError("learned controller needs params")
+    # label-1 cameras track; the first label-0 camera triangulates, or runs
+    # the policy for every label-0 camera, and each takes its own action
+    actions = []
+    result = pose_actions = None
+    for i, (pose, label, pitch, yaw, dist) in enumerate(zip(poses, labels, b_pitch,
+                                                             b_yaw, distance)):
+        if label != 0:
+            actions.append(tracker_action(pose, pitch, yaw, dist))
+        elif system == "geometric":
+            if result is None:
+                result = triangulate(poses, labels)
+            actions.append(geometric_pose_action(pose, result, memories[i]))
+        else:
+            if pose_actions is None:
+                pose_actions = learned_pose_action(poses, labels, params,
+                                                   state.arena_half)
+            actions.append(pose_actions.pop(0))
+    return actions
 
 
 def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,

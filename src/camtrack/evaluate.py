@@ -134,7 +134,7 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
         records.append(StepRecord(
             t=world.t,
             target=world.target.point(),
-            poses=list(world.cameras),
+            poses=world.cameras,
             actions=[int(a) for a in actions],
             visibility=outcome.visibility,
             labels=labels,
@@ -160,8 +160,8 @@ def per_camera_success_rate(records: list[StepRecord]) -> list[float]:
     if not records:
         raise ValueError("metrics need at least one step record")
     n_cams = len(records[0].poses)
-    return [sum(1 for r in records if r.visibility[i] is not Visibility.OUT_OF_VIEW)
-            / len(records)
+    out = Visibility.OUT_OF_VIEW
+    return [sum(1 for r in records if r.visibility[i] is not out) / len(records)
             for i in range(n_cams)]
 
 

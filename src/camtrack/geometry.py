@@ -110,9 +110,10 @@ def segment_box_overlap(origin: tuple[float, float, float],
     t in [0, 1], with the box, via the slab method. Returns (t_enter, t_exit)
     within [0, 1], or None when the segment misses the box entirely.
 
-    This is the one slab test: sight lines reach it through segment_hits_box,
-    and the target's ground moves (z = 0, no vertical direction) through
-    world.advance_target."""
+    This is the one slab test. The target's ground moves (z = 0, no
+    vertical direction) reach it through world.advance_target;
+    sight_line_blocked makes its operations on a camera's precomputed
+    corners, and sight_lines_blocked over arrays."""
     # The three slabs are written out rather than looped over: building the
     # per-slab bounds as tuples on every call cost more than their arithmetic.
     t_min, t_max = 0.0, 1.0
@@ -170,6 +171,91 @@ def segment_box_overlap(origin: tuple[float, float, float],
     return t_min, t_max
 
 
+@dataclass(slots=True)
+class SightLines:
+    """The per-episode constants of the sight-line test: for cameras at
+    origins among obstacles, corners[i] holds every box's
+    (min_x, min_y, 0, max_x, max_y, height) minus camera i's origin, the
+    subtractions segment_box_overlap makes. They hold while the cameras stay
+    put and the obstacle list is unchanged (see matches)."""
+
+    origins: list[tuple[float, float, float]]
+    obstacles: list[Obstacle]
+    corners: list[tuple[tuple[float, float, float, float, float, float], ...]]
+
+    @classmethod
+    def build(cls, origins: list[tuple[float, float, float]],
+              obstacles: list[Obstacle]) -> "SightLines":
+        return cls(origins, list(obstacles), [
+            tuple((b.min_x - x, b.min_y - y, 0.0 - z, b.max_x - x, b.max_y - y,
+                   b.height - z) for b in obstacles)
+            for x, y, z in origins])
+
+    def matches(self, origins: list[tuple[float, float, float]],
+                obstacles: list[Obstacle]) -> bool:
+        """Whether these are the constants of cameras at origins among
+        obstacles (equal values give equal constants)."""
+        return self.origins == origins and self.obstacles == obstacles
+
+
+def sight_line_blocked(dx: float, dy: float, dz: float,
+                       corners: tuple[tuple[float, ...], ...]) -> bool:
+    """Whether the closed segment from a camera along (dx, dy, dz) meets a
+    box, given the boxes' corners relative to the camera (a SightLines
+    entry): segment_box_overlap's slab test over every box, with the same
+    operations in the same order. A flat axis (d == 0) passes exactly when
+    the camera lies within the slab, that is a lower corner <= 0 <= an upper
+    one, and sets no bound."""
+    # 1 / d is the same for every box, so it is taken once; None marks a flat axis
+    ix = 1.0 / dx if dx != 0.0 else None
+    iy = 1.0 / dy if dy != 0.0 else None
+    iz = 1.0 / dz if dz != 0.0 else None
+    for lx, ly, lz, hx, hy, hz in corners:
+        if ix is None:
+            if lx > 0.0 or hx < 0.0:
+                continue
+            t_min, t_max = 0.0, 1.0
+        else:
+            t0 = lx * ix
+            t1 = hx * ix
+            if t0 > t1:
+                t0, t1 = t1, t0
+            t_min = t0 if t0 > 0.0 else 0.0
+            t_max = t1 if t1 < 1.0 else 1.0
+            if t_min > t_max:
+                continue
+        if iy is None:
+            if ly > 0.0 or hy < 0.0:
+                continue
+        else:
+            t0 = ly * iy
+            t1 = hy * iy
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > t_min:
+                t_min = t0
+            if t1 < t_max:
+                t_max = t1
+            if t_min > t_max:
+                continue
+        if iz is None:
+            if lz > 0.0 or hz < 0.0:
+                continue
+        else:
+            t0 = lz * iz
+            t1 = hz * iz
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > t_min:
+                t_min = t0
+            if t1 < t_max:
+                t_max = t1
+            if t_min > t_max:
+                continue
+        return True
+    return False
+
+
 def segment_hits_box(p0: tuple[float, float, float],
                      p1: tuple[float, float, float],
                      box: Obstacle) -> bool:
@@ -200,6 +286,30 @@ def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pitch = np.degrees(np.array(list(map(math.atan2, dz, horizontal)))).reshape(shape)
     distance = np.array(list(map(math.hypot, dx, dy, dz))).reshape(shape)
     return pitch, wrap_angles(yaw), distance
+
+
+def sight_lines_blocked(direction: np.ndarray, box_lo: np.ndarray,
+                        box_hi: np.ndarray) -> np.ndarray:
+    """sight_line_blocked over arrays: sight lines (..., 3) and every box's
+    lower and upper corners minus the sight line's origin, axis first
+    (3, ..., O) -> whether each sight line meets a box (...)."""
+    # The three slabs combine element-wise. A slab whose direction component
+    # is 0 passes exactly when the origin lies within it (box_lo <= 0 <=
+    # box_hi), and sets no bound on t.
+    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, ..., 1)
+    flat = axis_dir == 0.0
+    inv = np.divide(1.0, axis_dir, out=np.zeros_like(axis_dir), where=~flat)
+    t0 = box_lo * inv
+    t1 = box_hi * inv
+    near = np.minimum(t0, t1)
+    far = np.maximum(t0, t1)
+    if flat.any():
+        inside = (box_lo <= 0.0) & (box_hi >= 0.0)
+        near = np.where(flat, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(flat, np.where(inside, np.inf, -np.inf), far)
+    enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)
+    leave = np.minimum(np.minimum(np.minimum(far[0], far[1]), far[2]), 1.0)
+    return (enter <= leave).any(axis=-1)
 
 
 def clamp_pitch(pitch: np.ndarray) -> np.ndarray:

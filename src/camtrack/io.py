@@ -122,10 +122,12 @@ def write_episode_log(records: list[StepRecord], path: str | Path) -> None:
     written."""
     f = _FloatText()
     lines = []
+    # vis._value_ is vis.value read straight from the member: the Enum
+    # property costs about 90 ns per read
     for rec in records:
         cams = ",".join(
             f'{{"pose":[{f[p.x]},{f[p.y]},{f[p.z]},{f[p.pitch_deg]},{f[p.yaw_deg]},'
-            f'{f[p.zoom]}],"action":{a},"vis":"{vis.value}","g":{g},"r":{f[r]},'
+            f'{f[p.zoom]}],"action":{a},"vis":"{vis._value_}","g":{g},"r":{f[r]},'
             f'"da":{f[da]},"db":{f[db]},"dxi":{f[dxi]}}}'
             for p, a, vis, g, r, da, db, dxi in zip(
                 rec.poses, rec.actions, rec.visibility, rec.labels, rec.rewards,

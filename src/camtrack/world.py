@@ -8,7 +8,10 @@ step advances one episode: it applies the actions, moves the target and
 scores every camera of the new state in one observe pass, which also yields
 each camera's bearing and distance to the target for the next step's tracker.
 observe holds the one-episode visibility rule, and visibility_of applies it
-to one camera.
+to one camera. Its sight lines run over per-episode constants (SightLines:
+every box's corners minus each camera's origin), which observe builds on an
+episode's first state, step carries in WorldState.sight, and observe
+rebuilds when the cameras' positions or the obstacles no longer match them.
 batch_step advances E rows in lockstep, with the camera poses and rewards
 held as (E, C) arrays, and batch_observe is observe's twin. Rows may share
 a world: the world work (spawning, the target walk, bearings, distances and
@@ -40,12 +43,13 @@ from .geometry import (
     PITCH_LIMIT_DEG,
     ZOOM_MAX,
     ZOOM_MIN,
-    bearing_angles,
+    SightLines,
     bearings,
     clamp_pitch,
     clamp_zoom,
-    effective_fov,
     segment_box_overlap,
+    sight_line_blocked,
+    sight_lines_blocked,
     wrap_angle,
     wrap_angles,
 )
@@ -102,6 +106,10 @@ class Visibility(Enum):
     OUT_OF_VIEW = "X"
 
 
+# the members as plain names for observe, which reads one per camera: a read
+# through the class costs more than the arithmetic around it
+_VISIBLE, _OCCLUDED, _OUT_OF_VIEW = Visibility
+
 # Footprint margin of a leg's candidate obstacles: far above the rounding of
 # the steps along the leg, far below any footprint.
 LEG_MARGIN = 1e-6
@@ -132,7 +140,12 @@ class TargetState:
 @dataclass(slots=True)
 class WorldState:
     """Full simulation state. speed_range is kept so waypoint arrivals can
-    redraw the walking speed without reaching back to the config."""
+    redraw the walking speed without reaching back to the config.
+
+    sight caches the episode's SightLines, which observe builds and step
+    carries; observe rebuilds them when they no longer match the cameras'
+    positions or the obstacles. It is derived state, so it takes no part in
+    equality."""
 
     cameras: list[CameraPose]
     target: TargetState
@@ -141,6 +154,7 @@ class WorldState:
     arena_half: float
     speed_range: tuple[float, float]
     rng: RngStream
+    sight: SightLines | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -340,50 +354,58 @@ def observe(state: WorldState) -> StepOutcome:
     """Score every camera on the state in one pass: the bearing and distance
     to the target, the angle errors, visibility (field of view first, then
     the sight line against every obstacle) and the clipped sum of the
-    direction and zoom rewards."""
-    tp = state.target.point()
-    tx, ty, tz = tp
-    obstacles = state.obstacles
-    visibility: list[Visibility] = []
-    reward: list[float] = []
-    d_alphas: list[float] = []
-    d_betas: list[float] = []
-    d_xis: list[float] = []
-    b_pitches: list[float] = []
-    b_yaws: list[float] = []
-    distances: list[float] = []
-    for pose in state.cameras:
-        origin = (pose.x, pose.y, pose.z)
-        direction = (tx - pose.x, ty - pose.y, tz - pose.z)
-        b_pitch, b_yaw = bearing_angles(*direction)
+    direction and zoom rewards. The arithmetic is that of bearing_angles,
+    effective_fov, direction_reward and zoom_reward, written out in their
+    order; the sight lines run over the state's SightLines, built here when
+    the state has none that match its cameras and obstacles."""
+    tx, ty, tz = state.target.point()
+    cams = state.cameras
+    origins = [(c.x, c.y, c.z) for c in cams]
+    sight = state.sight
+    if sight is None or not sight.matches(origins, state.obstacles):
+        sight = state.sight = SightLines.build(origins, state.obstacles)
+    rows = []
+    for pose, (x, y, z), corners in zip(cams, origins, sight.corners):
+        dx, dy, dz = tx - x, ty - y, tz - z
+        horizontal = math.hypot(dx, dy)
+        if horizontal == 0.0 and dz == 0.0:
+            raise ValueError("bearing undefined for coincident points")
+        b_pitch = math.degrees(math.atan2(dz, horizontal))
+        b_yaw = math.degrees(math.atan2(dy, dx)) % 360.0
+        if b_yaw > 180.0:
+            b_yaw -= 360.0
         d_alpha = abs(pose.pitch_deg - b_pitch)
-        d_beta = abs(wrap_angle(pose.yaw_deg - b_yaw))
-        distance = math.dist(origin, tp)
-        h_fov, v_fov = effective_fov(pose.zoom)
-        if d_beta > 0.5 * h_fov or d_alpha > 0.5 * v_fov:
-            vis = Visibility.OUT_OF_VIEW
-        else:
-            vis = Visibility.VISIBLE
-            for box in obstacles:
-                if segment_box_overlap(origin, direction, box) is not None:
-                    vis = Visibility.OCCLUDED
-                    break
-        r = (direction_reward(vis, d_alpha, d_beta)
-             + zoom_reward(vis, pose.zoom, distance))
-        if r > 1.0:
-            r = 1.0
-        elif r < -1.0:
+        d_beta = (pose.yaw_deg - b_yaw) % 360.0
+        d_beta = abs(d_beta - 360.0 if d_beta > 180.0 else d_beta)
+        distance = math.hypot(dx, dy, dz)
+        zoom = pose.zoom
+        if not ZOOM_MIN <= zoom <= ZOOM_MAX:
+            raise ValueError(f"zoom {zoom} outside [{ZOOM_MIN}, {ZOOM_MAX}]")
+        xi_star = distance / ZOOM_DISTANCE_SCALE
+        if xi_star < ZOOM_MIN:
+            xi_star = ZOOM_MIN
+        elif xi_star > ZOOM_MAX:
+            xi_star = ZOOM_MAX
+        d_xi = abs(zoom - xi_star)
+        if (d_beta > 0.5 * (BASE_H_FOV_DEG / zoom)
+                or d_alpha > 0.5 * (BASE_V_FOV_DEG / zoom)):
+            vis = _OUT_OF_VIEW
             r = -1.0
-        visibility.append(vis)
-        reward.append(r)
-        d_alphas.append(d_alpha)
-        d_betas.append(d_beta)
-        d_xis.append(abs(pose.zoom - desired_zoom(distance)))
-        b_pitches.append(b_pitch)
-        b_yaws.append(b_yaw)
-        distances.append(distance)
-    return StepOutcome(state, visibility, reward, d_alphas, d_betas, d_xis,
-                       b_pitches, b_yaws, distances)
+        elif sight_line_blocked(dx, dy, dz, corners):
+            vis = _OCCLUDED
+            r = 0.0
+        else:
+            vis = _VISIBLE
+            r = ((1.0 - d_alpha / ALPHA_MAX_DEG - d_beta / BETA_MAX_DEG)
+                 + (1.0 - d_xi / ZOOM_ERROR_NORM))
+            if r > 1.0:
+                r = 1.0
+            elif r < -1.0:
+                r = -1.0
+        rows.append((vis, r, d_alpha, d_beta, d_xi, b_pitch, b_yaw, distance))
+    # one list per field, in camera order
+    columns = zip(*rows) if rows else [()] * 8
+    return StepOutcome(state, *map(list, columns))
 
 
 def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
@@ -394,7 +416,8 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
         raise ValueError(f"expected {len(cams)} actions, got {len(joint_action)}")
     return observe(WorldState([apply_action(c, a) for c, a in zip(cams, joint_action)],
                               advance_target(state), state.obstacles, state.t + 1,
-                              state.arena_half, state.speed_range, state.rng))
+                              state.arena_half, state.speed_range, state.rng,
+                              state.sight))
 
 
 # The array world's visibility codes: VISIBILITIES[code] is the Visibility.
@@ -490,24 +513,7 @@ def batch_observe(state: BatchState) -> BatchOutcome:
                  - state.origin)
     b_pitch, b_yaw, distance = bearings(direction)
 
-    # The slab test of segment_box_overlap over all sight lines and boxes,
-    # axis first so that the three slabs combine element-wise. A slab whose
-    # direction component is 0 passes exactly when the origin lies within it
-    # (box_lo <= 0 <= box_hi), and sets no bound on t.
-    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, W, C, 1)
-    flat = axis_dir == 0.0
-    inv = np.divide(1.0, axis_dir, out=np.zeros_like(axis_dir), where=~flat)
-    t0 = state.box_lo * inv
-    t1 = state.box_hi * inv
-    near = np.minimum(t0, t1)
-    far = np.maximum(t0, t1)
-    if flat.any():
-        inside = (state.box_lo <= 0.0) & (state.box_hi >= 0.0)
-        near = np.where(flat, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(flat, np.where(inside, np.inf, -np.inf), far)
-    enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)
-    leave = np.minimum(np.minimum(np.minimum(far[0], far[1]), far[2]), 1.0)
-    occluded = (enter <= leave).any(axis=-1)
+    occluded = sight_lines_blocked(direction, state.box_lo, state.box_hi)
 
     # each row reads its world's values
     w = state.world

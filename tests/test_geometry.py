@@ -13,8 +13,10 @@ from camtrack.geometry import (
     bearing_to,
     bearings,
     effective_fov,
+    SightLines,
     segment_box_overlap,
     segment_hits_box,
+    sight_line_blocked,
     wrap_angle,
 )
 from camtrack.rng import RngStream
@@ -354,6 +356,21 @@ class TestSegmentHitsBox:
         overlap = segment_box_overlap((x, y, 0.0), (mx, my, 0.0), box)
         want = reference_footprint_entry(x, y, mx, my, box)
         assert repr(None if overlap is None else overlap[0]) == repr(want)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.tuples(COORD, COORD, COORD), st.tuples(COORD, COORD, COORD),
+           st.lists(st.sampled_from([Obstacle(-1.0, -1.0, 1.0, 1.0, 2.0),
+                                     Obstacle(0.0, 0.5, 2.0, 3.0, 0.5),
+                                     Obstacle(-2.0, -1.0, -1.0, 0.0, 1.0)]),
+                    max_size=3))
+    def test_sight_line_blocked_is_the_slab_test_over_every_box(self, p0, p1, boxes):
+        """Over the camera's SightLines corners, the sight line p0 -> p1 is
+        blocked exactly when segment_box_overlap finds a box on it, also
+        along flat axes and touching faces."""
+        direction = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
+        corners = SightLines.build([p0], boxes).corners[0]
+        assert sight_line_blocked(*direction, corners) == any(
+            segment_box_overlap(p0, direction, box) is not None for box in boxes)
 
     def test_obstacle_validation(self):
         with pytest.raises(ValueError):

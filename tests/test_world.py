@@ -542,6 +542,274 @@ class TestVisibilityOf:
                 == observe(world).visibility)
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def reference_observe(state):
+    """observe rebuilt from the public helpers, one camera and one box at a
+    time: bearing_to, math.dist, effective_fov, segment_box_overlap,
+    direction_reward, zoom_reward and desired_zoom. Returns the StepOutcome
+    fields after state, in order."""
+    tp = state.target.point()
+    fields = [[] for _ in range(8)]
+    for pose in state.cameras:
+        origin = (pose.x, pose.y, pose.z)
+        b_pitch, b_yaw = bearing_to(origin, tp)
+        d_alpha = abs(pose.pitch_deg - b_pitch)
+        d_beta = abs(wrap_angle(pose.yaw_deg - b_yaw))
+        distance = math.dist(origin, tp)
+        h_fov, v_fov = effective_fov(pose.zoom)
+        direction = (tp[0] - pose.x, tp[1] - pose.y, tp[2] - pose.z)
+        if d_beta > 0.5 * h_fov or d_alpha > 0.5 * v_fov:
+            vis = Visibility.OUT_OF_VIEW
+        elif any(segment_box_overlap(origin, direction, box) is not None
+                 for box in state.obstacles):
+            vis = Visibility.OCCLUDED
+        else:
+            vis = Visibility.VISIBLE
+        r = direction_reward(vis, d_alpha, d_beta) + zoom_reward(vis, pose.zoom, distance)
+        r = min(max(r, -1.0), 1.0)
+        for column, value in zip(fields, (
+                vis, r, d_alpha, d_beta, abs(pose.zoom - desired_zoom(distance)),
+                b_pitch, b_yaw, distance)):
+            column.append(value)
+    return fields
+
+
+def outcome_fields(outcome):
+    """The StepOutcome fields after state, in order."""
+    return [getattr(outcome, f.name) for f in dataclasses.fields(outcome)[1:]]
+
+
+def assert_same_outcome(outcome, want_fields):
+    """outcome's fields after state equal want_fields bit for bit."""
+    got = outcome_fields(outcome)
+    assert got[0] == want_fields[0]
+    for name, column, want in zip(("reward", "d_alpha", "d_beta", "d_xi",
+                                   "bearing_pitch", "bearing_yaw", "distance"),
+                                  got[1:], want_fields[1:]):
+        assert bits(column) == bits(want), name
+
+
+# Shared grid values put cameras, target and box faces on common lines:
+# sight lines flat in x, y or z, faces touching a sight line or a camera, and
+# cameras whose x or y lies inside a footprint.
+GRID = (-3.0, -1.5, -0.5, 0.0, 0.9, 1.0, 2.5, 4.0)
+
+
+def coordinates():
+    return st.one_of(st.sampled_from(GRID), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def sight_layouts(draw):
+    """A target, 1-4 cameras (each aimed near the target or at a random
+    pose) and 0-6 boxes, with coordinates drawn mostly from GRID; some
+    cameras stand far enough away for desired_zoom to clamp at ZOOM_MAX."""
+    tx, ty, tz = draw(coordinates()), draw(coordinates()), draw(st.sampled_from(
+        [0.9, 1.0, 2.5]))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        (x0, x1), (y0, y1) = (sorted((draw(coordinates()), draw(coordinates())))
+                              for _ in range(2))
+        if x1 == x0:
+            x1 += 1.0
+        if y1 == y0:
+            y1 += 1.0
+        height = draw(st.one_of(st.sampled_from([0.9, 1.0, 2.5]),
+                                st.floats(0.1, 4.0)))
+        boxes.append(Obstacle(x0, y0, x1, y1, height))
+    cams = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = (draw(st.one_of(coordinates(), st.sampled_from([-15.0, 15.0])))
+                for _ in range(2))
+        z = draw(st.one_of(st.sampled_from([0.9, 1.0, 2.5]), st.floats(0.5, 4.0)))
+        if (x, y, z) == (tx, ty, tz):
+            z += 1.0
+        pitch, yaw = draw(st.floats(-60.0, 60.0)), draw(st.floats(-179.9, 180.0))
+        if draw(st.booleans()):
+            b_pitch, b_yaw = bearing_to((x, y, z), (tx, ty, tz))
+            pitch = min(max(b_pitch + pitch / 8.0, -60.0), 60.0)
+            yaw = wrap_angle(b_yaw + yaw / 8.0)
+        zoom = draw(st.one_of(st.sampled_from([1.0, 3.3]), st.floats(1.0, 3.3)))
+        cams.append(CameraPose(x, y, z, pitch, yaw, zoom))
+    return WorldState(cams, TargetState(tx, ty, 0.1, (tx, ty), z=tz), boxes, 0,
+                      10.0, (0.05, 0.2), RngStream(0, 0))
+
+
+class TestObserve:
+    """observe against reference_observe, and the checks it keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(state=sight_layouts())
+    def test_equals_reference(self, state):
+        assert_same_outcome(observe(state), reference_observe(state))
+
+    @pytest.mark.parametrize("camera, target, box, want", [
+        # flat in x, grazing the face x = 0 of the box
+        ((0.0, -5.0, 2.0), (0.0, 5.0, 0.9), Obstacle(0.0, -1.0, 1.0, 1.0, 2.5),
+         Visibility.OCCLUDED),
+        # flat in x, the camera's x inside the footprint, the box behind it
+        ((0.5, -5.0, 2.0), (0.5, 5.0, 0.9), Obstacle(0.0, -8.0, 1.0, -6.0, 2.5),
+         Visibility.VISIBLE),
+        # flat in x and just outside the footprint
+        ((1.5, -5.0, 2.0), (1.5, 5.0, 0.9), Obstacle(0.0, -1.0, 1.0, 1.0, 2.5),
+         Visibility.VISIBLE),
+        # flat in y, grazing the face y = 1
+        ((-5.0, 1.0, 2.0), (5.0, 1.0, 0.9), Obstacle(-1.0, 0.0, 1.0, 1.0, 2.5),
+         Visibility.OCCLUDED),
+        # diagonal through the box's corner (0, 0)
+        ((-2.0, -2.0, 0.9), (2.0, 2.0, 0.9), Obstacle(0.0, -1.0, 1.0, 0.0, 2.5),
+         Visibility.OCCLUDED),
+        # level along the box's top face
+        ((-5.0, 0.5, 2.5), (5.0, 0.5, 2.5), Obstacle(-1.0, 0.0, 1.0, 1.0, 2.5),
+         Visibility.OCCLUDED),
+        # level just above the top face
+        ((-5.0, 0.5, 2.6), (5.0, 0.5, 2.6), Obstacle(-1.0, 0.0, 1.0, 1.0, 2.5),
+         Visibility.VISIBLE),
+        # the camera inside the footprint in x and y, above the box
+        ((0.5, 0.5, 3.0), (5.0, 0.5, 0.9), Obstacle(0.0, 0.0, 1.0, 1.0, 2.5),
+         Visibility.VISIBLE),
+        # the camera on the box's top face
+        ((0.5, 0.5, 2.5), (5.0, 0.5, 0.9), Obstacle(0.0, 0.0, 1.0, 1.0, 2.5),
+         Visibility.OCCLUDED),
+    ])
+    def test_edge_cases_equal_reference(self, camera, target, box, want):
+        cam = CameraPose(*camera, *bearing_to(camera, target), 1.0)
+        state = WorldState([cam, cam], TargetState(*target[:2], 0.1, target[:2],
+                                                   z=target[2]),
+                           [Obstacle(9.0, 9.0, 9.5, 9.5, 1.0), box], 0, 10.0,
+                           (0.05, 0.2), RngStream(0, 0))
+        outcome = observe(state)
+        assert outcome.visibility == [want, want]
+        assert_same_outcome(outcome, reference_observe(state))
+
+    @pytest.mark.parametrize("zoom", [0.5, 0.999, 3.31, 10.0, math.inf, math.nan])
+    def test_zoom_outside_range_raises(self, zoom):
+        world = spawn_episode(EpisodeConfig(), 3)
+        world.cameras[1] = dataclasses.replace(world.cameras[1], zoom=zoom)
+        with pytest.raises(ValueError, match="zoom"):
+            observe(world)
+
+    def test_step_raises_for_a_zoom_outside_range(self):
+        # apply_action clamps every zoom into range except NaN
+        world = spawn_episode(EpisodeConfig(), 3)
+        world.cameras[1] = dataclasses.replace(world.cameras[1], zoom=math.nan)
+        with pytest.raises(ValueError, match="zoom"):
+            step(world, [Action.KEEP_STILL] * 4)
+
+    def test_camera_at_the_target_raises(self):
+        world = spawn_episode(EpisodeConfig(), 2)
+        tx, ty, tz = world.target.point()
+        world.cameras[2] = dataclasses.replace(world.cameras[2], x=tx, y=ty, z=tz)
+        with pytest.raises(ValueError, match="coincident"):
+            observe(world)
+        world.target.pause_steps_remaining = 5
+        with pytest.raises(ValueError, match="coincident"):
+            step(world, [Action.KEEP_STILL] * 4)
+
+
+def aimed(world):
+    """The world with every camera turned toward the target at zoom 1, so
+    that each camera's visibility is decided by its sight line."""
+    tp = world.target.point()
+    world.cameras = [dataclasses.replace(c, zoom=1.0, **dict(zip(
+        ("pitch_deg", "yaw_deg"), bearing_to((c.x, c.y, c.z), tp))))
+        for c in world.cameras]
+    return world
+
+
+def fresh(state):
+    """A WorldState with state's fields and no cached sight lines."""
+    return WorldState(list(state.cameras), state.target, list(state.obstacles),
+                      state.t, state.arena_half, state.speed_range, state.rng)
+
+
+def moved(cams):
+    """The cameras mirrored through the arena's center, still aimed inward."""
+    return [dataclasses.replace(c, x=-c.x, y=-c.y) for c in cams]
+
+
+def shifted(boxes):
+    return [Obstacle(b.min_x + 1.5, b.min_y - 2.0, b.max_x + 1.5, b.max_y - 2.0,
+                     b.height) for b in boxes]
+
+
+def move_cameras(world):
+    world.cameras = moved(world.cameras)
+    return world
+
+
+def move_one_camera_in_place(world):
+    world.cameras[1] = moved(world.cameras)[1]
+    return world
+
+
+def replace_obstacles(world):
+    world.obstacles = shifted(world.obstacles)
+    return world
+
+
+def edit_obstacles_in_place(world):
+    world.obstacles[1:] = shifted(world.obstacles[1:])
+    return world
+
+
+def drop_obstacles_in_place(world):
+    del world.obstacles[::2]
+    return world
+
+
+def replace_cameras(world):
+    return dataclasses.replace(world, cameras=moved(world.cameras))
+
+
+def replace_with_fewer_cameras(world):
+    return dataclasses.replace(world, cameras=world.cameras[2:])
+
+
+def replace_with_no_obstacles(world):
+    return dataclasses.replace(world, obstacles=[])
+
+
+class TestSightLines:
+    """observe's per-episode sight-line constants: built once, carried by
+    step, rebuilt when stale, and invisible to equality and repr."""
+
+    @pytest.mark.parametrize("change", [
+        move_cameras, move_one_camera_in_place, replace_obstacles,
+        edit_obstacles_in_place, drop_obstacles_in_place, replace_cameras,
+        replace_with_fewer_cameras, replace_with_no_obstacles])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stale_constants_are_rebuilt(self, change, seed):
+        world = aimed(spawn_episode(EpisodeConfig(n_obstacles=15), seed))
+        observe(world)
+        changed = aimed(change(world))
+        assert_same_outcome(observe(changed), outcome_fields(observe(fresh(changed))))
+
+    def test_built_once_and_carried_by_step(self):
+        world = spawn_episode(EpisodeConfig(), 7)
+        assert world.sight is None
+        observe(world)
+        sight = world.sight
+        assert sight is not None
+        observe(world)
+        assert world.sight is sight
+        for _ in range(20):
+            world = step(world, [Action.LEFT, Action.ZOOM_IN, Action.UP,
+                                 Action.KEEP_STILL]).state
+            assert world.sight is sight
+
+    def test_take_no_part_in_equality_or_repr(self):
+        world = spawn_episode(EpisodeConfig(), 4)
+        plain = spawn_episode(EpisodeConfig(), 4)
+        observe(world)
+        assert world.sight is not None and plain.sight is None
+        assert world == plain
+        assert repr(world) == repr(plain)
+
+
 class TestEpisodeProperties:
     """Random seeds, configs, controllers and switchers, 200 steps each."""
 
