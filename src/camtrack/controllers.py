@@ -44,7 +44,7 @@ from .geometry import (
     bearings,
     clamp_pitch,
     clamp_zoom,
-    wrap_angles,
+    yaw_errors,
 )
 from .rng import RngStream
 from .world import (
@@ -330,11 +330,13 @@ def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
     """tracker_action for every camera of a batch: poses and the
     bearing and distance to each camera's target, all of one shape, give
     action indices of that shape. Same terms, same left-to-right sums, and
-    np.argmin keeps the first of equal scores."""
+    np.argmin keeps the first of equal scores; each yaw term's
+    abs(wrap_angle(...)) is geometry.yaw_errors, which gives it without the
+    wrap."""
     pitch_terms = np.abs(clamp_pitch(pitch[..., None] + _PITCH_DELTAS)
                          - bearing_pitch[..., None]) / ALPHA_MAX_DEG
-    yaw_terms = np.abs(wrap_angles(yaw[..., None] + _YAW_DELTAS
-                                   - bearing_yaw[..., None])) / BETA_MAX_DEG
+    yaw_terms = yaw_errors(yaw[..., None] + _YAW_DELTAS
+                           - bearing_yaw[..., None]) / BETA_MAX_DEG
     zoom_terms = np.abs(clamp_zoom(zoom[..., None] + _ZOOM_DELTAS)
                         - desired_zooms(distance)[..., None]) / ZOOM_ERROR_NORM
     scores = (pitch_terms[..., _TERMS[0]] + yaw_terms[..., _TERMS[1]]
@@ -350,21 +352,25 @@ def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarr
 
     The normal equations are summed one camera at a time in camera order,
     as triangulate sums them, and the successful rows share one stacked
-    solve."""
-    # cos and sin with math, one element at a time: numpy's may round differently
-    rad = [math.radians(a) for a in yaw.ravel().tolist()]
-    cos = np.array(list(map(math.cos, rad))).reshape(yaw.shape)
-    sin = np.array(list(map(math.sin, rad))).reshape(yaw.shape)
-    a00 = 1.0 - cos * cos
-    a01 = -cos * sin
-    a11 = 1.0 - sin * sin
-    x, y = origin[..., 0], origin[..., 1]
-    terms = np.stack([a00, a01, a11, a00 * x + a01 * y, a01 * x + a11 * y], axis=-1)
-    terms = np.where(contributes[..., None], terms, 0.0)
-    sums = np.zeros((yaw.shape[0], 5))
+    solve. np.radians is math.radians' one multiplication by pi / 180; cos
+    and sin are taken with math, one element at a time, because numpy's may
+    round differently, and come back in one array."""
+    rad = np.radians(yaw).ravel().tolist()
+    cos_sin = np.array([list(map(math.cos, rad)), list(map(math.sin, rad))]
+                       ).reshape((2,) + yaw.shape)
+    # each camera's five terms, axis first: a00, a01, a11 and the right-hand
+    # side (a00, a01) * x + (a01, a11) * y; a non-contributor's are zeroed,
+    # so it adds nothing
+    terms = np.empty((5,) + yaw.shape)
+    np.subtract(1.0, cos_sin * cos_sin, out=terms[0:3:2])
+    np.multiply(-cos_sin[0], cos_sin[1], out=terms[1])
+    np.multiply(terms[0:2], origin[..., 0], out=terms[3:])
+    terms[3:] += terms[1:3] * origin[..., 1]
+    terms[:, ~contributes] = 0.0
+    sums = np.zeros((5, yaw.shape[0]))
     for c in range(yaw.shape[1]):
-        sums += terms[:, c]
-    m00, m01, m11 = sums[:, 0], sums[:, 1], sums[:, 2]
+        sums += terms[..., c]
+    m00, m01, m11 = sums[:3]
     det = m00 * m11 - m01 * m01
     l_max = 0.5 * (m00 + m11) + np.array(
         list(map(math.hypot, (0.5 * (m00 - m11)).tolist(), m01.tolist())))
@@ -373,8 +379,9 @@ def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarr
     ok = (contributes.sum(axis=1) >= 2) & (condition <= TRIANGULATION_MAX_CONDITION)
     estimate = np.full((yaw.shape[0], 2), np.nan)
     if ok.any():
-        normal = sums[ok][:, [0, 1, 1, 2]].reshape(-1, 2, 2)
-        estimate[ok] = np.linalg.solve(normal, sums[ok][:, 3:, None])[..., 0]
+        rows = sums.T[ok]
+        estimate[ok] = np.linalg.solve(rows[:, [0, 1, 1, 2]].reshape(-1, 2, 2),
+                                       rows[:, 3:, None])[..., 0]
     return estimate, ok
 
 
@@ -412,21 +419,21 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if kinds.shape != labels.shape[:1]:
         raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
                          f"got {kinds.shape}")
-    unknown = set(kinds.tolist()).difference(SYSTEMS)
+    names = set(kinds.tolist())
+    unknown = names.difference(SYSTEMS)
     if unknown:
         raise ValueError(f"unknown system in {sorted(unknown)}")
-    sv, geometric, learned = kinds == "sv", kinds == "geometric", kinds == "learned"
-    if geometric.any() and memory is None:
+    if "geometric" in names and memory is None:
         raise ValueError("geometric controller needs a BatchMemory")
-    if learned.any() and params is None:
+    if "learned" in names and params is None:
         raise ValueError("learned controller needs params")
     label0 = labels == 0
     origin = state.origin[state.world]
-    keep_still = sv[:, None] & (outcome.visibility != VIS_VISIBLE)
+    keep_still = (kinds == "sv")[:, None] & (outcome.visibility != VIS_VISIBLE)
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
-    if geometric.any():
-        geo_pose = label0 & geometric[:, None]
+    if "geometric" in names:
+        geo_pose = label0 & (kinds == "geometric")[:, None]
         envs = np.flatnonzero(geo_pose.any(axis=1))
         if envs.size:
             estimate, ok = batch_triangulate(origin[envs], state.yaw[envs],
@@ -448,8 +455,8 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
                                    b_pitch, b_yaw, distance)
     actions[keep_still] = Action.KEEP_STILL
-    if learned.any():
-        learned_pose = label0 & learned[:, None]
+    if "learned" in names:
+        learned_pose = label0 & (kinds == "learned")[:, None]
         for e in np.flatnonzero(learned_pose.any(axis=1)).tolist():
             raws = nn.pose_tuples(origin[e], state.pitch[e], state.yaw[e],
                                   labels[e], state.envs[state.world[e]].arena_half)

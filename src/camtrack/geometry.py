@@ -270,41 +270,52 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where(r > 180.0, r - 360.0, r)
 
 
+def yaw_errors(a: np.ndarray) -> np.ndarray:
+    """abs(wrap_angles(a)), the yaw error on the circle, bit for bit: with
+    r = a mod 360, it is r up to 180 and 360 - r above, and r - 360 and
+    360 - r are both exact there, so min(r, 360 - r) needs no wrap."""
+    r = np.mod(a, 360.0)
+    return np.minimum(r, 360.0 - r)
+
+
 def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bearing_to over an array of target-minus-origin vectors (..., 3) ->
     (pitch, yaw, distance) arrays; raises for coincident points. hypot and
     atan2 are taken with math, one element at a time, because numpy's round
-    differently; the degree conversion is one multiplication in both. The
+    differently; the deltas make one list round trip, and both angles share
+    one degree conversion, a multiplication in numpy as in math. The
     distance hypot(dx, dy, dz) is math.dist(origin, target) bit for bit:
-    both take the same norm of the same absolute differences."""
-    if not delta.any(axis=-1).all():
+    both take the same norm of the same absolute differences, and it is 0
+    exactly when all three components are, which marks coincident points
+    (a NaN delta gives a NaN distance and is not rejected)."""
+    flat = delta.ravel().tolist()
+    dx, dy, dz = flat[0::3], flat[1::3], flat[2::3]
+    distance = list(map(math.hypot, dx, dy, dz))
+    if 0.0 in distance:
         raise ValueError("bearing undefined for coincident points")
-    dx, dy, dz = (delta[..., i].ravel().tolist() for i in range(3))
-    horizontal = list(map(math.hypot, dx, dy))
     shape = delta.shape[:-1]
-    yaw = np.degrees(np.array(list(map(math.atan2, dy, dx)))).reshape(shape)
-    pitch = np.degrees(np.array(list(map(math.atan2, dz, horizontal)))).reshape(shape)
-    distance = np.array(list(map(math.hypot, dx, dy, dz))).reshape(shape)
-    return pitch, wrap_angles(yaw), distance
+    pitch, yaw = np.degrees(np.array([
+        list(map(math.atan2, dz, map(math.hypot, dx, dy))),
+        list(map(math.atan2, dy, dx))])).reshape((2,) + shape)
+    return pitch, wrap_angles(yaw), np.array(distance).reshape(shape)
 
 
-def sight_lines_blocked(direction: np.ndarray, box_lo: np.ndarray,
-                        box_hi: np.ndarray) -> np.ndarray:
+def sight_lines_blocked(direction: np.ndarray, box: np.ndarray) -> np.ndarray:
     """sight_line_blocked over arrays: sight lines (..., 3) and every box's
-    lower and upper corners minus the sight line's origin, axis first
-    (3, ..., O) -> whether each sight line meets a box (...)."""
+    lower and upper corners minus the sight line's origin, corner then axis
+    first (2, 3, ..., O) -> whether each sight line meets a box (...)."""
     # The three slabs combine element-wise. A slab whose direction component
-    # is 0 passes exactly when the origin lies within it (box_lo <= 0 <=
-    # box_hi), and sets no bound on t.
-    axis_dir = np.moveaxis(direction, -1, 0)[..., None]   # (3, ..., 1)
+    # is 0 passes exactly when the origin lies within it (lower corner <= 0
+    # <= upper corner), and sets no bound on t; its 1 / d is never read.
+    # (3, ..., 1): a transpose, which costs less than np.moveaxis
+    axis_dir = direction.transpose((direction.ndim - 1,)
+                                   + tuple(range(direction.ndim - 1)))[..., None]
     flat = axis_dir == 0.0
-    inv = np.divide(1.0, axis_dir, out=np.zeros_like(axis_dir), where=~flat)
-    t0 = box_lo * inv
-    t1 = box_hi * inv
-    near = np.minimum(t0, t1)
-    far = np.maximum(t0, t1)
+    t = box * (1.0 / np.where(flat, 1.0, axis_dir))
+    near = np.minimum(t[0], t[1])
+    far = np.maximum(t[0], t[1])
     if flat.any():
-        inside = (box_lo <= 0.0) & (box_hi >= 0.0)
+        inside = (box[0] <= 0.0) & (box[1] >= 0.0)
         near = np.where(flat, np.where(inside, -np.inf, np.inf), near)
         far = np.where(flat, np.where(inside, np.inf, -np.inf), far)
     enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)

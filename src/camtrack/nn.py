@@ -127,14 +127,16 @@ def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
                 labels: np.ndarray, arena_half: float) -> np.ndarray:
     """Normalized (x, y, z, sin yaw, cos yaw, pitch, label) tuples (..., 7)
     of camera origins (..., 3), pitches, yaws and labels (...), filled one
-    column at a time with raw_tuples' arithmetic. sin and cos stay in
-    math: numpy's vectorized kernels need not round as libm does."""
+    column at a time with raw_tuples' arithmetic. np.radians is
+    math.radians' one multiplication by pi / 180; sin and cos stay in math,
+    because numpy's vectorized kernels need not round as libm does, and come
+    back in one array."""
     raws = np.empty(pitch.shape + (RAW_SIZE,))
     raws[..., :2] = origin[..., :2] / arena_half
     raws[..., 2] = origin[..., 2] / HEIGHT_NORM
-    radians = list(map(math.radians, yaw.ravel().tolist()))
-    raws[..., 3] = np.reshape(list(map(math.sin, radians)), pitch.shape)
-    raws[..., 4] = np.reshape(list(map(math.cos, radians)), pitch.shape)
+    radians = np.radians(yaw).ravel().tolist()
+    sin_cos = np.array([list(map(math.sin, radians)), list(map(math.cos, radians))])
+    raws[..., 3:5] = sin_cos.T.reshape(pitch.shape + (2,))
     raws[..., 5] = pitch / PITCH_NORM
     raws[..., 6] = labels
     return raws

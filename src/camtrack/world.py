@@ -52,6 +52,7 @@ from .geometry import (
     sight_lines_blocked,
     wrap_angle,
     wrap_angles,
+    yaw_errors,
 )
 from .rng import RngStream
 
@@ -432,8 +433,8 @@ class BatchState:
 
     A world is one episode's layout and target walk: envs[w] holds its
     target, obstacles, rng and t (its cameras list is empty), origin[w] its
-    cameras' positions, and box_lo[:, w] and box_hi[:, w] every obstacle's
-    lower and upper corner minus every camera's origin, axis first: the
+    cameras' positions, and box[:, :, w] every obstacle's lower and upper
+    corner minus every camera's origin, corner then axis first: the
     subtractions the slab test makes, done once per world because the
     cameras never move. A row is one set of camera poses on a world:
     world[e] is row e's world, and pitch, yaw and zoom hold the rows' poses.
@@ -446,8 +447,7 @@ class BatchState:
     pitch: np.ndarray    # (E, C)
     yaw: np.ndarray      # (E, C)
     zoom: np.ndarray     # (E, C)
-    box_lo: np.ndarray   # (3, W, C, O)
-    box_hi: np.ndarray   # (3, W, C, O)
+    box: np.ndarray      # (2, 3, W, C, O)
 
 
 @dataclass(slots=True)
@@ -494,32 +494,36 @@ def batch_world(worlds: list[WorldState],
     pitch, yaw, zoom = np.moveaxis(cams[rows, :, 3:], -1, 0).copy()
     corners = np.array([[(b.min_x, b.min_y, 0.0, b.max_x, b.max_y, b.height)
                          for b in w.obstacles] for w in worlds], dtype=float)
-    # (2, 3, W, 1, O) lower and upper corners minus (3, W, C, 1) origins
-    box_lo, box_hi = (np.moveaxis(corners.reshape(len(worlds), n_obs, 6), -1, 0)
-                      .reshape(2, 3, len(worlds), 1, n_obs)
-                      - np.moveaxis(origin, -1, 0)[..., None])
+    # (2, 3, W, 1, O) lower and upper corners minus (3, W, C, 1) origins, laid
+    # out contiguously: the difference of the two transposed views is not,
+    # and the slab test of every step runs about twice as fast on it
+    box = np.ascontiguousarray(
+        np.moveaxis(corners.reshape(len(worlds), n_obs, 6), -1, 0)
+        .reshape(2, 3, len(worlds), 1, n_obs) - np.moveaxis(origin, -1, 0)[..., None])
     envs = [WorldState([], w.target, w.obstacles, w.t, w.arena_half, w.speed_range,
                        w.rng) for w in worlds]
-    return BatchState(envs, rows, origin, pitch, yaw, zoom, box_lo, box_hi)
+    return BatchState(envs, rows, origin, pitch, yaw, zoom, box)
 
 
 def batch_observe(state: BatchState) -> BatchOutcome:
     """observe for every row of the batch. Once per world: each camera's
-    bearing and distance to the target and one slab test per obstacle along
-    its sight line. Then per row, reading its world's values: the angle
-    errors, visibility (field of view first, then the sight line) and the
-    clipped reward."""
+    bearing and distance to the target (geometry.bearings) and one slab
+    test per obstacle along its sight line (geometry.sight_lines_blocked
+    over BatchState.box). Then per row, reading its world's values: the
+    angle errors, the yaw error as geometry.yaw_errors, observe's
+    abs(wrap) without the wrap, visibility (field of view first, then the
+    sight line) and the clipped reward."""
     direction = (np.array([env.target.point() for env in state.envs])[:, None, :]
                  - state.origin)
     b_pitch, b_yaw, distance = bearings(direction)
 
-    occluded = sight_lines_blocked(direction, state.box_lo, state.box_hi)
+    occluded = sight_lines_blocked(direction, state.box)
 
     # each row reads its world's values
     w = state.world
     b_pitch, b_yaw, distance, occluded = b_pitch[w], b_yaw[w], distance[w], occluded[w]
     d_alpha = np.abs(state.pitch - b_pitch)
-    d_beta = np.abs(wrap_angles(state.yaw - b_yaw))
+    d_beta = yaw_errors(state.yaw - b_yaw)
     d_xi = np.abs(state.zoom - desired_zooms(distance))
     out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
            | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))

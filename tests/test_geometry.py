@@ -18,6 +18,8 @@ from camtrack.geometry import (
     segment_hits_box,
     sight_line_blocked,
     wrap_angle,
+    wrap_angles,
+    yaw_errors,
 )
 from camtrack.rng import RngStream
 from camtrack.world import TargetState, Visibility, WorldState, observe
@@ -108,6 +110,37 @@ class TestWrapAngle:
         assert wrap_angle(a + 360.0 * k) == pytest.approx(wrap_angle(a), abs=1e-6)
 
 
+class TestYawErrors:
+    """yaw_errors against abs(wrap_angles(x)), bit for bit. Infinite and NaN
+    inputs give NaN in both, whose sign bit carries no value."""
+
+    @staticmethod
+    def check(values):
+        a = np.asarray(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            got, want = yaw_errors(a), np.abs(wrap_angles(a))
+        nan = np.isnan(want)
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_named_edge_values(self):
+        edges = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, 1e-300,
+                 -1e-300, 5e-324, -5e-324, 1e17, np.nextafter(180.0, np.inf),
+                 np.nextafter(180.0, -np.inf), np.nan]
+        self.check(edges)
+        # a tiny negative angle wraps to 360 mod 360, and so to an error of 0
+        assert yaw_errors(np.array([-1e-300, -0.0])).tolist() == [0.0, 0.0]
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_any_floats(self, values):
+        self.check(values)
+
+    def test_keeps_the_shape(self):
+        a = np.random.default_rng(3).uniform(-1e3, 1e3, size=(4, 5, 3))
+        assert yaw_errors(a).shape == a.shape
+        self.check(a)
+
+
 class TestBearing:
     def test_axis_aligned(self):
         pitch, yaw = bearing_to((0, 0, 0), (1, 0, 0))
@@ -193,6 +226,29 @@ class TestBearings:
         delta = np.array([[1.0, 2.0, 3.0], [0.0, -0.0, 0.0]])
         with pytest.raises(ValueError, match="coincident"):
             bearings(delta)
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_one_zero_row_among_nonzero_rows_rejected(self, row):
+        # the nonzero rows include subnormal and one-axis deltas, whose
+        # distance is tiny but not 0
+        delta = np.array([[5e-324, 0.0, 0.0], [0.0, -5e-324, 0.0], [1.0, 2.0, 3.0],
+                          [0.0, 0.0, -1e-300], [-4.0, 0.5, 0.0], [1e300, 0.0, 0.0],
+                          [0.0, 7.0, 0.0]])
+        bearings(delta)
+        delta[row] = (-0.0, 0.0, -0.0)
+        with pytest.raises(ValueError, match="coincident"):
+            bearings(delta.reshape(7, 1, 3))
+
+    def test_nan_rows_are_not_rejected(self):
+        nan = math.nan
+        delta = np.array([[1.0, 2.0, 3.0], [nan, 0.0, 0.0], [0.0, 0.0, nan],
+                          [nan, nan, nan], [-2.0, 0.5, 1.0]])
+        pitch, yaw, distance = bearings(delta)
+        assert np.isnan(pitch).tolist() == [False, True, True, True, False]
+        # atan2(0, 0) = 0: a NaN height leaves the yaw of (0, 0) defined
+        assert np.isnan(yaw).tolist() == [False, True, False, True, False]
+        assert np.isnan(distance).tolist() == [False, True, True, True, False]
+        self.check([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, 2.0, 3.0], [-1.0, 1.5, 2.0]])
 
 
 class TestAngleError:

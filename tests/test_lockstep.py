@@ -6,6 +6,7 @@ system_action, and compare_systems and run_lockstep against per-seed
 run_episode summaries and records; and the scalar path's tracker fed the
 previous observation against virtual_tracker_action on the true target."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -200,7 +201,7 @@ class TestBatchStep:
         cfg = EpisodeConfig(n_obstacles=0)
         world = spawn_episode(cfg, 9)
         state = batch_world([spawn_episode(cfg, 9)])
-        assert state.box_lo.shape == (3, 1, 4, 0)
+        assert state.box.shape == (2, 3, 1, 4, 0)
         for _ in range(50):
             actions = [Action.LEFT, Action.ZOOM_IN, Action.TOP_RIGHT, Action.KEEP_STILL]
             scalar = step(world, actions)
@@ -413,6 +414,30 @@ class TestBatchTriangulate:
         for est, r in zip(estimate.tolist(), results):
             if r.ok:
                 assert bits(est) == bits(r.estimate)
+        assert 0 < ok.sum() < len(groups)
+
+    def test_seam_yaws_and_few_contributors(self):
+        # at yaw 0 and -0 a01 = -cos * sin is -0.0 and +0.0; at +-90 and 180
+        # cos or sin is a rounding residue of pi / 2 or pi
+        seams = [0.0, -0.0, 90.0, -90.0, 180.0]
+        rng = np.random.default_rng(4)
+        groups = []
+        for yaws in itertools.product(seams, repeat=3):
+            for labels in itertools.product((0, 1), repeat=3):
+                poses = [CameraPose(rng.uniform(-10, 10), rng.uniform(-10, 10), 2.5,
+                                    0.0, yaw, 1.0) for yaw in yaws]
+                groups.append((poses, list(labels)))
+        origin, _, yaw, labels = step_arrays(groups)
+        estimate, ok = batch_triangulate(origin, yaw, labels == 1)
+        results = [triangulate(poses, labels) for poses, labels in groups]
+        assert ok.tolist() == [r.ok for r in results]
+        for est, r, row in zip(estimate.tolist(), results, labels.tolist()):
+            if r.ok:
+                assert bits(est) == bits(r.estimate)
+            else:
+                assert all(math.isnan(v) for v in est)
+            if sum(row) < 2:
+                assert not r.ok
         assert 0 < ok.sum() < len(groups)
 
 
