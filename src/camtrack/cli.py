@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import ConfigError, EpisodeConfig, TrainConfig, check_seed, load_config
@@ -29,9 +30,9 @@ from .io import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
+    train_log_writer,
     write_comparison_csv,
     write_episode_log,
-    write_train_log,
 )
 from .training import train_pose_controller
 
@@ -99,10 +100,11 @@ def _cmd_train(args) -> int:
     if args.steps is not None:
         train_cfg.total_steps = args.steps
     train_cfg.validate()
-    params, log = train_pose_controller(train_cfg, episode_cfg)
+    # an unwritable --log fails here, before any training
+    with train_log_writer(args.log) if args.log else nullcontext() as append_row:
+        params, log = train_pose_controller(train_cfg, episode_cfg,
+                                            on_update=append_row)
     save_checkpoint(params, args.out)
-    if args.log:
-        write_train_log(log, args.log)
     summary = (f"{len(log)} updates, final mean reward {log[-1].mean_reward_g0:.3f}"
                if log else "no update ran")
     print(f"trained {train_cfg.total_steps} pose-controller steps ({summary})")

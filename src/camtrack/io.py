@@ -3,12 +3,15 @@
 Checkpoints are a small binary format so parameters round-trip bit-exactly;
 episode logs are JSONL with floats cut to 9 significant digits, each line
 formatted directly from its record and each distinct float formatted once
-per file; training and comparison results are plain CSV.
+per file; training and comparison results are plain CSV, the training log
+one row per update as it finishes.
 """
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -144,12 +147,27 @@ TRAIN_LOG_COLUMNS = ("update_idx", "env_steps", "mean_reward_g0",
                      "entropy", "value_loss", "grad_norm")
 
 
+@contextmanager
+def train_log_writer(path: str | Path) -> Iterator[Callable[[UpdateStats], None]]:
+    """Create the training-log CSV at path, write its header at once, and
+    yield a function that appends one row and flushes it, so a run that
+    stops early keeps the rows of its finished updates."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(TRAIN_LOG_COLUMNS) + "\n")
+        f.flush()
+
+        def append(r: UpdateStats) -> None:
+            f.write(f"{r.update_idx},{r.env_steps},{r.mean_reward_g0!r},"
+                    f"{r.entropy!r},{r.value_loss!r},{r.grad_norm!r}\n")
+            f.flush()
+
+        yield append
+
+
 def write_train_log(rows: list[UpdateStats], path: str | Path) -> None:
-    lines = [",".join(TRAIN_LOG_COLUMNS)]
-    for r in rows:
-        lines.append(f"{r.update_idx},{r.env_steps},{r.mean_reward_g0!r},"
-                     f"{r.entropy!r},{r.value_loss!r},{r.grad_norm!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with train_log_writer(path) as append:
+        for r in rows:
+            append(r)
 
 
 def write_comparison_csv(summaries: list[SystemSummary], path: str | Path) -> None:

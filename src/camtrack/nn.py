@@ -15,6 +15,9 @@ asked-for cameras' features. Training runs group_forward (value head and
 backward cache too); the greedy controller runs greedy_actions: only the
 trunk and policy head over its label-0 rows. Both read _encode and _trunk,
 so a greedy action is the argmax of the log-probabilities training computes.
+backward takes the forward's cache, and the log-probabilities when the
+caller already has them, and leaves each row's entropy in the cache, so one
+forward and one log_softmax serve a sample and its update.
 """
 from __future__ import annotations
 
@@ -106,13 +109,15 @@ def init_params(seed: int) -> PolicyParams:
 @dataclass
 class ForwardCache:
     """Intermediates kept for the backward pass, one row per sample (a 1-D
-    forward keeps 1-D arrays).
+    forward keeps 1-D arrays): 162 floats per row (features, h1, h2 and
+    logits), plus 23 per camera of each group.
 
     raws, embeds and group are only present when the features were built
     from pose tuples: raws (G, C, 7) and embeds (G, C, 16) hold G groups of C
     cameras that share one mean-pooled embedding, and row b's features were
     pooled over group[b]. Without them the embed layer receives zero
-    gradient."""
+    gradient. entropy is None until backward writes each row's policy
+    entropy (rows,) into it."""
 
     features: np.ndarray
     h1: np.ndarray
@@ -121,6 +126,7 @@ class ForwardCache:
     raws: np.ndarray | None = None
     embeds: np.ndarray | None = None
     group: np.ndarray | None = None
+    entropy: np.ndarray | None = None
 
 
 def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
@@ -269,7 +275,8 @@ def loss_value(logits: np.ndarray, value, action, advantage, return_target,
 
 def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
              return_target, entropy_coeff: float, value_coeff: float,
-             out: PolicyParams | None = None) -> PolicyParams:
+             out: PolicyParams | None = None,
+             logp: np.ndarray | None = None) -> PolicyParams:
     """Exact gradients of the actor-critic loss
 
         L = sum over rows of  -log pi(action) * advantage
@@ -278,8 +285,11 @@ def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
 
     with respect to every parameter array. action, advantage and
     return_target are scalars for a 1-D cache and per-row arrays for a batch;
-    the advantage is treated as a constant. The gradients are added to out
-    when given, else to fresh zeros; returns the PolicyParams holding them.
+    the advantage is treated as a constant. logp, when given, is
+    log_softmax(cache.logits), taken by the caller (a sampler, say), and is
+    not computed again. The gradients are added to out when given, else to
+    fresh zeros; returns the PolicyParams holding them. Each row's entropy
+    H(pi) is left in cache.entropy.
     """
     f = np.atleast_2d(cache.features)
     h1 = np.atleast_2d(cache.h1)
@@ -295,8 +305,14 @@ def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
     advantage = np.broadcast_to(np.asarray(advantage, dtype=float), (rows,))
     return_target = np.broadcast_to(np.asarray(return_target, dtype=float), (rows,))
 
-    logp = log_softmax(logits)
+    if logp is None:
+        logp = log_softmax(logits)
+    else:
+        logp = np.atleast_2d(logp)
+        if logp.shape != logits.shape:
+            raise ValueError(f"logp has shape {logp.shape}, expected {logits.shape}")
     p, ent = _entropy(logp)
+    cache.entropy = ent
     value = h2 @ params.value_w[0] + params.value_b[0]
 
     # policy head: d(-logp[a] * A)/dlogits = A * (p - onehot)

@@ -425,6 +425,54 @@ class TestBatchedBackward:
         assert [nn.sample_action(p, x) for p, x in zip(probs, u)] == batch.tolist()
 
 
+class TestBackwardGivenLogp:
+    """backward given the log-probabilities its caller already took, as
+    training's sampler does: a 1-D cache (with embed gradients) and a batched
+    group cache."""
+
+    @pytest.fixture(params=["one row", "group batch"])
+    def case(self, request):
+        rng = np.random.default_rng(15)
+        params = rand_params(rng)
+        if request.param == "one row":
+            poses, labels = rand_step(rng)
+            _, _, cache = nn.policy_forward(params, 2, poses, labels, 10.0)
+            rows = ()
+        else:
+            raws = group_tuples([rand_step(rng) for _ in range(3)])
+            _, _, cache = nn.group_forward(params, raws, TestBatchedBackward.GROUP,
+                                           TestBatchedBackward.CAM)
+            rows = (len(TestBatchedBackward.GROUP),)
+        action = rng.integers(0, 11, rows)
+        adv, ret = rng.normal(size=rows), rng.normal(size=rows)
+        return params, cache, action, adv, ret
+
+    def test_gradients_equal_backward_without_logp(self, case):
+        params, cache, action, adv, ret = case
+        want = nn.backward(params, cache, action, adv, ret, 0.01, 0.5)
+        got = nn.backward(params, cache, action, adv, ret, 0.01, 0.5,
+                          logp=nn.log_softmax(cache.logits))
+        for name, arr in want.arrays():
+            assert np.any(arr != 0.0), name
+            assert np.array_equal(getattr(got, name), arr), name
+
+    def test_entropy_equals_nn_entropy(self, case):
+        params, cache, action, adv, ret = case
+        nn.backward(params, cache, action, adv, ret, 0.01, 0.5,
+                    logp=nn.log_softmax(cache.logits))
+        assert cache.entropy.shape == (np.atleast_2d(cache.logits).shape[0],)
+        assert np.array_equal(cache.entropy, np.atleast_1d(nn.entropy(cache.logits)))
+
+    def test_wrong_shape_rejected(self, case):
+        params, cache, action, adv, ret = case
+        logp = np.atleast_2d(nn.log_softmax(cache.logits))
+        rows = logp.shape[0]
+        for bad in (logp[:, :-1], np.zeros((rows + 1, nn.N_ACTIONS)),
+                    np.zeros((2, rows, nn.N_ACTIONS))):
+            with pytest.raises(ValueError, match="logp has shape"):
+                nn.backward(params, cache, action, adv, ret, 0.01, 0.5, logp=bad)
+
+
 class TestSampleAction:
     @pytest.mark.parametrize("weights", [
         [1.0] * 11,

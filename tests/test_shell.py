@@ -1,7 +1,10 @@
 """Config files, rng streams, checkpoints, episode logs, and the CLI."""
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camtrack
 from camtrack import nn
 from camtrack.cli import cli_main
 from camtrack.config import ConfigError, EpisodeConfig, TrainConfig, load_config, save_config
@@ -22,7 +26,7 @@ from camtrack.io import (
     write_train_log,
 )
 from camtrack.rng import RngStream
-from camtrack.training import UpdateStats
+from camtrack.training import UpdateStats, train_pose_controller
 from camtrack.world import Visibility
 
 
@@ -495,6 +499,63 @@ class TestCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert cli_main(["rollout", "--out", str(blocker / "o.jsonl")]) == 1
+
+    def test_unwritable_train_log_exits_one_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import camtrack.cli
+
+        started = []
+        monkeypatch.setattr(camtrack.cli, "train_pose_controller",
+                            lambda *args, **kwargs: started.append(args))
+        out = tmp_path / "p.ckpt"
+        assert cli_main(["train", "--steps", "100", "--out", str(out),
+                         "--log", str(tmp_path / "missing" / "l.csv")]) == 1
+        assert "No such file" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    def test_train_log_rows_are_written_as_updates_finish(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_envs": 4, "rollout_len": 10}')
+        args = ["train", "--config", str(cfg), "--steps", "400"]
+        full = tmp_path / "full.csv"
+        assert cli_main(args + ["--out", str(tmp_path / "p.ckpt"),
+                                "--log", str(full)]) == 0
+        _, log = train_pose_controller(TrainConfig(n_envs=4, rollout_len=10,
+                                                   total_steps=400), EpisodeConfig())
+        write_train_log(log, tmp_path / "want.csv")
+        assert full.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        # with 16 cameras at p_pose 0.9, every step of a window has a label-0
+        # camera, so the 21st backward is the third update's first
+        real_backward = nn.backward
+        calls = []
+
+        def nan_from_the_third_update(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 20:
+                grads.policy_b[:] = np.nan
+            return grads
+
+        monkeypatch.setattr(nn, "backward", nan_from_the_third_update)
+        out = tmp_path / "q.ckpt"
+        cut = tmp_path / "cut.csv"
+        assert cli_main(args + ["--out", str(out), "--log", str(cut)]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+        assert cut.read_text().splitlines() == full.read_text().splitlines()[:3]
+
+    def test_python_dash_m_passes_the_exit_code(self, tmp_path):
+        src = Path(camtrack.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "camtrack", "train", "--steps", "-1",
+             "--out", str(tmp_path / "p.ckpt")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert "total_steps" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -147,6 +147,17 @@ class TestTrainPoseController:
                 0.09737099827076183]
         for row, value in zip(log, want):
             assert row.mean_reward_g0 == pytest.approx(value, rel=1e-9)
+        # the other logged columns, as the update computed them when it still
+        # ran a second forward per rollout step
+        assert [r.entropy for r in log] == [
+            2.355386294232718, 2.3391432112223756, 2.340809871875339,
+            2.345183639986318]
+        assert [r.value_loss for r in log] == [
+            30.97165395175596, 35.982970082767125, 38.20054929717217,
+            38.95615358542576]
+        assert [r.grad_norm for r in log] == [
+            9.016786072793373, 2.7632384097778533, 3.759872584968711,
+            2.6583190882048755]
 
     # pinned checkpoint bytes across resets: 500 is a multiple of 20, so
     # every episode ends on a window's last step, where the bootstrap is
