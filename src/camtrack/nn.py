@@ -11,13 +11,14 @@ A camera's input is its pose tuple and the pooled tuples of its step:
 raw_tuples builds one step's (C, 7) tuples from an episode's camera poses
 and labels, and pose_tuples the same values from the arrays of a batch.
 _encode, the one feature builder, embeds each group once and builds the
-asked-for cameras' features. Training runs group_forward (value head and
-backward cache too); the greedy controller runs greedy_actions: only the
-trunk and policy head over its label-0 rows. Both read _encode and _trunk,
-so a greedy action is the argmax of the log-probabilities training computes.
-backward takes the forward's cache, and the log-probabilities when the
-caller already has them, and leaves each row's entropy in the cache, so one
-forward and one log_softmax serve a sample and its update.
+asked-for cameras' features. Training runs forward, whose ForwardCache
+holds everything the sampler, the update and the training log read: the
+tuples, embeddings and intermediates, the log-probabilities, the values and
+each row's entropy. backward reads that cache and writes nothing into it, so
+one forward serves a sample and its update. The greedy controller runs
+greedy_actions: only the trunk and policy head over its label-0 rows. Both
+read _encode and _trunk, so a greedy action is the argmax of the
+log-probabilities training computes.
 """
 from __future__ import annotations
 
@@ -108,25 +109,26 @@ def init_params(seed: int) -> PolicyParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept for the backward pass, one row per sample (a 1-D
-    forward keeps 1-D arrays): 162 floats per row (features, h1, h2 and
-    logits), plus 23 per camera of each group.
+    """One forward over rows (group[b], cam[b]) of the pose tuples raws
+    (G, C, 7): everything the sampler, the update and the training log read
+    of it. The G groups of C cameras each share one mean-pooled embedding
+    (embeds (G, C, 16)), and row b's features were pooled over group[b].
+    Each row holds 175 floats (features, h1, h2, logits, logp, its value and
+    its policy entropy) and its group index; each camera of each group 23
+    floats (its tuple and embedding). A forward of one row (scalar group and
+    cam) keeps 1-D arrays and a scalar value and entropy. backward reads the
+    cache and writes nothing into it."""
 
-    raws, embeds and group are only present when the features were built
-    from pose tuples: raws (G, C, 7) and embeds (G, C, 16) hold G groups of C
-    cameras that share one mean-pooled embedding, and row b's features were
-    pooled over group[b]. Without them the embed layer receives zero
-    gradient. entropy is None until backward writes each row's policy
-    entropy (rows,) into it."""
-
+    raws: np.ndarray
+    embeds: np.ndarray
+    group: np.ndarray
     features: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     logits: np.ndarray
-    raws: np.ndarray | None = None
-    embeds: np.ndarray | None = None
-    group: np.ndarray | None = None
-    entropy: np.ndarray | None = None
+    logp: np.ndarray
+    values: np.ndarray
+    entropy: np.ndarray
 
 
 def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
@@ -191,52 +193,38 @@ def _trunk(params: PolicyParams, features: np.ndarray
     return h1, h2, h2 @ params.policy_w.T + params.policy_b
 
 
-def forward(params: PolicyParams,
-            features: np.ndarray) -> tuple[np.ndarray, float, ForwardCache]:
-    """Trunk and heads on prebuilt features -> (logits, value, cache).
-
-    features is one 23-vector or a batch (..., 23); a batch gives logits
-    (..., 11) and an array of values, a single vector a float value."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 0 or features.shape[-1] != FEATURE_SIZE:
-        raise ValueError(f"features must have shape (..., {FEATURE_SIZE}), "
-                         f"got {features.shape}")
+def forward(params: PolicyParams, raws: np.ndarray, group, cam) -> ForwardCache:
+    """Embedding, trunk and heads for rows (group[b], cam[b]) of the pose
+    tuples raws (G, C, 7), each group embedded once -> their ForwardCache.
+    Index arrays of any one shape (...) give logits (..., 11) and values
+    (...); scalar group and cam give one 1-D row."""
+    raws = np.asarray(raws, dtype=float)
+    if raws.ndim != 3 or raws.shape[-1] != RAW_SIZE:
+        raise ValueError(f"raws must have shape (G, C, {RAW_SIZE}), got {raws.shape}")
+    features, embeds = _encode(params, raws, group, cam)
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     h1, h2, logits = _trunk(params, features)
-    value = h2 @ params.value_w[0] + params.value_b[0]
-    if features.ndim == 1:
-        value = float(value)
-    return logits, value, ForwardCache(features, h1, h2, logits)
-
-
-def group_forward(params: PolicyParams, raws: np.ndarray, group, cam
-                  ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Forward for rows (group[b], cam[b]) of the tuples raws (G, C, 7), each
-    group embedded once -> logits (B, 11), values (B,) and a cache that also
-    supports embed-layer gradients. Scalar group and cam give one 1-D row;
-    index arrays of any one shape (...) give logits (..., 11)."""
-    features, embeds = _encode(params, raws, group, cam)
-    logits, values, cache = forward(params, features)
-    cache.raws, cache.embeds, cache.group = raws, embeds, np.atleast_1d(group)
-    return logits, values, cache
+    values = h2 @ params.value_w[0] + params.value_b[0]
+    logp = log_softmax(logits)
+    return ForwardCache(raws, embeds, np.atleast_1d(group), features, h1, h2,
+                        logits, logp, values, _entropy(logp))
 
 
 def policy_forward(params: PolicyParams, self_index: int, poses, labels,
                    arena_half: float) -> tuple[np.ndarray, float, ForwardCache]:
     """Full pipeline from one step's camera poses and labels for one camera,
-    the batch-of-one case of group_forward; the cache also supports
-    embed-layer gradients."""
-    return group_forward(params, raw_tuples(poses, labels, arena_half)[None], 0,
-                         self_index)
+    the batch-of-one case of forward -> (logits, value, cache)."""
+    cache = forward(params, raw_tuples(poses, labels, arena_half)[None], 0,
+                    self_index)
+    return cache.logits, float(cache.values), cache
 
 
 def greedy_actions(params: PolicyParams, raws: np.ndarray) -> np.ndarray:
     """Greedy action indices of the label-0 cameras of one step's pose
-    tuples raws (C, 7), in camera order: the argmax of log_softmax (lowest
-    index on ties) of the logits group_forward gives those rows: the same
-    _encode features and _trunk arithmetic, with no value head and no
-    backward cache."""
+    tuples raws (C, 7), in camera order: the argmax (lowest index on ties)
+    of the logp forward gives those rows, by the same _encode features and
+    _trunk arithmetic, with no value head, entropy or cache."""
     features, _ = _encode(params, raws, raws[:, 6] == 0.0)
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
@@ -249,16 +237,16 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, entropy over the last axis) from log-probabilities."""
+def _entropy(logp: np.ndarray) -> np.ndarray:
+    """Entropy over the last axis from log-probabilities."""
     p = np.exp(logp)
-    return p, -(p * np.where(p > 0.0, logp, 0.0)).sum(axis=-1)
+    return -(p * np.where(p > 0.0, logp, 0.0)).sum(axis=-1)
 
 
 def entropy(logits: np.ndarray):
     """Shannon entropy of the action distribution, in nats: a float for one
     logit vector, an array over the leading axes of a batch."""
-    h = _entropy(log_softmax(logits))[1]
+    h = _entropy(log_softmax(logits))
     return float(h) if h.ndim == 0 else h
 
 
@@ -275,45 +263,35 @@ def loss_value(logits: np.ndarray, value, action, advantage, return_target,
 
 def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
              return_target, entropy_coeff: float, value_coeff: float,
-             out: PolicyParams | None = None,
-             logp: np.ndarray | None = None) -> PolicyParams:
+             out: PolicyParams | None = None) -> PolicyParams:
     """Exact gradients of the actor-critic loss
 
         L = sum over rows of  -log pi(action) * advantage
                               + value_coeff * (value - return_target)^2
                               - entropy_coeff * H(pi)
 
-    with respect to every parameter array. action, advantage and
-    return_target are scalars for a 1-D cache and per-row arrays for a batch;
-    the advantage is treated as a constant. logp, when given, is
-    log_softmax(cache.logits), taken by the caller (a sampler, say), and is
-    not computed again. The gradients are added to out when given, else to
-    fresh zeros; returns the PolicyParams holding them. Each row's entropy
-    H(pi) is left in cache.entropy.
+    with respect to every parameter array, from forward's cache (its logp,
+    values and entropy included). action, advantage and return_target are
+    scalars for a 1-D cache and per-row arrays for a batch; the advantage is
+    treated as a constant. The gradients are added to out when given, else
+    to fresh zeros; returns the PolicyParams holding them.
     """
     f = np.atleast_2d(cache.features)
     h1 = np.atleast_2d(cache.h1)
     h2 = np.atleast_2d(cache.h2)
-    logits = np.atleast_2d(cache.logits)
+    logp = np.atleast_2d(cache.logp)
     rows = f.shape[0]
     if (f.shape != (rows, FEATURE_SIZE) or h1.shape != (rows, HIDDEN_SIZE)
-            or h2.shape != (rows, HIDDEN_SIZE) or logits.shape != (rows, N_ACTIONS)):
+            or h2.shape != (rows, HIDDEN_SIZE) or logp.shape != (rows, N_ACTIONS)):
         raise ValueError("cache does not match the parameter shapes")
     action = np.broadcast_to(np.asarray(action, dtype=np.intp), (rows,))
     if ((action < 0) | (action >= N_ACTIONS)).any():
         raise ValueError(f"action index out of range in {action}")
     advantage = np.broadcast_to(np.asarray(advantage, dtype=float), (rows,))
     return_target = np.broadcast_to(np.asarray(return_target, dtype=float), (rows,))
-
-    if logp is None:
-        logp = log_softmax(logits)
-    else:
-        logp = np.atleast_2d(logp)
-        if logp.shape != logits.shape:
-            raise ValueError(f"logp has shape {logp.shape}, expected {logits.shape}")
-    p, ent = _entropy(logp)
-    cache.entropy = ent
-    value = h2 @ params.value_w[0] + params.value_b[0]
+    p = np.exp(logp)
+    ent = np.atleast_1d(cache.entropy)
+    value = np.atleast_1d(cache.values)
 
     # policy head: d(-logp[a] * A)/dlogits = A * (p - onehot)
     d_logits = advantage[:, None] * p
@@ -338,16 +316,15 @@ def backward(params: PolicyParams, cache: ForwardCache, action, advantage,
     grads.trunk1_w += d_z1.T @ f
     grads.trunk1_b += d_z1.sum(axis=0)
 
-    if cache.raws is not None:
-        # each group's pooled embedding collects the gradient of all its rows;
-        # mean pooling spreads it evenly over the group's cameras
-        raws, embeds = cache.raws, cache.embeds
-        d_pooled = np.zeros((raws.shape[0], EMBED_SIZE))
-        np.add.at(d_pooled, cache.group, d_z1 @ params.trunk1_w[:, RAW_SIZE:])
-        d_z_embed = (d_pooled[:, None, :] / raws.shape[1]) * (1.0 - embeds * embeds)
-        d_z_embed = d_z_embed.reshape(-1, EMBED_SIZE)
-        grads.embed_w += d_z_embed.T @ raws.reshape(-1, RAW_SIZE)
-        grads.embed_b += d_z_embed.sum(axis=0)
+    # each group's pooled embedding collects the gradient of all its rows;
+    # mean pooling spreads it evenly over the group's cameras
+    raws, embeds = cache.raws, cache.embeds
+    d_pooled = np.zeros((raws.shape[0], EMBED_SIZE))
+    np.add.at(d_pooled, cache.group, d_z1 @ params.trunk1_w[:, RAW_SIZE:])
+    d_z_embed = (d_pooled[:, None, :] / raws.shape[1]) * (1.0 - embeds * embeds)
+    d_z_embed = d_z_embed.reshape(-1, EMBED_SIZE)
+    grads.embed_w += d_z_embed.T @ raws.reshape(-1, RAW_SIZE)
+    grads.embed_b += d_z_embed.sum(axis=0)
     return grads
 
 

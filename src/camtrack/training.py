@@ -9,7 +9,8 @@ reflects the steps where the tracker took over afterwards. Every
 environment starts at t = 0, so all episodes reach DEFAULT_EPISODE_STEPS on
 the same step, inside a window too: the whole batch is then re-spawned, and
 returns do not cross that boundary. Each rollout step runs one policy
-forward; the update reuses it, with the log-probabilities the sampler took.
+forward; the sampler reads its log-probabilities, and the update and the log
+read its cache.
 """
 from __future__ import annotations
 
@@ -41,16 +42,12 @@ class UpdateStats:
 
 @dataclass
 class _RolloutStep:
-    """What the update needs of one rollout step: the label-0 cameras as
-    (env, camera) index arrays, the forward over them (its cache holds the
-    pose tuples), their values, log-probabilities and sampled actions, and
-    every camera's reward."""
+    """What the update needs of one rollout step: the forward over the
+    label-0 cameras (their envs are its cache's group), their camera indices
+    and sampled actions, and every camera's reward."""
 
-    env: np.ndarray
     cam: np.ndarray
     cache: nn.ForwardCache
-    values: np.ndarray
-    logp: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
 
@@ -84,11 +81,11 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
     builds all environments' pose tuples from the pose arrays at once and
     runs one policy forward over the label-0 cameras; the label-1 cameras'
     tracker reuses the bearings the previous step returned.
-    The window keeps each step's forward (cache and values) and the
-    sampler's log-probabilities: about 1.6 kB per label-0 camera-step, so
-    about 3.8 MB at the defaults and about 94 MB for a 500-step window of 32
-    envs. The update adds one batched backward per step into the window's
-    gradient and logs the entropy each backward leaves in its cache.
+    The window keeps each step's forward cache: about 1.6 kB per label-0
+    camera-step, so about 3.8 MB at the defaults and about 94 MB for a
+    500-step window of 32 envs. The update adds one batched backward per
+    step into the window's gradient and logs the values and entropy each
+    cache holds.
     """
     train_cfg.validate()
     episode_cfg.validate()
@@ -121,9 +118,8 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
             agent = advance(agent, g0.sum(axis=1))
             raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
                                   arena_half)
-            logits, values, cache = nn.group_forward(params, raws, env, cam)
-            logp = nn.log_softmax(logits)
-            sampled = nn.sample_action(np.exp(logp), uniforms[env, rank])
+            cache = nn.forward(params, raws, env, cam)
+            sampled = nn.sample_action(np.exp(cache.logp), uniforms[env, rank])
 
             # label-1 cameras track the target, label-0 cameras take the sample
             actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
@@ -131,8 +127,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
                                            outcome.distance)
             actions[env, cam] = sampled
             outcome = batch_step(state, actions)
-            window.append(_RolloutStep(env, cam, cache, values, logp, sampled,
-                                       outcome.reward))
+            window.append(_RolloutStep(cam, cache, sampled, outcome.reward))
             if state.envs[0].t >= DEFAULT_EPISODE_STEPS:
                 state = batch_world([spawn_episode(episode_cfg, r.next_u64())
                                      for r in reseed])
@@ -148,11 +143,11 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
         if not done[-1]:
             raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
                                   arena_half)
-            bootstrap = nn.group_forward(params, raws, *np.indices(labels.shape))[1]
+            bootstrap = nn.forward(params, raws, *np.indices(labels.shape)).values
         returns = nn.compute_returns(np.array([s.rewards for s in window]),
                                      bootstrap, train_cfg.gamma, done=done)
 
-        count = sum(s.env.size for s in window)
+        count = sum(s.cam.size for s in window)
         if count == 0:
             continue
         grad_sum = nn.zeros_like_params()
@@ -160,15 +155,16 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
         entropy_sum = 0.0
         value_loss_sum = 0.0
         for s, ret in zip(window, returns):
-            if s.env.size == 0:
+            if s.cam.size == 0:
                 continue
-            ret = ret[s.env, s.cam]
-            nn.backward(params, s.cache, s.actions, ret - s.values, ret,
+            env, values = s.cache.group, s.cache.values
+            ret = ret[env, s.cam]
+            nn.backward(params, s.cache, s.actions, ret - values, ret,
                         train_cfg.entropy_coeff, train_cfg.value_coeff,
-                        out=grad_sum, logp=s.logp)
-            reward_sum += float(s.rewards[s.env, s.cam].sum())
+                        out=grad_sum)
+            reward_sum += float(s.rewards[env, s.cam].sum())
             entropy_sum += float(s.cache.entropy.sum())
-            value_loss_sum += float(((s.values - ret) ** 2).sum())
+            value_loss_sum += float(((values - ret) ** 2).sum())
 
         for _, arr in grad_sum.arrays():
             arr /= count

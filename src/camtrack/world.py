@@ -28,6 +28,7 @@ only those.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
@@ -476,7 +477,9 @@ def batch_world(worlds: list[WorldState],
     """Lockstep state of the given episodes (from spawn_episode), which must
     be at least one and share their camera and obstacle counts. rows[e] is
     the index in worlds of row e's episode (by default each episode has one
-    row); every row starts from its episode's camera poses."""
+    row); every row starts from its episode's camera poses. The batch steps
+    copies of the episodes' rng streams, so stepping it leaves the given
+    worlds as they were."""
     if not worlds:
         raise ValueError("a lockstep batch needs at least one episode")
     n_cams = len(worlds[0].cameras)
@@ -501,7 +504,7 @@ def batch_world(worlds: list[WorldState],
         np.moveaxis(corners.reshape(len(worlds), n_obs, 6), -1, 0)
         .reshape(2, 3, len(worlds), 1, n_obs) - np.moveaxis(origin, -1, 0)[..., None])
     envs = [WorldState([], w.target, w.obstacles, w.t, w.arena_half, w.speed_range,
-                       w.rng) for w in worlds]
+                       copy.copy(w.rng)) for w in worlds]
     return BatchState(envs, rows, origin, pitch, yaw, zoom, box)
 
 

@@ -293,6 +293,19 @@ class TestSharedWorlds:
         assert outcome_bytes(outcomes[0]) == outcome_bytes(outcomes[1])
         assert paused >= 12 and cut >= 1
 
+    def test_stepping_leaves_the_given_worlds_as_spawned(self):
+        """The batch steps copies of the episodes' rng streams: after 300
+        steps, in which every world's stream has drawn, each given world
+        still equals a fresh spawn of its seed."""
+        cfg = EpisodeConfig()
+        worlds = [spawn_episode(cfg, seed) for seed in self.SEEDS]
+        state = batch_world(worlds)
+        for _ in range(300):
+            batch_step(state, np.full(state.pitch.shape, int(Action.KEEP_STILL)))
+        fresh = [spawn_episode(cfg, seed) for seed in self.SEEDS]
+        assert all(env.rng != world.rng for env, world in zip(state.envs, fresh))
+        assert worlds == fresh
+
     @pytest.mark.parametrize("rows", [[], [1], [-1], [[0]], [0.0]])
     def test_rows_must_index_the_episodes(self, rows):
         with pytest.raises(ValueError, match="rows"):

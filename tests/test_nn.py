@@ -1,4 +1,6 @@
-"""Policy network: features, forward, analytic gradients, returns, init."""
+"""Policy network: features, forward and its cache, analytic gradients,
+returns, init."""
+import dataclasses
 import hashlib
 import math
 
@@ -92,35 +94,44 @@ class TestRawTuples:
             nn.raw_tuples(poses, [1] * n_labels, 10.0)
 
 
+def rand_tuples(rng, n_groups=1, n_cams=4, scale=1.0):
+    """(G, C, 7) pose tuples drawn uniformly from [-scale, scale]."""
+    return rng.uniform(-scale, scale, (n_groups, n_cams, nn.RAW_SIZE))
+
+
 class TestForward:
     def test_zero_params_zero_outputs(self):
         params = nn.zeros_like_params()
-        logits, value, _ = nn.forward(params, np.zeros(23))
-        assert np.all(logits == 0.0) and value == 0.0
+        cache = nn.forward(params, np.zeros((1, 4, nn.RAW_SIZE)), 0, 0)
+        assert np.all(cache.logits == 0.0) and cache.values == 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         params = rand_params(rng)
-        f = rng.uniform(-1, 1, 23)
-        a = nn.forward(params, f)
-        b = nn.forward(params, f)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        raws = rand_tuples(rng)
+        a = nn.forward(params, raws, 0, 1)
+        b = nn.forward(params, raws, 0, 1)
+        assert np.array_equal(a.logits, b.logits) and a.values == b.values
 
     def test_finite_on_many_random_inputs(self):
+        """1000 parameter draws, each on every camera of 25 groups of 4
+        tuples drawn from [-10, 10]."""
         rng = np.random.default_rng(4)
         for _ in range(1000):
             params = rand_params(rng, scale=rng.uniform(0.1, 10.0))
-            for _ in range(100):
-                f = rng.uniform(-10, 10, 23)
-                logits, value, _ = nn.forward(params, f)
-                assert np.isfinite(logits).all() and math.isfinite(value)
+            raws = rand_tuples(rng, 25, 4, scale=10.0)
+            cache = nn.forward(params, raws, *np.indices(raws.shape[:2]))
+            assert cache.logits.shape == (25, 4, nn.N_ACTIONS)
+            for arr in (cache.logits, cache.logp, cache.values, cache.entropy):
+                assert np.isfinite(arr).all()
 
     def test_rejects_bad_input(self):
         params = nn.zeros_like_params()
-        with pytest.raises(ValueError):
-            nn.forward(params, np.full(23, np.nan))
-        with pytest.raises(ValueError):
-            nn.forward(params, np.zeros(22))
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.forward(params, np.full((1, 4, nn.RAW_SIZE), np.nan), 0, 0)
+        for shape in ((4, nn.RAW_SIZE), (1, 4, nn.RAW_SIZE - 1)):
+            with pytest.raises(ValueError, match="raws must have shape"):
+                nn.forward(params, np.zeros(shape), 0, 0)
 
 
 def reference_features(params, raws, group, cam):
@@ -199,10 +210,10 @@ class TestEncode:
 
 
 class TestGreedyActions:
-    def test_equals_argmax_of_group_forward(self):
+    def test_equals_argmax_of_forward(self):
         """Random params and steps of 4 cameras with 0-4 label-0 cameras, and
         zero params (eleven tied logits): one index per label-0 row, equal to
-        the argmax of log_softmax of group_forward's logits for that row."""
+        the argmax of forward's log-probabilities for that row."""
         rng = np.random.default_rng(71)
         seen = set()
         for trial in range(400):
@@ -210,8 +221,8 @@ class TestGreedyActions:
                       else rand_params(rng, scale=float(rng.uniform(0.1, 2.0))))
             raws = nn.raw_tuples(*rand_step(rng), 10.0)
             cam = np.flatnonzero(raws[:, 6] == 0.0)
-            logits, _, _ = nn.group_forward(params, raws[None], np.zeros_like(cam), cam)
-            want = np.argmax(nn.log_softmax(logits), axis=-1)
+            cache = nn.forward(params, raws[None], np.zeros_like(cam), cam)
+            want = np.argmax(cache.logp, axis=-1)
             got = nn.greedy_actions(params, raws)
             assert got.tolist() == want.tolist()
             if trial % 10 == 0:
@@ -251,35 +262,33 @@ class TestSoftmaxStability:
 
 
 class TestBackward:
-    def _loss(self, params, features, action, adv, ret, ec, vc):
-        logits, value, _ = nn.forward(params, features)
-        return nn.loss_value(logits, value, action, adv, ret, ec, vc)
+    def _loss(self, params, raws, cam, action, adv, ret, ec, vc):
+        cache = nn.forward(params, raws, 0, cam)
+        return nn.loss_value(cache.logits, cache.values, action, adv, ret, ec, vc)
 
     def test_matches_finite_differences_on_trunk(self):
+        """Every array, on one row of tuples drawn from [-1, 1]."""
         rng = np.random.default_rng(6)
         h = 1e-5
         for _ in range(20):
             params = rand_params(rng)
-            features = rng.uniform(-1, 1, 23)
+            raws = rand_tuples(rng)
+            cam = int(rng.integers(0, raws.shape[1]))
             action = int(rng.integers(0, 11))
             adv, ret = float(rng.normal()), float(rng.normal())
             ec, vc = 0.01, 0.5
-            logits, value, cache = nn.forward(params, features)
+            cache = nn.forward(params, raws, 0, cam)
             grads = nn.backward(params, cache, action, adv, ret, ec, vc)
             for name, arr in params.arrays():
                 g = getattr(grads, name)
-                if name.startswith("embed"):
-                    # features were given directly: no embed dependence
-                    assert np.all(g == 0.0)
-                    continue
                 flat_idx = rng.integers(0, arr.size, size=min(20, arr.size))
                 for fi in np.unique(flat_idx):
                     idx = np.unravel_index(fi, arr.shape)
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    lp = self._loss(params, features, action, adv, ret, ec, vc)
+                    lp = self._loss(params, raws, cam, action, adv, ret, ec, vc)
                     arr[idx] = orig - h
-                    lm = self._loss(params, features, action, adv, ret, ec, vc)
+                    lm = self._loss(params, raws, cam, action, adv, ret, ec, vc)
                     arr[idx] = orig
                     fd = (lp - lm) / (2 * h)
                     denom = max(1.0, abs(fd), abs(g[idx]))
@@ -320,26 +329,24 @@ class TestBackward:
     def test_flat_loss_gives_zero_gradients(self):
         rng = np.random.default_rng(8)
         params = rand_params(rng)
-        features = rng.uniform(-1, 1, 23)
-        logits, value, cache = nn.forward(params, features)
-        grads = nn.backward(params, cache, 3, 0.0, value, 0.0, 0.5)
+        cache = nn.forward(params, rand_tuples(rng), 0, 1)
+        grads = nn.backward(params, cache, 3, 0.0, cache.values, 0.0, 0.5)
         for _, arr in grads.arrays():
             assert np.allclose(arr, 0.0, atol=1e-15)
 
     def test_policy_gradient_linear_in_advantage(self):
         rng = np.random.default_rng(9)
         params = rand_params(rng)
-        features = rng.uniform(-1, 1, 23)
-        _, value, cache = nn.forward(params, features)
-        g1 = nn.backward(params, cache, 2, 1.5, value, 0.0, 0.5)
-        g2 = nn.backward(params, cache, 2, 3.0, value, 0.0, 0.5)
+        cache = nn.forward(params, rand_tuples(rng), 0, 1)
+        g1 = nn.backward(params, cache, 2, 1.5, cache.values, 0.0, 0.5)
+        g2 = nn.backward(params, cache, 2, 3.0, cache.values, 0.0, 0.5)
         assert np.allclose(g2.policy_w, 2.0 * g1.policy_w, atol=1e-12)
         assert np.allclose(g2.policy_b, 2.0 * g1.policy_b, atol=1e-12)
 
     def test_cache_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         params = rand_params(rng)
-        _, _, cache = nn.forward(params, rng.uniform(-1, 1, 23))
+        cache = nn.forward(params, rand_tuples(rng), 0, 1)
         cache.h1 = cache.h1[:10]
         with pytest.raises(ValueError):
             nn.backward(params, cache, 0, 1.0, 0.0, 0.01, 0.5)
@@ -371,10 +378,10 @@ class TestBatchedBackward:
         ec, vc, h = 0.01, 0.5, 1e-5
 
         def loss():
-            logits, values, _ = nn.group_forward(params, raws, self.GROUP, self.CAM)
-            return nn.loss_value(logits, values, action, adv, ret, ec, vc)
+            cache = nn.forward(params, raws, self.GROUP, self.CAM)
+            return nn.loss_value(cache.logits, cache.values, action, adv, ret, ec, vc)
 
-        _, _, cache = nn.group_forward(params, raws, self.GROUP, self.CAM)
+        cache = nn.forward(params, raws, self.GROUP, self.CAM)
         grads = nn.backward(params, cache, action, adv, ret, ec, vc)
         for name, arr in params.arrays():
             g = getattr(grads, name)
@@ -394,8 +401,8 @@ class TestBatchedBackward:
     def test_batch_gradient_is_sum_of_single_sample_gradients(self):
         params, groups, action, adv, ret = self._batch(12)
         ec, vc = 0.01, 0.5
-        logits, values, cache = nn.group_forward(
-            params, group_tuples(groups), self.GROUP, self.CAM)
+        cache = nn.forward(params, group_tuples(groups), self.GROUP, self.CAM)
+        logits, values = cache.logits, cache.values
         batch = nn.backward(params, cache, action, adv, ret, ec, vc)
         total = nn.zeros_like_params()
         for b, (g, c) in enumerate(zip(self.GROUP, self.CAM)):
@@ -410,8 +417,8 @@ class TestBatchedBackward:
 
     def test_batch_loss_is_sum_of_row_losses(self):
         params, groups, action, adv, ret = self._batch(13)
-        logits, values, _ = nn.group_forward(
-            params, group_tuples(groups), self.GROUP, self.CAM)
+        cache = nn.forward(params, group_tuples(groups), self.GROUP, self.CAM)
+        logits, values = cache.logits, cache.values
         rows = sum(nn.loss_value(logits[b], values[b], action[b], adv[b], ret[b],
                                  0.01, 0.5) for b in range(len(self.GROUP)))
         assert nn.loss_value(logits, values, action, adv, ret, 0.01, 0.5) \
@@ -425,52 +432,66 @@ class TestBatchedBackward:
         assert [nn.sample_action(p, x) for p, x in zip(probs, u)] == batch.tolist()
 
 
-class TestBackwardGivenLogp:
-    """backward given the log-probabilities its caller already took, as
-    training's sampler does: a 1-D cache (with embed gradients) and a batched
-    group cache."""
+class TestForwardCache:
+    """What forward leaves in its cache for the sampler, the update and the
+    log, bit for bit, on a 1-D cache and a batched group cache."""
 
     @pytest.fixture(params=["one row", "group batch"])
     def case(self, request):
         rng = np.random.default_rng(15)
         params = rand_params(rng)
         if request.param == "one row":
-            poses, labels = rand_step(rng)
-            _, _, cache = nn.policy_forward(params, 2, poses, labels, 10.0)
-            rows = ()
+            raws = group_tuples([rand_step(rng)])
+            rows, group, cam = (), 0, 2
         else:
             raws = group_tuples([rand_step(rng) for _ in range(3)])
-            _, _, cache = nn.group_forward(params, raws, TestBatchedBackward.GROUP,
-                                           TestBatchedBackward.CAM)
             rows = (len(TestBatchedBackward.GROUP),)
+            group, cam = TestBatchedBackward.GROUP, TestBatchedBackward.CAM
         action = rng.integers(0, 11, rows)
         adv, ret = rng.normal(size=rows), rng.normal(size=rows)
-        return params, cache, action, adv, ret
+        return params, raws, group, cam, action, adv, ret
 
-    def test_gradients_equal_backward_without_logp(self, case):
-        params, cache, action, adv, ret = case
-        want = nn.backward(params, cache, action, adv, ret, 0.01, 0.5)
-        got = nn.backward(params, cache, action, adv, ret, 0.01, 0.5,
-                          logp=nn.log_softmax(cache.logits))
-        for name, arr in want.arrays():
-            assert np.any(arr != 0.0), name
-            assert np.array_equal(getattr(got, name), arr), name
+    def test_logp_is_log_softmax_of_logits(self, case):
+        params, raws, group, cam = case[:4]
+        cache = nn.forward(params, raws, group, cam)
+        assert cache.logp.tobytes() == nn.log_softmax(cache.logits).tobytes()
+
+    def test_values_are_the_value_head(self, case):
+        params, raws, group, cam = case[:4]
+        cache = nn.forward(params, raws, group, cam)
+        head = cache.h2 @ params.value_w[0] + params.value_b[0]
+        assert np.shape(cache.values) == cache.logits.shape[:-1]
+        assert np.asarray(cache.values).tobytes() == np.asarray(head).tobytes()
 
     def test_entropy_equals_nn_entropy(self, case):
-        params, cache, action, adv, ret = case
-        nn.backward(params, cache, action, adv, ret, 0.01, 0.5,
-                    logp=nn.log_softmax(cache.logits))
-        assert cache.entropy.shape == (np.atleast_2d(cache.logits).shape[0],)
-        assert np.array_equal(cache.entropy, np.atleast_1d(nn.entropy(cache.logits)))
+        params, raws, group, cam = case[:4]
+        cache = nn.forward(params, raws, group, cam)
+        assert np.shape(cache.entropy) == cache.logits.shape[:-1]
+        want = nn.entropy(cache.logits)
+        assert np.asarray(cache.entropy).tobytes() == np.asarray(want).tobytes()
 
-    def test_wrong_shape_rejected(self, case):
-        params, cache, action, adv, ret = case
-        logp = np.atleast_2d(nn.log_softmax(cache.logits))
-        rows = logp.shape[0]
-        for bad in (logp[:, :-1], np.zeros((rows + 1, nn.N_ACTIONS)),
-                    np.zeros((2, rows, nn.N_ACTIONS))):
-            with pytest.raises(ValueError, match="logp has shape"):
-                nn.backward(params, cache, action, adv, ret, 0.01, 0.5, logp=bad)
+    def test_backward_leaves_the_cache_unchanged(self, case):
+        params, raws, group, cam, action, adv, ret = case
+        cache = nn.forward(params, raws, group, cam)
+        before = {f.name: np.array(getattr(cache, f.name))
+                  for f in dataclasses.fields(cache)}
+        grads = nn.backward(params, cache, action, adv, ret, 0.01, 0.5)
+        assert all(np.any(arr != 0.0) for _, arr in grads.arrays())
+        for name, arr in before.items():
+            after = np.asarray(getattr(cache, name))
+            assert after.shape == arr.shape and after.tobytes() == arr.tobytes(), name
+
+    def test_non_finite_input_rejected(self, case):
+        """A NaN in another camera's tuple of a row's group, and a NaN embed
+        weight, both reach the features through the pooled embedding."""
+        params, raws, group, cam = case[:4]
+        bad = raws.copy()
+        bad[np.atleast_1d(group)[0], 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.forward(params, bad, group, cam)
+        params.embed_w[3, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.forward(params, raws, group, cam)
 
 
 class TestSampleAction:
