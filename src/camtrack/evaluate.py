@@ -238,19 +238,20 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     (batch_system_action applies each episode's rule), and the episodes of
     one seed share one world: it is spawned once, and its target walk and
     sight lines are computed once per step for all systems, since they
-    depend on no camera pose. Each seed's world stream and each episode's
-    switcher stream keep run_episode's draw order, so each episode's values
-    equal run_episode's records bit for bit. The random and noisy switchers
-    draw every episode's labels of a step in one array call, with the
-    values of random_switch and noisy_switch."""
+    depend on no camera pose. So do its switcher draws: each seed has one
+    world stream and one switcher stream, both in run_episode's draw order,
+    and every episode of the seed reads the same draws, so each episode's
+    values equal run_episode's records bit for bit. The random and noisy
+    switchers draw every seed's values of a step in one array call, and
+    each episode turns its seed's values into labels as random_switch and
+    noisy_switch do."""
     switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
     if not seeds:
         raise ConfigError("a lockstep run needs at least one seed")
     episode_systems = np.repeat(systems, len(seeds))
-    episode_seeds = list(seeds) * len(systems)
     state = batch_world([spawn_episode(config, seed) for seed in seeds],
                         rows=np.tile(np.arange(len(seeds)), len(systems)))
-    switch_states = stream_states(RngStream(seed, 1) for seed in episode_seeds)
+    switch_states = stream_states(RngStream(seed, 1) for seed in seeds)
     n_cams = config.n_cameras
     memory = BatchMemory.empty(state.pitch.shape)
     error = np.empty((steps,) + state.pitch.shape)
@@ -259,7 +260,7 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     for t in range(steps):
         labels = (outcome.visibility == VIS_VISIBLE).astype(int)
         if switch_kind != "oracle":
-            u = peek_randoms(switch_states, n_cams)
+            u = peek_randoms(switch_states, n_cams)[state.world]
             switch_states = advance(switch_states, n_cams)
             if switch_kind == "random":
                 labels = random_labels(u, switch_arg)

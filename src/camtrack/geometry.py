@@ -108,67 +108,11 @@ def segment_box_overlap(origin: tuple[float, float, float],
                         box: Obstacle) -> tuple[float, float] | None:
     """Parametric overlap of the closed segment origin + t * direction,
     t in [0, 1], with the box, via the slab method. Returns (t_enter, t_exit)
-    within [0, 1], or None when the segment misses the box entirely.
-
-    This is the one slab test. The target's ground moves (z = 0, no
-    vertical direction) reach it through world.advance_target;
-    sight_line_blocked makes its operations on a camera's precomputed
-    corners, and sight_lines_blocked over arrays."""
-    # The three slabs are written out rather than looped over: building the
-    # per-slab bounds as tuples on every call cost more than their arithmetic.
-    t_min, t_max = 0.0, 1.0
-    a = origin[0]
-    d = direction[0]
-    if d == 0.0:
-        if a < box.min_x or a > box.max_x:
-            return None
-    else:
-        inv = 1.0 / d
-        t0 = (box.min_x - a) * inv
-        t1 = (box.max_x - a) * inv
-        if t0 > t1:
-            t0, t1 = t1, t0
-        if t0 > t_min:
-            t_min = t0
-        if t1 < t_max:
-            t_max = t1
-        if t_min > t_max:
-            return None
-    a = origin[1]
-    d = direction[1]
-    if d == 0.0:
-        if a < box.min_y or a > box.max_y:
-            return None
-    else:
-        inv = 1.0 / d
-        t0 = (box.min_y - a) * inv
-        t1 = (box.max_y - a) * inv
-        if t0 > t1:
-            t0, t1 = t1, t0
-        if t0 > t_min:
-            t_min = t0
-        if t1 < t_max:
-            t_max = t1
-        if t_min > t_max:
-            return None
-    a = origin[2]
-    d = direction[2]
-    if d == 0.0:
-        if a < 0.0 or a > box.height:
-            return None
-    else:
-        inv = 1.0 / d
-        t0 = (0.0 - a) * inv
-        t1 = (box.height - a) * inv
-        if t0 > t1:
-            t0, t1 = t1, t0
-        if t0 > t_min:
-            t_min = t0
-        if t1 < t_max:
-            t_max = t1
-        if t_min > t_max:
-            return None
-    return t_min, t_max
+    within [0, 1], or None when the segment misses the box entirely: the
+    one slab test, first_overlap, on the box's corners minus the origin."""
+    return first_overlap(*direction, (
+        (box.min_x - origin[0], box.min_y - origin[1], 0.0 - origin[2],
+         box.max_x - origin[0], box.max_y - origin[1], box.height - origin[2]),))
 
 
 @dataclass(slots=True)
@@ -176,8 +120,9 @@ class SightLines:
     """The per-episode constants of the sight-line test: for cameras at
     origins among obstacles, corners[i] holds every box's
     (min_x, min_y, 0, max_x, max_y, height) minus camera i's origin, the
-    subtractions segment_box_overlap makes. They hold while the cameras stay
-    put and the obstacle list is unchanged (see matches)."""
+    subtractions segment_box_overlap makes, so that first_overlap tests a
+    sight line against every box with no subtraction. They hold while the
+    cameras stay put and the obstacle list is unchanged (see matches)."""
 
     origins: list[tuple[float, float, float]]
     obstacles: list[Obstacle]
@@ -198,15 +143,18 @@ class SightLines:
         return self.origins == origins and self.obstacles == obstacles
 
 
-def sight_line_blocked(dx: float, dy: float, dz: float,
-                       corners: tuple[tuple[float, ...], ...]) -> bool:
-    """Whether the closed segment from a camera along (dx, dy, dz) meets a
-    box, given the boxes' corners relative to the camera (a SightLines
-    entry): segment_box_overlap's slab test over every box, with the same
-    operations in the same order. A flat axis (d == 0) passes exactly when
-    the camera lies within the slab, that is a lower corner <= 0 <= an upper
-    one, and sets no bound."""
-    # 1 / d is the same for every box, so it is taken once; None marks a flat axis
+def first_overlap(dx: float, dy: float, dz: float,
+                  corners: tuple[tuple[float, ...], ...]) -> tuple[float, float] | None:
+    """The slab method over boxes given by their corners minus the segment's
+    start point, (min_x, min_y, 0, max_x, max_y, height) each (a SightLines
+    entry): the parametric overlap (t_enter, t_exit) within [0, 1] of the
+    closed segment along (dx, dy, dz) with the first box, in order, that it
+    meets, or None when it meets none. A flat axis (d == 0) passes exactly
+    when the start point lies within the slab, that is a lower corner <= 0
+    <= an upper one, and sets no bound."""
+    # 1 / d is the same for every box, so it is taken once; None marks a flat
+    # axis. The three slabs are written out: building per-slab bounds as
+    # tuples on every call cost more than their arithmetic.
     ix = 1.0 / dx if dx != 0.0 else None
     iy = 1.0 / dy if dy != 0.0 else None
     iz = 1.0 / dz if dz != 0.0 else None
@@ -252,8 +200,8 @@ def sight_line_blocked(dx: float, dy: float, dz: float,
                 t_max = t1
             if t_min > t_max:
                 continue
-        return True
-    return False
+        return t_min, t_max
+    return None
 
 
 def segment_hits_box(p0: tuple[float, float, float],
@@ -301,9 +249,10 @@ def bearings(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sight_lines_blocked(direction: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """sight_line_blocked over arrays: sight lines (..., 3) and every box's
-    lower and upper corners minus the sight line's origin, corner then axis
-    first (2, 3, ..., O) -> whether each sight line meets a box (...)."""
+    """first_overlap(...) is not None over arrays: sight lines (..., 3) and
+    every box's lower and upper corners minus the sight line's origin, corner
+    then axis first (2, 3, ..., O) -> whether each sight line meets a box
+    (...)."""
     # The three slabs combine element-wise. A slab whose direction component
     # is 0 passes exactly when the origin lies within it (lower corner <= 0
     # <= upper corner), and sets no bound on t; its 1 / d is never read.

@@ -48,8 +48,7 @@ from .geometry import (
     bearings,
     clamp_pitch,
     clamp_zoom,
-    segment_box_overlap,
-    sight_line_blocked,
+    first_overlap,
     sight_lines_blocked,
     wrap_angle,
     wrap_angles,
@@ -254,7 +253,9 @@ def advance_target(state: WorldState) -> TargetState:
     footprint is truncated a hair before the boundary and forces a fresh
     waypoint; reaching the waypoint redraws waypoint and speed and may start
     a pause. A step tests only its leg's obstacles (found on the leg's first
-    step), which hold every obstacle the step can touch.
+    step, against footprints widened by LEG_MARGIN), which hold every
+    obstacle the step can touch. Both are geometry.first_overlap, one box at
+    a time, on the box's corners minus the target's position at z = 0.
     """
     t = state.target
     rng = state.rng
@@ -274,32 +275,31 @@ def advance_target(state: WorldState) -> TargetState:
         ux = uy = 0.0
 
     mx, my = ux * step_len, uy * step_len
-    origin = (t.x, t.y, 0.0)
+    x, y = t.x, t.y
     leg = t.leg_obstacles
     if leg is None:
         # the leg's first step: the obstacles the rest of the leg can touch
-        leg = tuple(box for box in state.obstacles if segment_box_overlap(
-            origin, (dx, dy, 0.0),
-            Obstacle(box.min_x - LEG_MARGIN, box.min_y - LEG_MARGIN,
-                     box.max_x + LEG_MARGIN, box.max_y + LEG_MARGIN, box.height))
+        leg = tuple(box for box in state.obstacles if first_overlap(dx, dy, 0.0, (
+            (box.min_x - LEG_MARGIN - x, box.min_y - LEG_MARGIN - y, 0.0,
+             box.max_x + LEG_MARGIN - x, box.max_y + LEG_MARGIN - y, box.height),))
             is not None)
     hit_t = None
-    move = (mx, my, 0.0)
     for box in leg:
         # at ground level the z slab always passes, so this is the 2-D
         # footprint test
-        overlap = segment_box_overlap(origin, move, box)
+        overlap = first_overlap(mx, my, 0.0, ((box.min_x - x, box.min_y - y, 0.0,
+                                               box.max_x - x, box.max_y - y, box.height),))
         if overlap is not None and (hit_t is None or overlap[0] < hit_t):
             hit_t = overlap[0]
     if hit_t is not None:
         back = step_len * hit_t - 1e-9
         if back < 0.0:
             back = 0.0
-        nx, ny = t.x + ux * back, t.y + uy * back
+        nx, ny = x + ux * back, y + uy * back
         waypoint = _draw_waypoint(rng, state.arena_half, state.obstacles)
         return TargetState(nx, ny, t.speed, waypoint)
 
-    nx, ny = t.x + mx, t.y + my
+    nx, ny = x + mx, y + my
     if arrives:
         waypoint = _draw_waypoint(rng, state.arena_half, state.obstacles)
         speed = rng.uniform(*state.speed_range)
@@ -358,8 +358,9 @@ def observe(state: WorldState) -> StepOutcome:
     the sight line against every obstacle) and the clipped sum of the
     direction and zoom rewards. The arithmetic is that of bearing_angles,
     effective_fov, direction_reward and zoom_reward, written out in their
-    order; the sight lines run over the state's SightLines, built here when
-    the state has none that match its cameras and obstacles."""
+    order. A sight line is blocked when geometry.first_overlap finds a box
+    on it among the camera's corners in the state's SightLines, built here
+    when the state has none that match its cameras and obstacles."""
     tx, ty, tz = state.target.point()
     cams = state.cameras
     origins = [(c.x, c.y, c.z) for c in cams]
@@ -393,7 +394,7 @@ def observe(state: WorldState) -> StepOutcome:
                 or d_alpha > 0.5 * (BASE_V_FOV_DEG / zoom)):
             vis = _OUT_OF_VIEW
             r = -1.0
-        elif sight_line_blocked(dx, dy, dz, corners):
+        elif first_overlap(dx, dy, dz, corners) is not None:
             vis = _OCCLUDED
             r = 0.0
         else:

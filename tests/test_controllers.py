@@ -12,6 +12,7 @@ from camtrack.controllers import (
     TRIANGULATION_MAX_CONDITION,
     GeometricMemory,
     batch_system_action,
+    batch_tracker_action,
     geometric_pose_action,
     learned_pose_action,
     noisy_switch,
@@ -204,6 +205,30 @@ class TestVirtualTracker:
                 pose = apply_action(pose, virtual_tracker_action(pose, target))
             _, d_beta = angle_error(pose, target)
             assert d_beta < 2.5
+
+    def test_poses_beyond_the_limits_match_naive_enumeration(self):
+        """Pitches and zooms beyond their limits, so that every clamp of the
+        unmoved, raised, lowered, zoomed-in and zoomed-out candidates acts:
+        tracker_action and batch_tracker_action give the argmin over
+        apply_action's 11 results."""
+        rng = np.random.default_rng(67)
+        n = 9600
+        pitch = rng.choice([-1.0, 1.0], n) * rng.uniform(57.5, 75.0, n)
+        yaw = rng.uniform(-179.9, 180.0, n)
+        zoom = rng.uniform(0.8, 3.5, n)
+        assert pitch.max() > 65.0 and pitch.min() < -65.0
+        assert zoom.max() > 3.4 and zoom.min() < 0.9
+        position = np.column_stack([rng.uniform(-10, 10, (n, 2)), rng.uniform(2, 3, n)])
+        target = np.column_stack([rng.uniform(-10, 10, (n, 2)), np.full(n, 0.9)])
+        poses = [CameraPose(*xyz, p, y, z) for xyz, p, y, z in zip(
+            position.tolist(), pitch.tolist(), yaw.tolist(), zoom.tolist())]
+        targets = [tuple(t) for t in target.tolist()]
+        want = [naive_tracker(pose, t) for pose, t in zip(poses, targets)]
+        sights = [sight(pose, t) for pose, t in zip(poses, targets)]
+        assert [tracker_action(pose, *s) for pose, s in zip(poses, sights)] == want
+        b_pitch, b_yaw, distance = np.array(sights).T
+        assert batch_tracker_action(pitch, yaw, zoom, b_pitch, b_yaw,
+                                    distance).tolist() == want
 
 
 def grid_refine_minimizer(poses, labels, span=25.0, rounds=35, grid=21):
@@ -534,6 +559,16 @@ class TestSystemAction:
             assert [got[i] for i in (0, 1, 3)] == want
             differs += want != learned_pose_action(poses, labels, params, 10.0)
         assert differs > 0
+
+    def test_geometric_needs_memories(self):
+        with pytest.raises(ValueError, match="GeometricMemory"):
+            system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1], "geometric",
+                          params=nn.init_params(4))
+
+    def test_learned_needs_params(self):
+        with pytest.raises(ValueError, match="needs params"):
+            system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1], "learned",
+                          memories=self._memories())
 
     def test_unknown_kind_rejected(self):
         poses = self._poses()

@@ -14,9 +14,9 @@ from camtrack.geometry import (
     bearings,
     effective_fov,
     SightLines,
+    first_overlap,
     segment_box_overlap,
     segment_hits_box,
-    sight_line_blocked,
     wrap_angle,
     wrap_angles,
     yaw_errors,
@@ -419,14 +419,17 @@ class TestSegmentHitsBox:
                                      Obstacle(0.0, 0.5, 2.0, 3.0, 0.5),
                                      Obstacle(-2.0, -1.0, -1.0, 0.0, 1.0)]),
                     max_size=3))
-    def test_sight_line_blocked_is_the_slab_test_over_every_box(self, p0, p1, boxes):
-        """Over the camera's SightLines corners, the sight line p0 -> p1 is
-        blocked exactly when segment_box_overlap finds a box on it, also
+    def test_first_overlap_is_the_slab_test_of_the_first_box_met(self, p0, p1, boxes):
+        """Over the camera's SightLines corners, first_overlap of the sight
+        line p0 -> p1 is, bit for bit, segment_box_overlap of the first box,
+        in order, that the segment meets, and None when it meets none, also
         along flat axes and touching faces."""
         direction = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
         corners = SightLines.build([p0], boxes).corners[0]
-        assert sight_line_blocked(*direction, corners) == any(
-            segment_box_overlap(p0, direction, box) is not None for box in boxes)
+        overlaps = [segment_box_overlap(p0, direction, box) for box in boxes]
+        want = next((o for o in overlaps if o is not None), None)
+        # repr tells -0.0 from 0.0
+        assert repr(first_overlap(*direction, corners)) == repr(want)
 
     def test_obstacle_validation(self):
         with pytest.raises(ValueError):

@@ -352,6 +352,22 @@ class TestBackward:
             nn.backward(params, cache, 0, 1.0, 0.0, 0.01, 0.5)
 
 
+    @pytest.mark.parametrize("action", [11, -1])
+    def test_action_index_out_of_range_rejected(self, action):
+        """On a 1-D cache, and on a batched cache where one row's index is
+        out of range."""
+        rng = np.random.default_rng(12)
+        params = rand_params(rng)
+        cache = nn.forward(params, rand_tuples(rng), 0, 1)
+        with pytest.raises(ValueError, match="action index out of range"):
+            nn.backward(params, cache, action, 1.0, 0.0, 0.01, 0.5)
+        batch = nn.forward(params, rand_tuples(rng, n_groups=2),
+                           np.array([0, 0, 1]), np.array([0, 3, 2]))
+        with pytest.raises(ValueError, match="action index out of range"):
+            nn.backward(params, batch, np.array([0, action, 10]), np.ones(3),
+                        np.zeros(3), 0.01, 0.5)
+
+
 def group_tuples(groups, arena_half=10.0):
     """The (G, C, 7) tuples of G steps of (poses, labels)."""
     return np.stack([nn.raw_tuples(poses, labels, arena_half) for poses, labels in groups])
@@ -587,6 +603,12 @@ class TestInitParams:
         bound = math.sqrt(6.0 / 87.0)  # fan_in 23 + fan_out 64
         assert np.all(np.abs(params.trunk1_w) <= bound)
         assert np.abs(params.trunk1_w).max() > 0.8 * bound
+
+    @pytest.mark.parametrize("name", ["embed_w", "trunk2_b", "value_w"])
+    def test_wrong_shape_rejected(self, name):
+        wrong = dataclasses.replace(nn.init_params(1), **{name: np.zeros((3, 3))})
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            wrong.validate()
 
     def test_shapes(self):
         params = nn.init_params(1)

@@ -119,6 +119,40 @@ class TestConfig:
             TrainConfig(rollout_len=501).validate()
         TrainConfig(rollout_len=500).validate()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"arena_half": 4.9}, "arena_half"),
+        ({"arena_half": 20.5}, "arena_half"),
+        ({"n_obstacles": -1}, "n_obstacles"),
+        ({"n_obstacles": 16}, "n_obstacles"),
+        ({"arena_half": 5.0, "obstacle_size_range": (1.0, 10.0)}, "does not fit"),
+    ])
+    def test_episode_bounds_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            EpisodeConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 0.0), ("entropy_coeff", -0.005), ("value_coeff", 0.0),
+        ("grad_clip", -5.0), ("rollout_len", 0), ("n_envs", 0),
+    ])
+    def test_train_bounds_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"obstacle_size_range": [1, 2, 3]}', "obstacle_size_range"),
+        ('{"obstacle_size_range": 1.5}', "obstacle_size_range"),
+        ('{"camera_height_range": [2, "3"]}', "camera_height_range"),
+        ('{"target_speed_range": [true, 0.2]}', "target_speed_range"),
+        ('{"gamma": "0.9"}', "gamma must be a number"),
+        ('{"arena_half": false}', "arena_half must be a number"),
+        ('[{"seed": 1}]', "single JSON object"),
+    ])
+    def test_malformed_values_rejected(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"seed": 1, "gamma": 0.9, "seed": 2}')
@@ -224,6 +258,19 @@ class TestCheckpoint:
         (tmp_path / "g.ckpt").write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(tmp_path / "g.ckpt")
+
+    def test_wrong_array_name(self, tmp_path):
+        params = nn.init_params(9)
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        # first array header: magic(4) version(4) namelen(4) name
+        name_len = struct.unpack_from("<I", data, 8)[0]
+        data[12 + name_len - 1] = ord("x")
+        (tmp_path / "n.ckpt").write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match="expected array 'embed_w', found 'embed_x'"):
+            load_checkpoint(tmp_path / "n.ckpt")
 
     def test_wrong_shape(self, tmp_path):
         params = nn.init_params(9)
@@ -690,6 +737,38 @@ class TestCli:
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["eval", "--controller", "sv", "--episodes", "0"], "--episodes must be >= 1"),
+        (["compare", "--systems", "sv", "--seeds", "0", "--out", "x.csv"],
+         "--seeds must be >= 1"),
+    ], ids=["eval", "compare"])
+    def test_no_episodes_exits_two(self, args, message, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--controller", "sv"],
+        ["compare", "--systems", "sv,geometric", "--seeds", "2", "--out", "x.csv"],
+        ["train", "--steps", "100", "--out", "p.ckpt"],
+    ], ids=["eval", "compare", "train"])
+    def test_unplaceable_obstacles_exit_two(self, args, tmp_path, capsys,
+                                            monkeypatch):
+        """Boxes 9 m or wider in a 10 m arena always cover the target's
+        spawn, so no seed can place its obstacles: a ConfigError, exit 2,
+        and no traceback or output file."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"arena_half": 5, "n_obstacles": 15, '
+                       '"obstacle_size_range": [9.0, 9.9]}')
+        assert cli_main([*args, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: could not place an obstacle clear of the target spawn" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         assert cli_main(["eval", "--controller", "sv", "--seed", str(2 ** 64 - 1),

@@ -349,6 +349,24 @@ class TestLegObstacles:
         assert world.target.x == pytest.approx(1.0, abs=1e-8)
         assert world.target.leg_obstacles is None
 
+    @pytest.mark.parametrize("x, y", [
+        (0.0, 0.0), (1.0, 0.0), (1.0 - 0.5 * LEG_MARGIN, 0.0), (1.0, -1.0),
+        (2.0, 1.0 + 2 * LEG_MARGIN)],
+        ids=["clear", "on-edge", "within-margin", "on-corner", "past-margin"])
+    def test_target_on_its_waypoint_equals_testing_every_obstacle(self, x, y):
+        """A target that stands on its waypoint takes a zero move: clear of
+        the obstacles, on a footprint's edge or corner (a hit at t = 0), and
+        just outside one, it gives the target and rng state of the walk that
+        tests every obstacle."""
+        box = Obstacle(1.0, -1.0, 2.0, 1.0, 2.0)
+        far = Obstacle(5.0, 5.0, 6.0, 6.0, 1.0)
+        for seed in range(20):
+            target = TargetState(x, y, 0.3, (x, y))
+            fast = self._world(target, [far, box], seed)
+            slow = self._world(dataclasses.replace(target), [far, box], seed)
+            assert advance_target(fast) == advance_every_obstacle(slow)
+            assert fast.rng == slow.rng
+
     def test_leg_takes_no_part_in_equality(self):
         target = TargetState(0.0, 0.0, 0.3, (5.0, 0.0))
         assert dataclasses.replace(target, leg_obstacles=()) == target
