@@ -2,6 +2,8 @@
 
 Subcommands: train (learn a pose policy), eval (score one controller),
 compare (paired multi-seed system comparison), rollout (log one episode).
+Shared flags are declared once, in argparse parent parsers: --config for
+every command, --switcher and --checkpoint for eval, compare and rollout.
 Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
 raised where user input is read, an unreadable --config or --checkpoint
 file included), 1 any other error, such as a failed write. The commands
@@ -25,6 +27,7 @@ from .evaluate import (
     format_comparison,
     parse_switcher,
     run_episode,
+    scope_rows,
 )
 from .io import (
     CheckpointError,
@@ -42,48 +45,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="camtrack",
         description="Multi-camera pan-tilt-zoom tracking simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
+    rollouts = argparse.ArgumentParser(add_help=False, parents=[config])
+    rollouts.add_argument("--switcher", default="oracle",
+                          help="oracle, random:P or noisy:E (default oracle)")
+    rollouts.add_argument("--checkpoint", help="policy checkpoint (learned controller)")
 
-    train = sub.add_parser("train", help="train the pose policy")
-    train.add_argument("--config", help="JSON config file")
+    train = sub.add_parser("train", parents=[config], help="train the pose policy")
     train.add_argument("--seed", type=int, help="override the training seed")
     train.add_argument("--steps", type=int,
                        help="override total pose-controller steps")
     train.add_argument("--out", required=True, help="checkpoint output path")
     train.add_argument("--log", help="training-log CSV output path")
 
-    ev = sub.add_parser("eval", help="evaluate one controller")
-    ev.add_argument("--config", help="JSON config file")
+    ev = sub.add_parser("eval", parents=[rollouts], help="evaluate one controller")
     ev.add_argument("--controller", required=True, choices=SYSTEMS)
-    ev.add_argument("--switcher", default="oracle",
-                    help="oracle, random:P or noisy:E (default oracle)")
-    ev.add_argument("--checkpoint", help="policy checkpoint (learned controller)")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--episodes", type=int, default=1)
     ev.add_argument("--episode-log", help="directory for per-episode JSONL logs")
 
-    cmp_ = sub.add_parser("compare", help="compare systems on paired seeds")
-    cmp_.add_argument("--config", help="JSON config file")
+    cmp_ = sub.add_parser("compare", parents=[rollouts], help="compare systems on paired seeds")
     cmp_.add_argument("--systems", required=True,
                       help="comma-separated controller names")
     cmp_.add_argument("--seeds", type=int, required=True)
-    cmp_.add_argument("--switcher", default="oracle")
-    cmp_.add_argument("--checkpoint", help="policy checkpoint (learned system)")
     cmp_.add_argument("--out", required=True, help="CSV output path")
 
-    roll = sub.add_parser("rollout", help="log one episode as JSONL")
-    roll.add_argument("--config", help="JSON config file")
+    roll = sub.add_parser("rollout", parents=[rollouts], help="log one episode as JSONL")
     roll.add_argument("--controller", default="geometric", choices=SYSTEMS)
-    roll.add_argument("--switcher", default="oracle")
-    roll.add_argument("--checkpoint")
     roll.add_argument("--seed", type=int, default=0)
     roll.add_argument("--out", required=True, help="JSONL output path")
     return parser
-
-
-def _load_configs(path: str | None) -> tuple[EpisodeConfig, TrainConfig]:
-    if path is None:
-        return EpisodeConfig(), TrainConfig()
-    return load_config(path)
 
 
 def _load_params_if_needed(controller_names, checkpoint: str | None):
@@ -93,8 +85,7 @@ def _load_params_if_needed(controller_names, checkpoint: str | None):
     return load_checkpoint(checkpoint) if needs else None
 
 
-def _cmd_train(args) -> int:
-    episode_cfg, train_cfg = _load_configs(args.config)
+def _cmd_train(args, episode_cfg: EpisodeConfig, train_cfg: TrainConfig) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
     if args.steps is not None:
@@ -112,8 +103,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    episode_cfg, _ = _load_configs(args.config)
+def _cmd_eval(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     parse_switcher(args.switcher)
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1")
@@ -135,21 +125,17 @@ def _cmd_eval(args) -> int:
         reports.append(episode_report(records))
 
     n = len(reports)
-    me = sum(r.mean_error for r in reports) / n
-    sr = sum(r.success_rate for r in reports) / n
     print(f"controller={args.controller} switcher={args.switcher} "
           f"episodes={n} seed0={args.seed}")
-    for i in range(episode_cfg.n_cameras):
-        cam_me = sum(r.per_camera_mean_error[i] for r in reports) / n
-        cam_sr = sum(r.per_camera_success_rate[i] for r in reports) / n
-        print(f"  cam_{i + 1}: mean_error={cam_me:8.3f} deg   "
-              f"success_rate={cam_sr:6.4f}")
-    print(f"  overall: mean_error={me:8.3f} deg   success_rate={sr:6.4f}")
+    for scope, me, sr in scope_rows(
+            [sum(v) / n for v in zip(*(r.per_camera_mean_error for r in reports))],
+            [sum(v) / n for v in zip(*(r.per_camera_success_rate for r in reports))],
+            sum(r.mean_error for r in reports) / n, sum(r.success_rate for r in reports) / n):
+        print(f"  {scope}: mean_error={me:8.3f} deg   success_rate={sr:6.4f}")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    episode_cfg, _ = _load_configs(args.config)
+def _cmd_compare(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     systems = [s.strip() for s in args.systems.split(",") if s.strip()]
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
@@ -164,8 +150,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_rollout(args) -> int:
-    episode_cfg, _ = _load_configs(args.config)
+def _cmd_rollout(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     check_seed("--seed", args.seed)
     params = _load_params_if_needed([args.controller], args.checkpoint)
     records = run_episode(episode_cfg, args.controller, switcher=args.switcher,
@@ -190,7 +175,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        # every command reads its config first
+        configs = ((EpisodeConfig(), TrainConfig()) if args.config is None
+                   else load_config(args.config))
+        return _COMMANDS[args.command](args, *configs)
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

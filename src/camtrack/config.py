@@ -2,23 +2,22 @@
 
 A config file is one flat JSON object; every key is optional and falls back
 to the defaults below, unknown and repeated keys are rejected outright so
-typos cannot silently change an experiment.
+typos cannot silently change an experiment. Each key is a field of
+EpisodeConfig or TrainConfig, and the field's type is the value's kind.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration."""
 
 
-# the (lo, hi) pairs of EpisodeConfig, in declaration order
-_RANGE_KEYS = ("obstacle_size_range", "obstacle_height_range",
-               "target_speed_range", "camera_height_range")
 # physical upper bounds of the range keys: heights in m, speed in m per step
 # (obstacle sizes are bounded by the arena instead)
 _RANGE_MAX = {"obstacle_height_range": 20.0, "target_speed_range": 1.0,
@@ -66,7 +65,7 @@ class EpisodeConfig:
             raise ConfigError(f"n_cameras must be in [2, 8], got {self.n_cameras}")
         if not 0 <= self.n_obstacles <= 15:
             raise ConfigError(f"n_obstacles must be in [0, 15], got {self.n_obstacles}")
-        for key in _RANGE_KEYS:
+        for key in (f.name for f in fields(self) if _KEYS[f.name][1] is tuple):
             lo, hi = getattr(self, key)
             if not (0.0 < lo < hi):
                 raise ConfigError(f"{key} must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -118,9 +117,11 @@ class TrainConfig:
         check_seed("seed", self.seed)
 
 
-_EPISODE_KEYS = {f.name for f in fields(EpisodeConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_INT_KEYS = {"n_cameras", "n_obstacles", "rollout_len", "n_envs", "total_steps", "seed"}
+# each config key's class and kind, read from its field's type: int, float,
+# or tuple for a [lo, hi] pair of floats
+_KEYS = {key: (cls, get_origin(hint) or hint)
+         for cls in (EpisodeConfig, TrainConfig)
+         for key, hint in get_type_hints(cls).items()}
 
 
 def _float(key: str, value) -> float:
@@ -132,13 +133,14 @@ def _float(key: str, value) -> float:
         raise ConfigError(f"{key} has an integer too large for a float") from None
 
 
-def _coerce(key: str, value):
-    if key in _RANGE_KEYS:
+def _coerce(key: str, kind: type, value):
+    """value read as key's kind; a value of another kind raises."""
+    if kind is tuple:
         if (not isinstance(value, (list, tuple)) or len(value) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
             raise ConfigError(f"{key} must be a [lo, hi] pair of numbers")
         return (_float(key, value[0]), _float(key, value[1]))
-    if key in _INT_KEYS:
+    if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return value
@@ -182,17 +184,14 @@ def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must contain a single JSON object")
 
-    episode_kwargs, train_kwargs = {}, {}
+    kwargs = {EpisodeConfig: {}, TrainConfig: {}}
     for key, value in data.items():
-        if key in _EPISODE_KEYS:
-            episode_kwargs[key] = _coerce(key, value)
-        elif key in _TRAIN_KEYS:
-            train_kwargs[key] = _coerce(key, value)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key!r}")
+        cls, kind = _KEYS[key]
+        kwargs[cls][key] = _coerce(key, kind, value)
 
-    episode = EpisodeConfig(**episode_kwargs)
-    train = TrainConfig(**train_kwargs)
+    episode, train = (cls(**kw) for cls, kw in kwargs.items())
     episode.validate()
     train.validate()
     return episode, train
@@ -200,10 +199,6 @@ def load_config(path: str | Path) -> tuple[EpisodeConfig, TrainConfig]:
 
 def save_config(episode: EpisodeConfig, train: TrainConfig, path: str | Path) -> None:
     """Write the canonical form: every key explicit, keys sorted."""
-    data = {}
-    for cfg in (episode, train):
-        for f in fields(cfg):
-            value = getattr(cfg, f.name)
-            data[f.name] = list(value) if isinstance(value, tuple) else value
+    data = asdict(episode) | asdict(train)
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")

@@ -10,6 +10,8 @@ compared system in one lockstep batch through run_lockstep: each step makes
 one world step, one observation and one tracker call for all (system, seed)
 episodes, at most LOCKSTEP_EPISODES of them at a time, and keeps only what
 the metrics need; at one episode the scalar path is the faster one.
+scope_rows lays out every per-camera report: a SystemSummary's rows() for
+compare's table and CSV, and eval's averages.
 """
 from __future__ import annotations
 
@@ -197,6 +199,18 @@ class SystemSummary:
     mean_error: tuple[float, float]
     success_rate: tuple[float, float]
 
+    def rows(self):
+        """scope_rows of this summary: each metric a (mean, std) pair."""
+        return scope_rows(self.per_camera_me, self.per_camera_sr,
+                          self.mean_error, self.success_rate)
+
+
+def scope_rows(per_camera_me, per_camera_sr, mean_error, success_rate):
+    """(scope, ME, SR) for each camera, cam_1 first, then the overall row."""
+    for i, me_sr in enumerate(zip(per_camera_me, per_camera_sr)):
+        yield (f"cam_{i + 1}", *me_sr)
+    yield "overall", mean_error, success_rate
+
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
     n = len(values)
@@ -327,13 +341,10 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
 
 
 def format_comparison(summaries: list[SystemSummary]) -> str:
-    """Aligned plain-text table with one row per camera plus an overall row."""
+    """Aligned plain-text table of every summary's rows()."""
     lines = [f"{'system':<12}{'scope':<10}{'mean_error_deg':>22}{'success_rate':>22}"]
     for s in summaries:
-        rows = [(f"cam_{i + 1}", s.per_camera_me[i], s.per_camera_sr[i])
-                for i in range(len(s.per_camera_me))]
-        rows.append(("overall", s.mean_error, s.success_rate))
-        for scope, me, sr in rows:
+        for scope, me, sr in s.rows():
             lines.append(f"{s.name:<12}{scope:<10}"
                          f"{me[0]:>12.3f} ± {me[1]:<7.3f}"
                          f"{sr[0]:>12.4f} ± {sr[1]:<7.4f}")

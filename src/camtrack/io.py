@@ -3,8 +3,9 @@
 Checkpoints are a small binary format so parameters round-trip bit-exactly;
 episode logs are JSONL with floats cut to 9 significant digits, each line
 formatted directly from its record and each distinct float formatted once
-per file; training and comparison results are plain CSV, the training log
-one row per update as it finishes.
+per file; training and comparison results are plain CSV: the training log
+one row of TRAIN_LOG_COLUMNS per update as it finishes, the comparison one
+row per SystemSummary.rows() entry.
 """
 from __future__ import annotations
 
@@ -157,8 +158,7 @@ def train_log_writer(path: str | Path) -> Iterator[Callable[[UpdateStats], None]
         f.flush()
 
         def append(r: UpdateStats) -> None:
-            f.write(f"{r.update_idx},{r.env_steps},{r.mean_reward_g0!r},"
-                    f"{r.entropy!r},{r.value_loss!r},{r.grad_norm!r}\n")
+            f.write(",".join(repr(getattr(r, key)) for key in TRAIN_LOG_COLUMNS) + "\n")
             f.flush()
 
         yield append
@@ -173,9 +173,6 @@ def write_train_log(rows: list[UpdateStats], path: str | Path) -> None:
 def write_comparison_csv(summaries: list[SystemSummary], path: str | Path) -> None:
     lines = ["system,scope,mean_error_mean,mean_error_std,"
              "success_rate_mean,success_rate_std"]
-    for s in summaries:
-        for i, (me, sr) in enumerate(zip(s.per_camera_me, s.per_camera_sr)):
-            lines.append(f"{s.name},cam_{i + 1},{me[0]!r},{me[1]!r},{sr[0]!r},{sr[1]!r}")
-        me, sr = s.mean_error, s.success_rate
-        lines.append(f"{s.name},overall,{me[0]!r},{me[1]!r},{sr[0]!r},{sr[1]!r}")
+    lines += [f"{s.name},{scope},{me[0]!r},{me[1]!r},{sr[0]!r},{sr[1]!r}"
+              for s in summaries for scope, me, sr in s.rows()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -86,6 +86,25 @@ GRID = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
 COORD = st.one_of(GRID, st.floats(-5.0, 5.0, allow_nan=False))
 
 
+class TestCameraPose:
+    @pytest.mark.parametrize("pitch, yaw, zoom, message", [
+        (60.5, 0.0, 1.0, "pitch 60.5 outside"),
+        (-61.0, 0.0, 1.0, "pitch -61.0 outside"),
+        (0.0, -180.0, 1.0, "yaw -180.0 outside"),
+        (0.0, 180.5, 1.0, "yaw 180.5 outside"),
+        (0.0, 0.0, 0.9, "zoom 0.9 outside"),
+        (0.0, 0.0, 3.4, "zoom 3.4 outside"),
+    ])
+    def test_out_of_range_rejected(self, pitch, yaw, zoom, message):
+        with pytest.raises(ValueError, match=message):
+            CameraPose(0.0, 0.0, 2.5, pitch, yaw, zoom).validate()
+
+    @pytest.mark.parametrize("pitch, yaw, zoom", [(60.0, 180.0, 1.0),
+                                                  (-60.0, -179.5, 3.3)])
+    def test_limits_accepted(self, pitch, yaw, zoom):
+        CameraPose(0.0, 0.0, 2.5, pitch, yaw, zoom).validate()
+
+
 class TestWrapAngle:
     def test_modular_identity(self):
         assert wrap_angle(190.0) == -170.0

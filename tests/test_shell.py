@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import camtrack
 from camtrack import nn
-from camtrack.cli import cli_main
+from camtrack.cli import _build_parser, cli_main
 from camtrack.config import ConfigError, EpisodeConfig, TrainConfig, load_config, save_config
 from camtrack.evaluate import StepRecord, run_episode
 from camtrack.geometry import CameraPose
@@ -172,6 +173,56 @@ class TestConfig:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# every config key with its kind, read from its dataclass field's type: int,
+# float, or tuple for a [lo, hi] pair
+CONFIG_KEYS = [(f.name, typing.get_origin(hint) or hint)
+               for cls in (EpisodeConfig, TrainConfig)
+               for f in dataclasses.fields(cls)
+               for hint in [typing.get_type_hints(cls)[f.name]]]
+
+
+class TestConfigKeys:
+    @pytest.fixture
+    def kinds_only(self, monkeypatch):
+        """load_config with validate off, so that only the kind checks act."""
+        for cls in (EpisodeConfig, TrainConfig):
+            monkeypatch.setattr(cls, "validate", lambda self: None)
+
+    @staticmethod
+    def _load(tmp_path, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        episode, train = load_config(path)
+        return getattr(episode if hasattr(episode, key) else train, key)
+
+    def test_every_kind_is_one_load_config_reads(self):
+        assert {kind for _, kind in CONFIG_KEYS} <= {int, float, tuple}
+
+    @pytest.mark.parametrize("key, kind", CONFIG_KEYS, ids=[k for k, _ in CONFIG_KEYS])
+    def test_each_key_reads_only_its_kind(self, key, kind, tmp_path, kinds_only):
+        """A key added to either config class later is covered here with no
+        edit: an int key stays an int, a float key reads an integer as a
+        float, a range key reads a pair as a tuple of floats, and a value of
+        another kind raises a ConfigError that names the key."""
+        if kind is int:
+            got, bad = self._load(tmp_path, key, 100), [2.5, True]
+            assert type(got) is int and got == 100
+        elif kind is float:
+            got, bad = self._load(tmp_path, key, 3), ["x"]
+            assert type(got) is float and got == 3.0
+        else:
+            got, bad = self._load(tmp_path, key, [1, 2]), [1.5, [1.0, 2.0, 3.0]]
+            assert got == (1.0, 2.0) and all(type(v) is float for v in got)
+        for value in bad:
+            with pytest.raises(ConfigError, match=f"^{key} must be "):
+                self._load(tmp_path, key, value)
+
+    def test_negative_total_steps_rejected(self):
+        with pytest.raises(ConfigError, match="total_steps must be >= 0, got -1"):
+            TrainConfig(total_steps=-1).validate()
+        TrainConfig(total_steps=0).validate()
+
+
 class TestRngStream:
     def test_same_seed_same_sequence(self):
         a, b = RngStream(42, 3), RngStream(42, 3)
@@ -234,6 +285,25 @@ class TestCheckpoint:
         (tmp_path / "trunc.ckpt").write_bytes(data[:len(data) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "trunc.ckpt")
+
+    def test_cut_anywhere_reads_as_truncated(self, tmp_path):
+        """A file cut inside the magic or the version, or inside any array's
+        name length, name, rank, dims or values, reads as truncated."""
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(nn.init_params(9), path)
+        data = path.read_bytes()
+        cuts = set(range(8))
+        offset = 8
+        for name, shape, _, _ in nn.PARAM_SPECS:
+            header = 4 + len(name) + 4 + 4 * len(shape)
+            cuts.update(range(offset, offset + header + 1))
+            offset += header + 8 * int(np.prod(shape))
+            cuts.add(offset - 1)
+        assert offset == len(data)
+        for n in sorted(cuts):
+            path.write_bytes(data[:n])
+            with pytest.raises(CheckpointError, match="is truncated"):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -440,6 +510,38 @@ class TestTrainLogCsv:
         assert lines[0] == "update_idx,env_steps,mean_reward_g0,entropy,value_loss,grad_norm"
         assert len(lines) == 3
         assert lines[1].startswith("1,320,0.5,")
+
+
+# the arguments each rolling command requires, apart from the shared flags
+ROLLING_COMMANDS = {"eval": ["--controller", "sv"],
+                    "compare": ["--systems", "sv", "--seeds", "1", "--out", "c.csv"],
+                    "rollout": ["--out", "r.jsonl"]}
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command", ROLLING_COMMANDS)
+    def test_rolling_commands_share_config_switcher_and_checkpoint(self, command):
+        parser = _build_parser()
+        args = parser.parse_args([command, *ROLLING_COMMANDS[command]])
+        assert (args.config, args.switcher, args.checkpoint) == (None, "oracle", None)
+        args = parser.parse_args([command, *ROLLING_COMMANDS[command], "--config", "c.json",
+                                  "--switcher", "noisy:0.2", "--checkpoint", "p.ckpt"])
+        assert (args.config, args.switcher, args.checkpoint) == (
+            "c.json", "noisy:0.2", "p.ckpt")
+
+    def test_train_takes_config_and_no_switcher(self, tmp_path, capsys):
+        args = _build_parser().parse_args(["train", "--out", "p.ckpt", "--config", "c.json"])
+        assert args.config == "c.json"
+        out = tmp_path / "p.ckpt"
+        assert cli_main(["train", "--steps", "0", "--out", str(out),
+                         "--switcher", "oracle"]) == 2
+        assert "unrecognized arguments: --switcher" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", *ROLLING_COMMANDS])
+    def test_help_exits_zero(self, command, capsys):
+        assert cli_main([command, "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestCli:

@@ -199,6 +199,17 @@ class TestAdvanceTarget:
         assert nxt.x == pytest.approx(1.0, abs=1e-8)
         assert nxt.waypoint != (5.0, 0.0)
 
+    @pytest.mark.parametrize("target", [
+        TargetState(0.0, 0.0, 0.1, (0.01, 0.0)),  # arrives: a new waypoint
+        TargetState(0.0, 0.0, 0.1, (5.0, 0.0)),   # a step on its leg
+    ], ids=["arrival", "leg"])
+    def test_no_free_waypoint_raises(self, target):
+        """One obstacle's footprint covers the whole arena, so every one of
+        the 1000 waypoint draws lands in it."""
+        world = self._world(target, [Obstacle(-10.0, -10.0, 10.0, 10.0, 1.0)])
+        with pytest.raises(ConfigError, match="after 1000 attempts"):
+            advance_target(world)
+
     def test_long_run_never_enters_footprints(self):
         cfg = EpisodeConfig()
         world = spawn_episode(cfg, 77)
