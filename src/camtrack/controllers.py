@@ -135,16 +135,16 @@ def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
         down = PITCH_LIMIT_DEG
     elif down < -PITCH_LIMIT_DEG:
         down = -PITCH_LIMIT_DEG
-    pitch_terms = (abs(pitch - bearing_pitch) / ALPHA_MAX_DEG,
-                   abs(up - bearing_pitch) / ALPHA_MAX_DEG,
-                   abs(down - bearing_pitch) / ALPHA_MAX_DEG)
+    p0 = abs(pitch - bearing_pitch) / ALPHA_MAX_DEG
+    p_up = abs(up - bearing_pitch) / ALPHA_MAX_DEG
+    p_down = abs(down - bearing_pitch) / ALPHA_MAX_DEG
     yaw = pose.yaw_deg
     still = (yaw - bearing_yaw) % 360.0
     left = (yaw - ROTATE_STEP_DEG - bearing_yaw) % 360.0
     right = (yaw + ROTATE_STEP_DEG - bearing_yaw) % 360.0
-    yaw_terms = (abs(still - 360.0 if still > 180.0 else still) / BETA_MAX_DEG,
-                 abs(left - 360.0 if left > 180.0 else left) / BETA_MAX_DEG,
-                 abs(right - 360.0 if right > 180.0 else right) / BETA_MAX_DEG)
+    y0 = abs(still - 360.0 if still > 180.0 else still) / BETA_MAX_DEG
+    y_left = abs(left - 360.0 if left > 180.0 else left) / BETA_MAX_DEG
+    y_right = abs(right - 360.0 if right > 180.0 else right) / BETA_MAX_DEG
     zoom = pose.zoom
     zoom_in = zoom + ZOOM_STEP
     zoom_out = zoom - ZOOM_STEP
@@ -160,12 +160,17 @@ def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
         zoom_out = ZOOM_MAX
     elif zoom_out < ZOOM_MIN:
         zoom_out = ZOOM_MIN
-    zoom_terms = (abs(zoom - xi_star) / ZOOM_ERROR_NORM,
-                  abs(zoom_in - xi_star) / ZOOM_ERROR_NORM,
-                  abs(zoom_out - xi_star) / ZOOM_ERROR_NORM)
+    z0 = abs(zoom - xi_star) / ZOOM_ERROR_NORM
+    z_in = abs(zoom_in - xi_star) / ZOOM_ERROR_NORM
+    z_out = abs(zoom_out - xi_star) / ZOOM_ERROR_NORM
 
-    scores = [pitch_terms[i] + yaw_terms[j] + zoom_terms[k]
-              for i, j, k in _ACTION_TERMS]
+    # each action's (pitch, yaw, zoom) terms of _ACTION_TERMS, summed left
+    # to right, in action order
+    scores = [p0 + y0 + z0, p0 + y_left + z0, p0 + y_right + z0,
+              p_up + y0 + z0, p_down + y0 + z0,
+              p_up + y_left + z0, p_up + y_right + z0,
+              p_down + y_left + z0, p_down + y_right + z0,
+              p0 + y0 + z_in, p0 + y0 + z_out]
     # min keeps the first of equal scores, and index finds that one
     return _ACTIONS[scores.index(min(scores))]
 
@@ -239,11 +244,13 @@ def learned_pose_action(poses: list[CameraPose], labels, params: nn.PolicyParams
     """Greedy actions of the label-0 cameras, in camera order.
 
     The step's pose tuples are embedded once and nn.greedy_actions runs the
-    trunk and policy head over the label-0 rows; each action is the argmax
-    of the log-probabilities training computes (lowest index on ties).
+    trunk and policy head over the label-0 cameras, whose indices it is
+    handed; each action is the argmax of the log-probabilities training
+    computes (lowest index on ties).
     """
     raws = nn.raw_tuples(poses, labels, arena_half)
-    return [_ACTIONS[i] for i in nn.greedy_actions(params, raws).tolist()]
+    pose_cams = [i for i, label in enumerate(labels) if label == 0]
+    return [_ACTIONS[i] for i in nn.greedy_actions(params, raws, pose_cams).tolist()]
 
 
 def oracle_switch(vis: Visibility) -> int:
@@ -300,27 +307,30 @@ def system_action(outcome: StepOutcome, labels, system: str,
     if system == "sv":
         return list(map(sv_baseline_action, poses, outcome.visibility, b_pitch,
                         b_yaw, distance))
-    if system == "geometric" and memories is None:
+    if system == "learned":
+        if params is None:
+            raise ValueError("learned controller needs params")
+        # label-1 cameras track; one policy call serves every label-0 camera,
+        # in camera order
+        greedy = iter(learned_pose_action(poses, labels, params, state.arena_half)
+                      if 0 in labels else ())
+        return [tracker_action(pose, pitch, yaw, dist) if label != 0 else next(greedy)
+                for pose, label, pitch, yaw, dist in zip(poses, labels, b_pitch,
+                                                         b_yaw, distance)]
+    if memories is None:
         raise ValueError("geometric controller needs one GeometricMemory per camera")
-    if system == "learned" and params is None:
-        raise ValueError("learned controller needs params")
-    # label-1 cameras track; the first label-0 camera triangulates, or runs
-    # the policy for every label-0 camera, and each takes its own action
+    # label-1 cameras track; the first label-0 camera triangulates, and each
+    # aims at the result or its memory
     actions = []
-    result = pose_actions = None
+    result = None
     for i, (pose, label, pitch, yaw, dist) in enumerate(zip(poses, labels, b_pitch,
                                                              b_yaw, distance)):
         if label != 0:
             actions.append(tracker_action(pose, pitch, yaw, dist))
-        elif system == "geometric":
+        else:
             if result is None:
                 result = triangulate(poses, labels)
             actions.append(geometric_pose_action(pose, result, memories[i]))
-        else:
-            if pose_actions is None:
-                pose_actions = learned_pose_action(poses, labels, params,
-                                                   state.arena_half)
-            actions.append(pose_actions.pop(0))
     return actions
 
 
@@ -428,7 +438,7 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if "learned" in names and params is None:
         raise ValueError("learned controller needs params")
     label0 = labels == 0
-    origin = state.origin[state.world]
+    origin = state.row_origin
     keep_still = (kinds == "sv")[:, None] & (outcome.visibility != VIS_VISIBLE)
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
@@ -460,5 +470,6 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
         for e in np.flatnonzero(learned_pose.any(axis=1)).tolist():
             raws = nn.pose_tuples(origin[e], state.pitch[e], state.yaw[e],
                                   labels[e], state.envs[state.world[e]].arena_half)
-            actions[e, learned_pose[e]] = nn.greedy_actions(params, raws)
+            actions[e, learned_pose[e]] = nn.greedy_actions(params, raws,
+                                                            learned_pose[e])
     return actions

@@ -133,18 +133,10 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
                                 params=params, memories=memories)
         outcome = step(world, actions)
         world = outcome.state
-        records.append(StepRecord(
-            t=world.t,
-            target=world.target.point(),
-            poses=world.cameras,
-            actions=[int(a) for a in actions],
-            visibility=outcome.visibility,
-            labels=labels,
-            rewards=outcome.reward,
-            d_alpha=outcome.d_alpha,
-            d_beta=outcome.d_beta,
-            d_xi=outcome.d_xi,
-        ))
+        records.append(StepRecord(world.t, world.target.point(), world.cameras,
+                                  [int(a) for a in actions], outcome.visibility, labels,
+                                  outcome.reward, outcome.d_alpha, outcome.d_beta,
+                                  outcome.d_xi))
     return records
 
 

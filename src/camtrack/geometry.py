@@ -19,9 +19,15 @@ BASE_H_FOV_DEG = 90.0
 BASE_V_FOV_DEG = 60.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CameraPose:
-    """Position, orientation and zoom of one fixed-position rotating camera."""
+    """Position, orientation and zoom of one fixed-position rotating camera.
+
+    Treated as a value: world.apply_action returns a new pose and nothing
+    assigns to a pose's fields. It is not frozen because a frozen
+    dataclass's __init__ sets each field through object.__setattr__, which
+    made building one about four times slower, and the one-episode step
+    builds one per camera; so a pose is not hashable either."""
 
     x: float
     y: float

@@ -16,9 +16,9 @@ holds everything the sampler, the update and the training log read: the
 tuples, embeddings and intermediates, the log-probabilities, the values and
 each row's entropy. backward reads that cache and writes nothing into it, so
 one forward serves a sample and its update. The greedy controller runs
-greedy_actions: only the trunk and policy head over its label-0 rows. Both
-read _encode and _trunk, so a greedy action is the argmax of the
-log-probabilities training computes.
+greedy_actions: only the trunk and policy head over the label-0 rows it
+names. Both read _encode and _trunk, so a greedy action is the argmax of
+the log-probabilities training computes.
 """
 from __future__ import annotations
 
@@ -154,11 +154,13 @@ def raw_tuples(poses, labels, arena_half: float) -> np.ndarray:
     """pose_tuples of one step's C camera poses and their labels -> (C, 7),
     one tuple per camera: cheaper than the array builder for one step of
     one episode."""
-    return np.array([(p.x / arena_half, p.y / arena_half, p.z / HEIGHT_NORM,
-                      math.sin(math.radians(p.yaw_deg)),
-                      math.cos(math.radians(p.yaw_deg)),
-                      p.pitch_deg / PITCH_NORM, float(label))
-                     for p, label in zip(poses, labels, strict=True)], dtype=float)
+    rows = []
+    for p, label in zip(poses, labels, strict=True):
+        yaw = math.radians(p.yaw_deg)
+        rows.append((p.x / arena_half, p.y / arena_half, p.z / HEIGHT_NORM,
+                     math.sin(yaw), math.cos(yaw), p.pitch_deg / PITCH_NORM,
+                     float(label)))
+    return np.array(rows, dtype=float)
 
 
 def _encode(params: PolicyParams, raws: np.ndarray, *rows
@@ -220,12 +222,13 @@ def policy_forward(params: PolicyParams, self_index: int, poses, labels,
     return cache.logits, float(cache.values), cache
 
 
-def greedy_actions(params: PolicyParams, raws: np.ndarray) -> np.ndarray:
-    """Greedy action indices of the label-0 cameras of one step's pose
-    tuples raws (C, 7), in camera order: the argmax (lowest index on ties)
-    of the logp forward gives those rows, by the same _encode features and
-    _trunk arithmetic, with no value head, entropy or cache."""
-    features, _ = _encode(params, raws, raws[:, 6] == 0.0)
+def greedy_actions(params: PolicyParams, raws: np.ndarray, cams) -> np.ndarray:
+    """Greedy action indices of the cameras cams (the label-0 ones, as
+    indices in camera order or a boolean mask) of one step's pose tuples
+    raws (C, 7): the argmax (lowest index on ties) of the logp forward
+    gives those rows, by the same _encode features and _trunk arithmetic,
+    with no value head, entropy or cache."""
+    features, _ = _encode(params, raws, cams)
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     return log_softmax(_trunk(params, features)[2]).argmax(axis=-1)

@@ -116,7 +116,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
             rank = np.cumsum(g0, axis=1)[env, cam] - 1
             uniforms = peek_randoms(agent, n_cams)
             agent = advance(agent, g0.sum(axis=1))
-            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
+            raws = nn.pose_tuples(state.row_origin, state.pitch, state.yaw, labels,
                                   arena_half)
             cache = nn.forward(params, raws, env, cam)
             sampled = nn.sample_action(np.exp(cache.logp), uniforms[env, rank])
@@ -141,7 +141,7 @@ def train_pose_controller(train_cfg: TrainConfig, episode_cfg: EpisodeConfig,
         # window's last step
         bootstrap = 0.0
         if not done[-1]:
-            raws = nn.pose_tuples(state.origin, state.pitch, state.yaw, labels,
+            raws = nn.pose_tuples(state.row_origin, state.pitch, state.yaw, labels,
                                   arena_half)
             bootstrap = nn.forward(params, raws, *np.indices(labels.shape)).values
         returns = nn.compute_returns(np.array([s.rewards for s in window]),

@@ -355,8 +355,8 @@ def zoom_reward(vis: Visibility, xi: float, distance: float) -> float:
 def observe(state: WorldState) -> StepOutcome:
     """Score every camera on the state in one pass: the bearing and distance
     to the target, the angle errors, visibility (field of view first, then
-    the sight line against every obstacle) and the clipped sum of the
-    direction and zoom rewards. The arithmetic is that of bearing_angles,
+    the sight line against every obstacle) and the sum of the direction
+    and zoom rewards, clipped at 1. The arithmetic is that of bearing_angles,
     effective_fov, direction_reward and zoom_reward, written out in their
     order. A sight line is blocked when geometry.first_overlap finds a box
     on it among the camera's corners in the state's SightLines, built here
@@ -401,10 +401,11 @@ def observe(state: WorldState) -> StepOutcome:
             vis = _VISIBLE
             r = ((1.0 - d_alpha / ALPHA_MAX_DEG - d_beta / BETA_MAX_DEG)
                  + (1.0 - d_xi / ZOOM_ERROR_NORM))
+            # a visible target lies inside the field of view, so
+            # d_alpha <= 30, d_beta <= 45 and d_xi <= ZOOM_ERROR_NORM hold
+            # and r >= -1 needs no lower clip
             if r > 1.0:
                 r = 1.0
-            elif r < -1.0:
-                r = -1.0
         rows.append((vis, r, d_alpha, d_beta, d_xi, b_pitch, b_yaw, distance))
     # one list per field, in camera order
     columns = zip(*rows) if rows else [()] * 8
@@ -439,17 +440,19 @@ class BatchState:
     corner minus every camera's origin, corner then axis first: the
     subtractions the slab test makes, done once per world because the
     cameras never move. A row is one set of camera poses on a world:
-    world[e] is row e's world, and pitch, yaw and zoom hold the rows' poses.
-    The rows of one world share its target walk and sight lines, which
-    depend on no pose."""
+    world[e] is row e's world, row_origin[e] its cameras' positions
+    (origin[world[e]], gathered once), and pitch, yaw and zoom hold the
+    rows' poses. The rows of one world share its target walk and sight
+    lines, which depend on no pose."""
 
     envs: list[WorldState]
-    world: np.ndarray    # (E,) index into envs
-    origin: np.ndarray   # (W, C, 3)
-    pitch: np.ndarray    # (E, C)
-    yaw: np.ndarray      # (E, C)
-    zoom: np.ndarray     # (E, C)
-    box: np.ndarray      # (2, 3, W, C, O)
+    world: np.ndarray       # (E,) index into envs
+    origin: np.ndarray      # (W, C, 3)
+    row_origin: np.ndarray  # (E, C, 3)
+    pitch: np.ndarray       # (E, C)
+    yaw: np.ndarray         # (E, C)
+    zoom: np.ndarray        # (E, C)
+    box: np.ndarray         # (2, 3, W, C, O)
 
 
 @dataclass(slots=True)
@@ -506,7 +509,7 @@ def batch_world(worlds: list[WorldState],
         .reshape(2, 3, len(worlds), 1, n_obs) - np.moveaxis(origin, -1, 0)[..., None])
     envs = [WorldState([], w.target, w.obstacles, w.t, w.arena_half, w.speed_range,
                        copy.copy(w.rng)) for w in worlds]
-    return BatchState(envs, rows, origin, pitch, yaw, zoom, box)
+    return BatchState(envs, rows, origin, origin[rows], pitch, yaw, zoom, box)
 
 
 def batch_observe(state: BatchState) -> BatchOutcome:
@@ -516,7 +519,7 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     over BatchState.box). Then per row, reading its world's values: the
     angle errors, the yaw error as geometry.yaw_errors, observe's
     abs(wrap) without the wrap, visibility (field of view first, then the
-    sight line) and the clipped reward."""
+    sight line) and the reward, clipped at 1."""
     direction = (np.array([env.target.point() for env in state.envs])[:, None, :]
                  - state.origin)
     b_pitch, b_yaw, distance = bearings(direction)
@@ -533,12 +536,12 @@ def batch_observe(state: BatchState) -> BatchOutcome:
            | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
     visibility = np.where(out, VIS_OUT_OF_VIEW,
                           np.where(occluded, VIS_OCCLUDED, VIS_VISIBLE))
-    # direction_reward + zoom_reward, clipped
+    # direction_reward + zoom_reward, clipped at 1: as in observe, no
+    # reward can fall below -1
     tracked = ((1.0 - d_alpha / ALPHA_MAX_DEG - d_beta / BETA_MAX_DEG)
                + (1.0 - d_xi / ZOOM_ERROR_NORM))
-    reward = np.where(visibility == VIS_VISIBLE, tracked,
-                      np.where(out, -1.0, 0.0))
-    reward = np.minimum(np.maximum(reward, -1.0), 1.0)
+    reward = np.minimum(np.where(visibility == VIS_VISIBLE, tracked,
+                                 np.where(out, -1.0, 0.0)), 1.0)
     return BatchOutcome(visibility, reward, d_alpha, d_beta, d_xi,
                         b_pitch, b_yaw, distance)
 

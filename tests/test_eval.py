@@ -143,6 +143,16 @@ class TestRunEpisode:
                               seed=1, steps=30)
         assert len(records) == 30
 
+    @pytest.mark.parametrize("controller", ["virtual", "geometric", "learned", "sv"])
+    def test_no_two_records_share_a_pose(self, controller):
+        """Every step records new pose objects (poses are values, built by
+        world.apply_action), so no record's pose is another record's."""
+        records = run_episode(EpisodeConfig(), controller, "random:0.5",
+                              params=nn.init_params(0), seed=4, steps=60)
+        poses = [pose for rec in records for pose in rec.poses]
+        assert len({id(pose) for pose in poses}) == len(poses)
+        assert len({id(rec.poses) for rec in records}) == len(records)
+
     def test_switcher_specs(self):
         cfg = EpisodeConfig()
         for spec in ("oracle", "random:0.5", "noisy:0.1"):

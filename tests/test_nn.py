@@ -223,12 +223,31 @@ class TestGreedyActions:
             cam = np.flatnonzero(raws[:, 6] == 0.0)
             cache = nn.forward(params, raws[None], np.zeros_like(cam), cam)
             want = np.argmax(cache.logp, axis=-1)
-            got = nn.greedy_actions(params, raws)
+            got = nn.greedy_actions(params, raws, cam)
             assert got.tolist() == want.tolist()
             if trial % 10 == 0:
                 assert got.tolist() == [0] * cam.size
             seen.add(cam.size)
         assert seen == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("n_cams", [2, 4])
+    def test_indices_equal_the_mask(self, n_cams):
+        """The label-0 cameras handed over as indices in camera order give
+        the same actions as the same cameras given as a mask, for
+        every count of label-0 cameras from 1 to C."""
+        rng = np.random.default_rng(73)
+        for trial in range(60):
+            params = rand_params(rng, scale=float(rng.uniform(0.1, 2.0)))
+            poses, _ = rand_step(rng, n_cams)
+            labels = [1] * n_cams
+            for c in rng.choice(n_cams, size=trial % n_cams + 1, replace=False):
+                labels[c] = 0
+            raws = nn.raw_tuples(poses, labels, 10.0)
+            cams = [c for c, label in enumerate(labels) if label == 0]
+            got = nn.greedy_actions(params, raws, cams)
+            want = nn.greedy_actions(params, raws, raws[:, 6] == 0.0)
+            assert got.size == len(cams)
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("name", ["embed_w", "embed_b"])
     def test_non_finite_weight_rejected(self, name):
@@ -237,7 +256,7 @@ class TestGreedyActions:
         raws = nn.raw_tuples(*rand_step(np.random.default_rng(72)), 10.0)
         raws[:, 6] = 0.0
         with pytest.raises(ValueError, match="non-finite"):
-            nn.greedy_actions(params, raws)
+            nn.greedy_actions(params, raws, raws[:, 6] == 0.0)
 
 
 class TestSoftmaxStability:

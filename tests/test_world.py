@@ -11,6 +11,10 @@ from camtrack import nn
 from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.evaluate import run_episode
 from camtrack.geometry import (
+    BASE_H_FOV_DEG,
+    BASE_V_FOV_DEG,
+    ZOOM_MAX,
+    ZOOM_MIN,
     CameraPose,
     Obstacle,
     angle_error,
@@ -31,6 +35,8 @@ from camtrack.world import (
     _draw_waypoint,
     advance_target,
     apply_action,
+    batch_observe,
+    batch_world,
     desired_zoom,
     direction_reward,
     observe,
@@ -91,6 +97,18 @@ class TestApplyAction:
         assert (tl.pitch_deg, tl.yaw_deg) == (5.0, -5.0)
         br = apply_action(pose, Action.BOTTOM_RIGHT)
         assert (br.pitch_deg, br.yaw_deg) == (-5.0, 5.0)
+
+    @pytest.mark.parametrize("values", [(1.0, 2.0, 3.0, 10.0, 20.0, 1.5),
+                                        (0.0, 0.0, 2.0, 60.0, 180.0, 3.3),
+                                        (0.0, 0.0, 2.0, -60.0, -177.5, 1.0)])
+    def test_returns_a_new_pose_and_leaves_its_input(self, values):
+        """A pose is a value: every action, KEEP_STILL and clamped ones
+        included, builds a new pose and writes nothing into its input."""
+        for action in Action:
+            pose = CameraPose(*values)
+            moved = apply_action(pose, action)
+            assert moved is not pose
+            assert dataclasses.astuple(pose) == values
 
 
 class TestSpawnEpisode:
@@ -439,6 +457,37 @@ class TestRewards:
         assert desired_zoom(3.0) == 1.0
         assert desired_zoom(12.0) == 2.0
         assert desired_zoom(30.0) == 3.3
+
+    @pytest.mark.parametrize("zoom", [ZOOM_MIN, ZOOM_MAX])
+    @pytest.mark.parametrize("distance", [2.0, 25.0])
+    @pytest.mark.parametrize("pitch_side", [-1.0, 1.0])
+    @pytest.mark.parametrize("yaw_side", [-1.0, 1.0])
+    def test_visible_reward_is_at_least_minus_one_at_the_view_edges(
+            self, zoom, distance, pitch_side, yaw_side):
+        """The target at a corner of the field of view, at both zoom limits
+        and with the desired zoom at either end of its range: the unclipped
+        reward sum is at least -1, so observe and batch_observe clip it only
+        above. The pose is nudged inward one ulp at a time until the target
+        counts as visible."""
+        target = TargetState(distance, 0.0, 0.1, (0.0, 0.0))
+        b_pitch, b_yaw = bearing_to((0.0, 0.0, 2.0), target.point())
+        half_v, half_h = 0.5 * BASE_V_FOV_DEG / zoom, 0.5 * BASE_H_FOV_DEG / zoom
+        for _ in range(100):
+            cam = CameraPose(0.0, 0.0, 2.0, b_pitch + pitch_side * half_v,
+                             b_yaw + yaw_side * half_h, zoom)
+            world = WorldState([cam], target, [], 0, 10.0, (0.05, 0.2),
+                               RngStream(0, 0))
+            out = observe(world)
+            if out.visibility[0] is Visibility.VISIBLE:
+                break
+            half_v, half_h = math.nextafter(half_v, 0.0), math.nextafter(half_h, 0.0)
+        assert out.visibility[0] is Visibility.VISIBLE
+        unclipped = (direction_reward(Visibility.VISIBLE, out.d_alpha[0], out.d_beta[0])
+                     + zoom_reward(Visibility.VISIBLE, zoom, out.distance[0]))
+        assert unclipped >= -1.0
+        assert out.reward[0] == min(unclipped, 1.0)
+        batch = batch_observe(batch_world([world]))
+        assert batch.reward.tolist() == [out.reward]
 
 
 class TestStep:
