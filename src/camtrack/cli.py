@@ -9,7 +9,9 @@ raised where user input is read, an unreadable --config or --checkpoint
 file included), 1 any other error, such as a failed write. The commands
 check only their own flags: the seeds, --episodes, --checkpoint, and eval's
 --switcher before it makes the log directory. evaluate rejects a bad system
-list or switcher spec with a ConfigError before anything is written.
+list or switcher spec with a ConfigError before anything is written. train,
+compare and rollout exit 1 before any work when --out is a directory or its
+directory is missing.
 """
 from __future__ import annotations
 
@@ -85,12 +87,23 @@ def _load_params_if_needed(controller_names, checkpoint: str | None):
     return load_checkpoint(checkpoint) if needs else None
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError writing to path would raise, before the work whose
+    result goes there: path is a directory, or its directory is missing."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {out.parent}")
+
+
 def _cmd_train(args, episode_cfg: EpisodeConfig, train_cfg: TrainConfig) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
     if args.steps is not None:
         train_cfg.total_steps = args.steps
     train_cfg.validate()
+    _check_out(args.out)
     # an unwritable --log fails here, before any training
     with train_log_writer(args.log) if args.log else nullcontext() as append_row:
         params, log = train_pose_controller(train_cfg, episode_cfg,
@@ -142,6 +155,7 @@ def _cmd_compare(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     # compare runs seeds 0 .. --seeds - 1
     check_seed("--seeds - 1", args.seeds - 1)
     params = _load_params_if_needed(systems, args.checkpoint)
+    _check_out(args.out)
     summaries = compare_systems(episode_cfg, systems, args.seeds,
                                 params=params, switcher=args.switcher)
     write_comparison_csv(summaries, args.out)
@@ -153,6 +167,7 @@ def _cmd_compare(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
 def _cmd_rollout(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     check_seed("--seed", args.seed)
     params = _load_params_if_needed([args.controller], args.checkpoint)
+    _check_out(args.out)
     records = run_episode(episode_cfg, args.controller, switcher=args.switcher,
                           params=params, seed=args.seed)
     write_episode_log(records, args.out)

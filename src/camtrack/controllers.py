@@ -8,8 +8,9 @@ Four ways to pick one of the 11 camera commands:
   * geometric_pose_action  - steers toward the step's triangulation of the
     target from the cameras that report successful tracking.
   * learned_pose_action    - greedy action of the trained pose policy for
-    all pose-controlled cameras of a step (nn.greedy_actions: trunk and
-    policy head only, no value head or backward cache).
+    all pose-controlled cameras of a step (nn.greedy_actions: the argmax of
+    the policy logits; trunk and policy head only, no log_softmax, value
+    head or backward cache).
   * sv_baseline_action     - no collaboration: track when the target is
     visible, freeze otherwise.
 
@@ -244,13 +245,13 @@ def learned_pose_action(poses: list[CameraPose], labels, params: nn.PolicyParams
     """Greedy actions of the label-0 cameras, in camera order.
 
     The step's pose tuples are embedded once and nn.greedy_actions runs the
-    trunk and policy head over the label-0 cameras, whose indices it is
-    handed; each action is the argmax of the log-probabilities training
-    computes (lowest index on ties).
+    trunk and policy head over the label-0 cameras, handed over as the mask
+    of the tuples' label column; each action is the argmax of the policy
+    logits training's forward computes (lowest index on ties).
     """
     raws = nn.raw_tuples(poses, labels, arena_half)
-    pose_cams = [i for i, label in enumerate(labels) if label == 0]
-    return [_ACTIONS[i] for i in nn.greedy_actions(params, raws, pose_cams).tolist()]
+    actions = nn.greedy_actions(params, raws, raws[:, 6] == 0.0)
+    return [_ACTIONS[i] for i in actions.tolist()]
 
 
 def oracle_switch(vis: Visibility) -> int:

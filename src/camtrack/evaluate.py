@@ -215,8 +215,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None,
                steps: int) -> tuple[str, float | None]:
-    """Reject a run run_episode and run_lockstep cannot roll; returns the
-    parsed switcher."""
+    """Reject a run run_episode and run_lockstep cannot roll, a learned run
+    with a wrongly shaped or non-finite weight included; returns the parsed
+    switcher."""
     if not systems:
         raise ConfigError("a run needs at least one system")
     for name in systems:
@@ -224,8 +225,10 @@ def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None
             raise ConfigError(f"unknown system {name!r}")
     if len(set(systems)) != len(systems):
         raise ConfigError(f"repeated system in {systems}")
-    if "learned" in systems and params is None:
-        raise ConfigError("the learned controller requires policy params")
+    if "learned" in systems:
+        if params is None:
+            raise ConfigError("the learned controller requires policy params")
+        params.validate()
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     return parse_switcher(switcher)

@@ -2,10 +2,12 @@
 
 Checkpoints are a small binary format so parameters round-trip bit-exactly;
 episode logs are JSONL with floats cut to 9 significant digits, each line
-formatted directly from its record and each distinct float formatted once
-per file; training and comparison results are plain CSV: the training log
-one row of TRAIN_LOG_COLUMNS per update as it finishes, the comparison one
-row per SystemSummary.rows() entry.
+formatted directly from its record: pose and target-height floats, which
+repeat from step to step, are formatted once per file, and the per-step
+reward, errors and target x and y each time they occur; training and
+comparison results are plain CSV: the training log one row of
+TRAIN_LOG_COLUMNS per update as it finishes, the comparison one row per
+SystemSummary.rows() entry.
 """
 from __future__ import annotations
 
@@ -121,23 +123,26 @@ class _FloatText(dict):
 
 def write_episode_log(records: list[StepRecord], path: str | Path) -> None:
     """One JSON object per step, formatted straight into its line; see the
-    record schema in the README. Each distinct float is formatted once per
-    file. Strict JSON: a non-finite value raises ValueError and no file is
-    written."""
+    record schema in the README. Pose floats and the target's height repeat
+    from step to step and are formatted once per file; the reward, the three
+    errors and the target's x and y almost never repeat and go straight to
+    _json_float. Strict JSON: a non-finite value raises ValueError and no
+    file is written."""
     f = _FloatText()
+    j = _json_float
     lines = []
     # vis._value_ is vis.value read straight from the member: the Enum
     # property costs about 90 ns per read
     for rec in records:
         cams = ",".join(
             f'{{"pose":[{f[p.x]},{f[p.y]},{f[p.z]},{f[p.pitch_deg]},{f[p.yaw_deg]},'
-            f'{f[p.zoom]}],"action":{a},"vis":"{vis._value_}","g":{g},"r":{f[r]},'
-            f'"da":{f[da]},"db":{f[db]},"dxi":{f[dxi]}}}'
+            f'{f[p.zoom]}],"action":{a},"vis":"{vis._value_}","g":{g},"r":{j(r)},'
+            f'"da":{j(da)},"db":{j(db)},"dxi":{j(dxi)}}}'
             for p, a, vis, g, r, da, db, dxi in zip(
                 rec.poses, rec.actions, rec.visibility, rec.labels, rec.rewards,
                 rec.d_alpha, rec.d_beta, rec.d_xi))
         x, y, z = rec.target
-        lines.append(f'{{"t":{rec.t},"target":[{f[x]},{f[y]},{f[z]}],"cams":[{cams}]}}')
+        lines.append(f'{{"t":{rec.t},"target":[{j(x)},{j(y)},{f[z]}],"cams":[{cams}]}}')
     text = "\n".join(lines)
     if lines:
         text += "\n"

@@ -17,8 +17,12 @@ tuples, embeddings and intermediates, the log-probabilities, the values and
 each row's entropy. backward reads that cache and writes nothing into it, so
 one forward serves a sample and its update. The greedy controller runs
 greedy_actions: only the trunk and policy head over the label-0 rows it
-names. Both read _encode and _trunk, so a greedy action is the argmax of
-the log-probabilities training computes.
+names. Both read _encode and _trunk, so greedy_actions' logits equal
+forward's bit for bit, and a greedy action is the argmax of those logits
+(lowest index on ties): the action of highest probability, since softmax is
+strictly increasing. It can differ from the argmax of forward's rounded
+log-probabilities only where a lower-index logit lies within 2**-52 below
+the row's maximum, which log_softmax rounds onto the maximum's value.
 """
 from __future__ import annotations
 
@@ -152,15 +156,14 @@ def pose_tuples(origin: np.ndarray, pitch: np.ndarray, yaw: np.ndarray,
 
 def raw_tuples(poses, labels, arena_half: float) -> np.ndarray:
     """pose_tuples of one step's C camera poses and their labels -> (C, 7),
-    one tuple per camera: cheaper than the array builder for one step of
-    one episode."""
-    rows = []
+    one tuple per camera, built as one flat list: cheaper than the array
+    builder for one step of one episode."""
+    flat = []
     for p, label in zip(poses, labels, strict=True):
         yaw = math.radians(p.yaw_deg)
-        rows.append((p.x / arena_half, p.y / arena_half, p.z / HEIGHT_NORM,
-                     math.sin(yaw), math.cos(yaw), p.pitch_deg / PITCH_NORM,
-                     float(label)))
-    return np.array(rows, dtype=float)
+        flat += (p.x / arena_half, p.y / arena_half, p.z / HEIGHT_NORM,
+                 math.sin(yaw), math.cos(yaw), p.pitch_deg / PITCH_NORM, label)
+    return np.array(flat, dtype=float).reshape(-1, RAW_SIZE)
 
 
 def _encode(params: PolicyParams, raws: np.ndarray, *rows
@@ -225,13 +228,15 @@ def policy_forward(params: PolicyParams, self_index: int, poses, labels,
 def greedy_actions(params: PolicyParams, raws: np.ndarray, cams) -> np.ndarray:
     """Greedy action indices of the cameras cams (the label-0 ones, as
     indices in camera order or a boolean mask) of one step's pose tuples
-    raws (C, 7): the argmax (lowest index on ties) of the logp forward
-    gives those rows, by the same _encode features and _trunk arithmetic,
-    with no value head, entropy or cache."""
+    raws (C, 7): the argmax (lowest index on ties) of the policy logits,
+    which equal forward's for those rows bit for bit (the same _encode
+    features and _trunk arithmetic), with no log_softmax, value head,
+    entropy or cache. See the module docstring for where this can differ
+    from the argmax of forward's log-probabilities."""
     features, _ = _encode(params, raws, cams)
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    return log_softmax(_trunk(params, features)[2]).argmax(axis=-1)
+    return _trunk(params, features)[2].argmax(axis=-1)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

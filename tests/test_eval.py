@@ -367,3 +367,27 @@ def test_bad_run_is_a_config_error_before_any_world(entry, kwargs, message,
     monkeypatch.setattr(evaluate, "spawn_episode", no_world)
     with pytest.raises(ConfigError, match=message):
         _run(entry, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["run_episode", "run_lockstep", "compare_systems"])
+@pytest.mark.parametrize("name, shape, message", [
+    ("trunk1_w", None, "trunk1_w contains non-finite"),
+    ("policy_b", None, "policy_b contains non-finite"),
+    ("policy_w", (nn.N_ACTIONS, nn.HIDDEN_SIZE + 1), "policy_w has shape"),
+], ids=["nan-trunk1_w", "nan-policy_b", "wrong-shape"])
+def test_bad_params_rejected_before_any_world(entry, name, shape, message, monkeypatch):
+    """A learned run validates its params before a world is spawned: a NaN
+    weight would otherwise send every label-0 camera to action 0 (the
+    argmax of all-NaN logits) with no error."""
+    def no_world(*args, **kwargs):
+        raise AssertionError("a world was spawned")
+
+    params = nn.init_params(0)
+    if shape is None:
+        getattr(params, name).flat[4] = np.nan
+    else:
+        setattr(params, name, np.zeros(shape))
+    monkeypatch.setattr(evaluate, "spawn_episode", no_world)
+    systems = ["learned"] if entry == "run_episode" else ["learned", "sv"]
+    with pytest.raises(ValueError, match=message):
+        _run(entry, systems, seeds=(0, 1), switcher="random:0.5", params=params)

@@ -213,7 +213,10 @@ class TestGreedyActions:
     def test_equals_argmax_of_forward(self):
         """Random params and steps of 4 cameras with 0-4 label-0 cameras, and
         zero params (eleven tied logits): one index per label-0 row, equal to
-        the argmax of forward's log-probabilities for that row."""
+        the argmax of forward's logits for that row, and on these random
+        trials also to the argmax of its log-probabilities (the two differ
+        only at a near tie, see
+        test_ties_go_to_the_largest_logit_then_the_lowest_index)."""
         rng = np.random.default_rng(71)
         seen = set()
         for trial in range(400):
@@ -224,6 +227,7 @@ class TestGreedyActions:
             cache = nn.forward(params, raws[None], np.zeros_like(cam), cam)
             want = np.argmax(cache.logp, axis=-1)
             got = nn.greedy_actions(params, raws, cam)
+            assert got.tolist() == np.argmax(cache.logits, axis=-1).tolist()
             assert got.tolist() == want.tolist()
             if trial % 10 == 0:
                 assert got.tolist() == [0] * cam.size
@@ -248,6 +252,26 @@ class TestGreedyActions:
             want = nn.greedy_actions(params, raws, raws[:, 6] == 0.0)
             assert got.size == len(cams)
             assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("policy_b, want", [
+        ([0.0] * 11, 0),
+        ([1.0 - 2.0 ** -53] + [1.0] * 10, 1),
+    ], ids=["exact-tie", "one-ulp-near-tie"])
+    def test_ties_go_to_the_largest_logit_then_the_lowest_index(self, policy_b, want):
+        """With policy_w zero the logits are policy_b. Eleven equal logits
+        give action 0. Logits 1 - 2**-53 and ten times 1.0 give action 1, the
+        strictly most probable one, though log_softmax rounds both
+        log-probabilities to one value, so the argmax of forward's logp takes
+        action 0: the one case where the two argmaxes differ."""
+        params = nn.init_params(5)
+        params.policy_w[:] = 0.0
+        params.policy_b[:] = policy_b
+        raws = nn.raw_tuples(*rand_step(np.random.default_rng(75)), 10.0)
+        cams = np.arange(len(raws))
+        cache = nn.forward(params, raws[None], np.zeros_like(cams), cams)
+        assert (cache.logits == params.policy_b).all()
+        assert np.argmax(cache.logp, axis=-1).tolist() == [0] * len(raws)
+        assert nn.greedy_actions(params, raws, cams).tolist() == [want] * len(raws)
 
     @pytest.mark.parametrize("name", ["embed_w", "embed_b"])
     def test_non_finite_weight_rejected(self, name):

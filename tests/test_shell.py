@@ -454,15 +454,17 @@ class TestEpisodeLog:
             assert path.read_text(encoding="utf-8") == reference_log([record])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("slot", ["pose", "reward", "target"])
+    @pytest.mark.parametrize("slot", ["pose", "reward", "target", "da", "db", "dxi"])
     def test_non_finite_in_every_slot_rejected(self, tmp_path, bad, slot):
         record = float_record(1.5)
         if slot == "pose":
             record.poses[1] = dataclasses.replace(record.poses[1], yaw_deg=bad)
         elif slot == "reward":
             record.rewards[0] = bad
-        else:
+        elif slot == "target":
             record.target = (1.5, bad, 0.9)
+        else:
+            {"da": record.d_alpha, "db": record.d_beta, "dxi": record.d_xi}[slot][1] = bad
         with pytest.raises(ValueError, match="Out of range float"):
             reference_log([record])
         path = tmp_path / "e.jsonl"
@@ -661,6 +663,26 @@ class TestCli:
                          "--log", str(tmp_path / "missing" / "l.csv")]) == 1
         assert "No such file" in capsys.readouterr().err
         assert started == [] and not out.exists()
+
+    @pytest.mark.parametrize("flags, work", [
+        (["train", "--steps", "3000"], "train_pose_controller"),
+        (["compare", "--systems", "sv,geometric", "--seeds", "20"], "compare_systems"),
+        (["rollout"], "run_episode"),
+    ], ids=["train", "compare", "rollout"])
+    @pytest.mark.parametrize("out", ["missing/o", "."], ids=["missing-dir", "is-dir"])
+    def test_unwritable_out_exits_one_before_working(self, flags, work, out, tmp_path,
+                                                     capsys, monkeypatch):
+        """--out in a missing directory, or naming a directory, fails before
+        training or rolling anything, and writes nothing."""
+        import camtrack.cli
+
+        started = []
+        monkeypatch.setattr(camtrack.cli, work,
+                            lambda *args, **kwargs: started.append(args))
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*flags, "--out", out]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert started == [] and list(tmp_path.iterdir()) == []
 
     def test_train_log_rows_are_written_as_updates_finish(self, tmp_path, capsys,
                                                           monkeypatch):
