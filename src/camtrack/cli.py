@@ -6,12 +6,12 @@ Shared flags are declared once, in argparse parent parsers: --config for
 every command, --switcher and --checkpoint for eval, compare and rollout.
 Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
 raised where user input is read, an unreadable --config or --checkpoint
-file included), 1 any other error, such as a failed write. The commands
-check only their own flags: the seeds, --episodes, --checkpoint, and eval's
---switcher before it makes the log directory. evaluate rejects a bad system
-list or switcher spec with a ConfigError before anything is written. train,
-compare and rollout exit 1 before any work when --out is a directory or its
-directory is missing.
+file included), 1 any other error, such as a failed write. eval, compare
+and rollout check their input before any output: first their own flags (the
+seeds, --episodes, --checkpoint), then the run as evaluate.check_run does
+(the system list, the switcher spec and the loaded weights). Only then does
+train, compare or rollout exit 1 when --out is a directory or its directory
+is missing, and eval make its --episode-log directory.
 """
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ from pathlib import Path
 from .config import ConfigError, EpisodeConfig, TrainConfig, check_seed, load_config
 from .controllers import SYSTEMS
 from .evaluate import (
+    SystemSummary,
+    check_run,
     compare_systems,
     episode_report,
     format_comparison,
-    parse_switcher,
     run_episode,
-    scope_rows,
 )
 from .io import (
     CheckpointError,
@@ -80,11 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_params_if_needed(controller_names, checkpoint: str | None):
-    needs = any(name == "learned" for name in controller_names)
+def _load_params_if_needed(controller_names, checkpoint: str | None, switcher: str):
+    """A learned run's policy (None otherwise), once check_run accepts the run."""
+    needs = "learned" in controller_names
     if needs and checkpoint is None:
         raise ConfigError("the learned controller requires --checkpoint")
-    return load_checkpoint(checkpoint) if needs else None
+    params = load_checkpoint(checkpoint) if needs else None
+    check_run(controller_names, switcher, params)
+    return params
 
 
 def _check_out(path: str) -> None:
@@ -117,12 +120,11 @@ def _cmd_train(args, episode_cfg: EpisodeConfig, train_cfg: TrainConfig) -> int:
 
 
 def _cmd_eval(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
-    parse_switcher(args.switcher)
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1")
     check_seed("--seed", args.seed)
     check_seed("--seed + --episodes - 1", args.seed + args.episodes - 1)
-    params = _load_params_if_needed([args.controller], args.checkpoint)
+    params = _load_params_if_needed([args.controller], args.checkpoint, args.switcher)
 
     log_dir = Path(args.episode_log) if args.episode_log else None
     if log_dir is not None:
@@ -137,13 +139,12 @@ def _cmd_eval(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
             write_episode_log(records, log_dir / f"episode_{seed}.jsonl")
         reports.append(episode_report(records))
 
-    n = len(reports)
+    summary = SystemSummary.of(args.controller,
+                               [r.per_camera_mean_error for r in reports],
+                               [r.per_camera_success_rate for r in reports])
     print(f"controller={args.controller} switcher={args.switcher} "
-          f"episodes={n} seed0={args.seed}")
-    for scope, me, sr in scope_rows(
-            [sum(v) / n for v in zip(*(r.per_camera_mean_error for r in reports))],
-            [sum(v) / n for v in zip(*(r.per_camera_success_rate for r in reports))],
-            sum(r.mean_error for r in reports) / n, sum(r.success_rate for r in reports) / n):
+          f"episodes={len(reports)} seed0={args.seed}")
+    for scope, (me, _), (sr, _) in summary.rows():
         print(f"  {scope}: mean_error={me:8.3f} deg   success_rate={sr:6.4f}")
     return 0
 
@@ -154,7 +155,7 @@ def _cmd_compare(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
         raise ConfigError("--seeds must be >= 1")
     # compare runs seeds 0 .. --seeds - 1
     check_seed("--seeds - 1", args.seeds - 1)
-    params = _load_params_if_needed(systems, args.checkpoint)
+    params = _load_params_if_needed(systems, args.checkpoint, args.switcher)
     _check_out(args.out)
     summaries = compare_systems(episode_cfg, systems, args.seeds,
                                 params=params, switcher=args.switcher)
@@ -166,7 +167,7 @@ def _cmd_compare(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
 
 def _cmd_rollout(args, episode_cfg: EpisodeConfig, _: TrainConfig) -> int:
     check_seed("--seed", args.seed)
-    params = _load_params_if_needed([args.controller], args.checkpoint)
+    params = _load_params_if_needed([args.controller], args.checkpoint, args.switcher)
     _check_out(args.out)
     records = run_episode(episode_cfg, args.controller, switcher=args.switcher,
                           params=params, seed=args.seed)

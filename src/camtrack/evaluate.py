@@ -10,8 +10,9 @@ compared system in one lockstep batch through run_lockstep: each step makes
 one world step, one observation and one tracker call for all (system, seed)
 episodes, at most LOCKSTEP_EPISODES of them at a time, and keeps only what
 the metrics need; at one episode the scalar path is the faster one.
-scope_rows lays out every per-camera report: a SystemSummary's rows() for
-compare's table and CSV, and eval's averages.
+Both paths share one run check (check_run, which the CLI also calls before
+any output), one switcher draw (_switch_draws) and one summary
+(SystemSummary.of, for compare's table and CSV and eval's averages).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .controllers import (
     system_action,
 )
 from .geometry import CameraPose
-from .rng import RngStream, advance, peek_randoms, stream_states
+from .rng import RngStream, peek_randoms, stream_states
 from .world import (
     VIS_OUT_OF_VIEW,
     VIS_VISIBLE,
@@ -103,20 +104,15 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     controllers, the world advances, and the post-step state is recorded.
     Each state is observed once: the observation step returns is the next
     step's current visibility, and its bearings and distances feed the next
-    step's tracker. The random and noisy switchers draw the whole episode's
-    uniforms in one call before the first step, one per camera-step in step
-    then camera order: the values random_switch and noisy_switch would draw
-    one at a time. Deterministic in seed.
+    step's tracker. The random and noisy switchers take the episode's
+    _switch_draws before the first step. Deterministic in seed.
     """
-    switch_kind, switch_arg = _check_run([controller], switcher, params, steps)
+    switch_kind, switch_arg = check_run([controller], switcher, params, steps)
     world = spawn_episode(config, seed)
     n_cams = config.n_cameras
     memories = [GeometricMemory() for _ in range(n_cams)]
     if switch_kind != "oracle":
-        # u[t][i] < switch_arg: random_switch's label 0, noisy_switch's flip
-        u = RngStream(seed, 1).randoms(steps * n_cams).reshape(steps, n_cams)
-        draws = (random_labels(u, switch_arg) if switch_kind == "random"
-                 else u < switch_arg).tolist()
+        draws = _switch_draws(switch_kind, switch_arg, [seed], steps, n_cams)[0].tolist()
 
     records: list[StepRecord] = []
     outcome = observe(world)
@@ -161,15 +157,13 @@ def per_camera_success_rate(records: list[StepRecord]) -> list[float]:
 
 def mean_error(records: list[StepRecord]) -> float:
     """Average over cameras and steps of (pitch error + yaw error) / 2, degrees."""
-    per_cam = per_camera_mean_error(records)
-    return math.fsum(per_cam) / len(per_cam)
+    return episode_report(records).mean_error
 
 
 def success_rate(records: list[StepRecord]) -> float:
     """Fraction of camera-steps with the target inside the view frustum;
     occluded-but-in-view counts as success."""
-    per_cam = per_camera_success_rate(records)
-    return math.fsum(per_cam) / len(per_cam)
+    return episode_report(records).success_rate
 
 
 def episode_report(records: list[StepRecord]) -> EpisodeReport:
@@ -191,17 +185,24 @@ class SystemSummary:
     mean_error: tuple[float, float]
     success_rate: tuple[float, float]
 
+    @classmethod
+    def of(cls, name: str, me, sr) -> SystemSummary:
+        """The summary of one per-camera ME and one per-camera SR list per
+        episode (an EpisodeReport's), or of (episodes, cameras) arrays; one
+        metric at a time is held as Python floats."""
+        me, sr = np.asarray(me), np.asarray(sr)
+        return cls(name,
+                   [_mean_std(column) for column in me.T.tolist()],
+                   [_mean_std(column) for column in sr.T.tolist()],
+                   _mean_std([math.fsum(ep) / me.shape[1] for ep in me.tolist()]),
+                   _mean_std([math.fsum(ep) / sr.shape[1] for ep in sr.tolist()]))
+
     def rows(self):
-        """scope_rows of this summary: each metric a (mean, std) pair."""
-        return scope_rows(self.per_camera_me, self.per_camera_sr,
-                          self.mean_error, self.success_rate)
-
-
-def scope_rows(per_camera_me, per_camera_sr, mean_error, success_rate):
-    """(scope, ME, SR) for each camera, cam_1 first, then the overall row."""
-    for i, me_sr in enumerate(zip(per_camera_me, per_camera_sr)):
-        yield (f"cam_{i + 1}", *me_sr)
-    yield "overall", mean_error, success_rate
+        """(scope, ME, SR) for each camera, cam_1 first, then the overall
+        row; each metric a (mean, std) pair."""
+        for i, me_sr in enumerate(zip(self.per_camera_me, self.per_camera_sr)):
+            yield (f"cam_{i + 1}", *me_sr)
+        yield "overall", self.mean_error, self.success_rate
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -213,11 +214,11 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None,
-               steps: int) -> tuple[str, float | None]:
-    """Reject a run run_episode and run_lockstep cannot roll, a learned run
-    with a wrongly shaped or non-finite weight included; returns the parsed
-    switcher."""
+def check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None,
+              steps: int = DEFAULT_EPISODE_STEPS) -> tuple[str, float | None]:
+    """Reject a run run_episode and run_lockstep cannot roll with a
+    ConfigError, or with a ValueError for a learned run's wrongly shaped or
+    non-finite weight; returns the parsed switcher."""
     if not systems:
         raise ConfigError("a run needs at least one system")
     for name in systems:
@@ -234,6 +235,16 @@ def _check_run(systems: list[str], switcher: str, params: nn.PolicyParams | None
     return parse_switcher(switcher)
 
 
+def _switch_draws(kind: str, p: float, seeds, steps: int, n_cams: int) -> np.ndarray:
+    """Every switcher draw of each seed's episode, (seeds, steps, cameras) in
+    step then camera order, from the seed's stream (seed, 1): random:P's
+    labels (random_labels), or noisy:E's flips (u < E). These are the values
+    random_switch and noisy_switch would draw one at a time."""
+    u = peek_randoms(stream_states(RngStream(seed, 1) for seed in seeds),
+                     steps * n_cams).reshape(len(seeds), steps, n_cams)
+    return random_labels(u, p) if kind == "random" else u < p
+
+
 def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
                  switcher: str = "oracle", params: nn.PolicyParams | None = None,
                  steps: int = DEFAULT_EPISODE_STEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -247,35 +258,30 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     (batch_system_action applies each episode's rule), and the episodes of
     one seed share one world: it is spawned once, and its target walk and
     sight lines are computed once per step for all systems, since they
-    depend on no camera pose. So do its switcher draws: each seed has one
-    world stream and one switcher stream, both in run_episode's draw order,
-    and every episode of the seed reads the same draws, so each episode's
-    values equal run_episode's records bit for bit. The random and noisy
-    switchers draw every seed's values of a step in one array call, and
-    each episode turns its seed's values into labels as random_switch and
-    noisy_switch do."""
-    switch_kind, switch_arg = _check_run(systems, switcher, params, steps)
+    depend on no camera pose. So do its switcher draws: every episode reads
+    its seed's _switch_draws, taken before the first step as run_episode
+    does, so each episode's values equal run_episode's records bit for bit.
+    The draws are held for the whole run (steps x cameras per seed), so
+    compare_systems' chunks keep memory flat in the seed count."""
+    switch_kind, switch_arg = check_run(systems, switcher, params, steps)
     if not seeds:
         raise ConfigError("a lockstep run needs at least one seed")
     episode_systems = np.repeat(systems, len(seeds))
     state = batch_world([spawn_episode(config, seed) for seed in seeds],
                         rows=np.tile(np.arange(len(seeds)), len(systems)))
-    switch_states = stream_states(RngStream(seed, 1) for seed in seeds)
-    n_cams = config.n_cameras
+    if switch_kind != "oracle":
+        draws = _switch_draws(switch_kind, switch_arg, seeds, steps, config.n_cameras)
     memory = BatchMemory.empty(state.pitch.shape)
     error = np.empty((steps,) + state.pitch.shape)
     in_view = np.empty((steps,) + state.pitch.shape, dtype=bool)
     outcome = batch_observe(state)
     for t in range(steps):
         labels = (outcome.visibility == VIS_VISIBLE).astype(int)
-        if switch_kind != "oracle":
-            u = peek_randoms(switch_states, n_cams)[state.world]
-            switch_states = advance(switch_states, n_cams)
-            if switch_kind == "random":
-                labels = random_labels(u, switch_arg)
-            else:
-                # noisy_switch flips the oracle's label
-                labels = np.where(u < switch_arg, 1 - labels, labels)
+        if switch_kind == "random":
+            labels = draws[state.world, t]
+        elif switch_kind == "noisy":
+            # noisy_switch flips the oracle's label
+            labels = np.where(draws[state.world, t], 1 - labels, labels)
         actions = batch_system_action(state, outcome, labels, episode_systems,
                                       params=params, memory=memory)
         outcome = batch_step(state, actions)
@@ -304,15 +310,14 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
         raise ConfigError("n_seeds must be >= 1")
     if steps < 1:
         raise ConfigError("metrics need at least one step record")
-    _check_run(systems, switcher, params, steps)
+    check_run(systems, switcher, params, steps)
     check_seed("base_seed", base_seed)
     check_seed("base_seed + n_seeds - 1", base_seed + n_seeds - 1)
     seeds = range(base_seed, base_seed + n_seeds)
-    n_cams = config.n_cameras
     # at most four systems, so a chunk holds at least 32 seeds
     chunk = LOCKSTEP_EPISODES // len(systems)
     # one (systems, seeds, cameras) float array of each metric per chunk
-    shape = (len(systems), -1, n_cams)
+    shape = (len(systems), -1, config.n_cameras)
     episode_me, episode_sr = [], []
     for start in range(0, n_seeds, chunk):
         error, in_view = run_lockstep(config, systems, list(seeds[start:start + chunk]),
@@ -323,16 +328,9 @@ def compare_systems(config: EpisodeConfig, systems: list[str], n_seeds: int,
                    for lane in error.reshape(steps, -1).T]
         episode_me.append(np.reshape(lane_me, shape))
         episode_sr.append(np.reshape(in_view.sum(axis=0) / steps, shape))
-    summaries = []
-    for name, me, sr in zip(systems, np.concatenate(episode_me, axis=1),
-                            np.concatenate(episode_sr, axis=1)):
-        per_cam_me = [_mean_std(column) for column in me.T.tolist()]
-        per_cam_sr = [_mean_std(column) for column in sr.T.tolist()]
-        overall_me = _mean_std([math.fsum(ep) / n_cams for ep in me.tolist()])
-        overall_sr = _mean_std([math.fsum(ep) / n_cams for ep in sr.tolist()])
-        summaries.append(SystemSummary(name, per_cam_me, per_cam_sr,
-                                       overall_me, overall_sr))
-    return summaries
+    return [SystemSummary.of(name, me, sr)
+            for name, me, sr in zip(systems, np.concatenate(episode_me, axis=1),
+                                    np.concatenate(episode_sr, axis=1))]
 
 
 def format_comparison(summaries: list[SystemSummary]) -> str:

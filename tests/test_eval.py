@@ -1,14 +1,17 @@
 """Episode rollouts, tracking metrics, and paired system comparisons."""
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
 from camtrack import evaluate, nn
+from camtrack.cli import cli_main
 from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.controllers import noisy_switch, oracle_switch, random_switch
 from camtrack.evaluate import (
     StepRecord,
+    SystemSummary,
     compare_systems,
     episode_report,
     mean_error,
@@ -19,7 +22,7 @@ from camtrack.evaluate import (
     success_rate,
 )
 from camtrack.geometry import CameraPose
-from camtrack.io import write_episode_log
+from camtrack.io import save_checkpoint, write_episode_log
 from camtrack.rng import RngStream
 from camtrack.world import Visibility, observe, spawn_episode, visibility_of
 
@@ -317,10 +320,54 @@ class TestCompareSystems:
             compare_systems(EpisodeConfig(), ["sv"], 0)
 
 
+class TestEvalSummaryIsCompares:
+    """eval summarizes its episode reports as compare summarizes its lockstep
+    episodes: both go through SystemSummary.of."""
+
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    @pytest.mark.parametrize("switcher", ["oracle", "random:0.5", "noisy:0.2"])
+    @pytest.mark.parametrize("system", ["virtual", "sv", "geometric", "learned"])
+    def test_summary_of_episode_reports_equals_compare(self, system, switcher, n_seeds):
+        cfg = EpisodeConfig()
+        params = nn.init_params(3)
+        reports = [episode_report(run_episode(cfg, system, switcher, params=params,
+                                              seed=5 + k, steps=60))
+                   for k in range(n_seeds)]
+        got = SystemSummary.of(system, [r.per_camera_mean_error for r in reports],
+                               [r.per_camera_success_rate for r in reports])
+        want = compare_systems(cfg, [system], n_seeds, steps=60, params=params,
+                               switcher=switcher, base_seed=5)[0]
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("system, switcher", [
+        ("sv", "random:0.5"), ("geometric", "noisy:0.2"), ("learned", "oracle")])
+    def test_eval_prints_the_comparison_csv_means(self, system, switcher, tmp_path,
+                                                  capsys):
+        """eval --seed 0 --episodes 3 prints, row for row, the means of
+        compare --seeds 3's CSV in eval's own format."""
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(nn.init_params(3), ckpt)
+        flags = ["--switcher", switcher, "--checkpoint", str(ckpt)]
+        assert cli_main(["eval", "--controller", system, "--seed", "0",
+                         "--episodes", "3", *flags]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        out = tmp_path / "c.csv"
+        assert cli_main(["compare", "--systems", system, "--seeds", "3",
+                         "--out", str(out), *flags]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert printed[1:] == [
+            f"  {r['scope']}: mean_error={float(r['mean_error_mean']):8.3f} deg"
+            f"   success_rate={float(r['success_rate_mean']):6.4f}" for r in rows]
+        assert printed[-1].startswith("  overall:")
+
+
 def _run(entry, systems, seeds=(0,), switcher="oracle", params=None, steps=5):
-    """One run through run_episode (one system), run_lockstep or
+    """One run through check_run, run_episode (one system), run_lockstep or
     compare_systems (seeds 0 .. len(seeds) - 1)."""
     cfg = EpisodeConfig()
+    if entry == "check_run":
+        return evaluate.check_run(systems, switcher, params, steps)
     if entry == "run_episode":
         (system,) = systems
         return run_episode(cfg, system, switcher, params=params, steps=steps)
@@ -333,17 +380,18 @@ def _run(entry, systems, seeds=(0,), switcher="oracle", params=None, steps=5):
 
 # (name, entries, run arguments, message): every bad run evaluate rejects
 BAD_RUNS = [
-    ("no-system", ("run_lockstep", "compare_systems"), {"systems": []},
+    ("no-system", ("check_run", "run_lockstep", "compare_systems"), {"systems": []},
      "at least one system"),
-    ("unknown-system", ("run_episode", "run_lockstep", "compare_systems"),
+    ("unknown-system", ("check_run", "run_episode", "run_lockstep", "compare_systems"),
      {"systems": ["wizard"]}, "unknown system 'wizard'"),
-    ("repeated-system", ("run_lockstep", "compare_systems"),
+    ("repeated-system", ("check_run", "run_lockstep", "compare_systems"),
      {"systems": ["sv", "geometric", "sv"]}, "repeated system"),
-    ("learned-without-params", ("run_episode", "run_lockstep", "compare_systems"),
+    ("learned-without-params",
+     ("check_run", "run_episode", "run_lockstep", "compare_systems"),
      {"systems": ["learned"]}, "requires policy params"),
-    ("bad-switcher", ("run_episode", "run_lockstep", "compare_systems"),
+    ("bad-switcher", ("check_run", "run_episode", "run_lockstep", "compare_systems"),
      {"systems": ["sv"], "switcher": "bogus"}, "unknown switcher"),
-    ("negative-steps", ("run_episode", "run_lockstep"),
+    ("negative-steps", ("check_run", "run_episode", "run_lockstep"),
      {"systems": ["sv"], "steps": -1}, "steps must be >= 0"),
     ("no-seed", ("run_lockstep",), {"systems": ["sv"], "seeds": ()},
      "at least one seed"),
@@ -360,7 +408,8 @@ BAD_RUNS = [
 def test_bad_run_is_a_config_error_before_any_world(entry, kwargs, message,
                                                     monkeypatch):
     """evaluate owns the run checks: each bad run raises ConfigError (the
-    CLI's exit 2) before a world is spawned."""
+    CLI's exit 2) before a world is spawned, and check_run alone raises the
+    same error for every run it covers."""
     def no_world(*args, **kwargs):
         raise AssertionError("a world was spawned")
 
@@ -369,7 +418,8 @@ def test_bad_run_is_a_config_error_before_any_world(entry, kwargs, message,
         _run(entry, **kwargs)
 
 
-@pytest.mark.parametrize("entry", ["run_episode", "run_lockstep", "compare_systems"])
+@pytest.mark.parametrize("entry", ["check_run", "run_episode", "run_lockstep",
+                                   "compare_systems"])
 @pytest.mark.parametrize("name, shape, message", [
     ("trunk1_w", None, "trunk1_w contains non-finite"),
     ("policy_b", None, "policy_b contains non-finite"),

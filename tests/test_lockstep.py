@@ -721,19 +721,22 @@ class TestCompareLockstep:
 
     def test_peak_memory_is_flat_in_the_seed_count(self):
         """Doubling the seeds past two chunks barely moves the traced peak,
-        for one system and for two in one batch; one lockstep batch of all
-        seeds would double it."""
-        for systems in (["sv"], ["sv", "geometric"]):
+        for one system and for two in one batch, and with a switcher whose
+        draws each chunk holds; one lockstep batch of all seeds would double
+        it."""
+        for systems, switcher in ((["sv"], "oracle"), (["sv", "geometric"], "oracle"),
+                                  (["sv"], "random:0.5")):
             peaks = []
             for n_seeds in (2 * evaluate.LOCKSTEP_EPISODES,
                             4 * evaluate.LOCKSTEP_EPISODES):
                 tracemalloc.start()
                 try:
-                    compare_systems(EpisodeConfig(), systems, n_seeds, steps=10)
+                    compare_systems(EpisodeConfig(), systems, n_seeds, steps=10,
+                                    switcher=switcher)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            assert peaks[1] < 1.25 * peaks[0], systems
+            assert peaks[1] < 1.25 * peaks[0], (systems, switcher)
 
     def test_learned_requires_params(self):
         with pytest.raises(ValueError):

@@ -684,6 +684,40 @@ class TestCli:
         assert "cannot write" in capsys.readouterr().err
         assert started == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["compare", "--systems", "wizard", "--seeds", "2"], "unknown system 'wizard'"),
+        (["compare", "--systems", "sv,sv", "--seeds", "2"], "repeated system"),
+        (["compare", "--systems", ",", "--seeds", "2"], "at least one system"),
+        (["compare", "--systems", "sv", "--seeds", "2", "--switcher", "bogus"],
+         "unknown switcher 'bogus'"),
+        (["rollout", "--switcher", "bogus"], "unknown switcher 'bogus'"),
+        (["rollout", "--switcher", "random:1.5"], "probability must be in [0, 1]"),
+        (["rollout", "--controller", "learned"], "requires --checkpoint"),
+    ], ids=["compare-unknown-system", "compare-repeated-system", "compare-no-system",
+            "compare-bad-switcher", "rollout-bad-switcher", "rollout-bad-probability",
+            "rollout-learned-without-checkpoint"])
+    def test_bad_run_exits_two_before_checking_out(self, flags, message, tmp_path,
+                                                   capsys, monkeypatch):
+        """A run the run check rejects is bad input: it exits 2 with that
+        check's message even when --out is in a missing directory, and
+        writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*flags, "--out", "missing/o"]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--controller", "sv", "--switcher", "bogus"],
+        ["--controller", "learned", "--switcher", "noisy:0.9", "--checkpoint", "p.ckpt"],
+    ], ids=["sv", "learned"])
+    def test_eval_bad_switcher_makes_no_log_directory(self, flags, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_checkpoint(nn.init_params(0), tmp_path / "p.ckpt")
+        assert cli_main(["eval", *flags, "--episode-log", "logs"]) == 2
+        assert "switcher" in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists()
+
     def test_train_log_rows_are_written_as_updates_finish(self, tmp_path, capsys,
                                                           monkeypatch):
         cfg = tmp_path / "c.json"
