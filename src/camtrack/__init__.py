@@ -8,7 +8,6 @@ triangulation or a learned policy) driven by the other cameras' poses.
 
 from .config import ConfigError, EpisodeConfig, TrainConfig, load_config, save_config
 from .controllers import (
-    GeometricMemory,
     TriangulationResult,
     geometric_pose_action,
     learned_pose_action,

@@ -6,12 +6,13 @@ Shared flags are declared once, in argparse parent parsers: --config for
 every command, --switcher and --checkpoint for eval, compare and rollout.
 Exit codes: 0 success, 2 validation error (a ConfigError or CheckpointError
 raised where user input is read, an unreadable --config or --checkpoint
-file included), 1 any other error, such as a failed write. eval, compare
-and rollout check their input before any output: first their own flags (the
-seeds, --episodes, --checkpoint), then the run as evaluate.check_run does
-(the system list, the switcher spec and the loaded weights). Only then does
-train, compare or rollout exit 1 when --out is a directory or its directory
-is missing, and eval make its --episode-log directory.
+file included), 1 any other error, such as a failed write. An --out or
+--log that names an input or the other output exits 2 before any read.
+eval, compare and rollout then check their input before any output: their
+flags (the seeds, --episodes, --checkpoint), then the run as check_run
+does (the systems, the switcher spec and the loaded weights). Only then do
+train, compare and rollout exit 1 when --out is a directory or its
+directory is missing, and eval make its --episode-log directory.
 """
 from __future__ import annotations
 
@@ -88,6 +89,18 @@ def _load_params_if_needed(controller_names, checkpoint: str | None, switcher: s
     params = load_checkpoint(checkpoint) if needs else None
     check_run(controller_names, switcher, params)
     return params
+
+
+def _check_distinct_outputs(args) -> None:
+    """Raise ConfigError if --out or --log resolves to --config, --checkpoint
+    or the other output, which writing it would overwrite."""
+    seen = {}
+    for name in ("config", "checkpoint", "out", "log"):
+        path = getattr(args, name, None)
+        if path is not None:
+            first = seen.setdefault(Path(path).resolve(), f"--{name}")
+            if name in ("out", "log") and first != f"--{name}":
+                raise ConfigError(f"--{name} {path} is the same file as {first}")
 
 
 def _check_out(path: str) -> None:
@@ -191,7 +204,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # every command reads its config first
+        _check_distinct_outputs(args)
         configs = ((EpisodeConfig(), TrainConfig()) if args.config is None
                    else load_config(args.config))
         return _COMMANDS[args.command](args, *configs)

@@ -6,7 +6,8 @@ Four ways to pick one of the 11 camera commands:
     them off the true target position and stands in for a working image
     tracker.
   * geometric_pose_action  - steers toward the step's triangulation of the
-    target from the cameras that report successful tracking.
+    target from the cameras that report successful tracking, or toward the
+    camera's last successful one when it fails.
   * learned_pose_action    - greedy action of the trained pose policy for
     all pose-controlled cameras of a step (nn.greedy_actions: the argmax of
     the policy logits; trunk and policy head only, no log_softmax, value
@@ -27,6 +28,10 @@ batch_tracker_action, batch_triangulate and batch_system_action are the same
 rules over the (E, C) arrays of a world.BatchState; their actions equal the
 scalar functions' bit for bit. batch_system_action holds the same four
 rules, one system name per episode, so a batch may mix systems.
+
+Both paths hold geometric's memory as each camera's last successful (x, y)
+estimate, NaN until the first success (a stored one is finite): a (C, 2)
+array for system_action, (E, C, 2) for batch_system_action.
 """
 from __future__ import annotations
 
@@ -75,11 +80,10 @@ TRIANGULATION_MAX_CONDITION = 1e6
 _PITCH_DELTAS = (0.0, ROTATE_STEP_DEG, -ROTATE_STEP_DEG)
 _YAW_DELTAS = (0.0, -ROTATE_STEP_DEG, ROTATE_STEP_DEG)
 _ZOOM_DELTAS = (0.0, ZOOM_STEP, -ZOOM_STEP)
-# (pitch, yaw, zoom) term index of every action, in action order
-_ACTION_TERMS = tuple((_PITCH_DELTAS.index(dp), _YAW_DELTAS.index(dy),
-                       _ZOOM_DELTAS.index(dz)) for dp, dy, dz in ACTION_DELTAS)
+# (3, 11): the pitch, yaw and zoom term index of every action, in action order
+_TERMS = np.array([(_PITCH_DELTAS.index(dp), _YAW_DELTAS.index(dy),
+                    _ZOOM_DELTAS.index(dz)) for dp, dy, dz in ACTION_DELTAS]).T
 _ACTIONS = tuple(Action)
-_TERMS = np.array(_ACTION_TERMS).T  # (3, 11): pitch, yaw and zoom term indices
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,13 +96,6 @@ class TriangulationResult:
     @property
     def ok(self) -> bool:
         return self.estimate is not None
-
-
-@dataclass(slots=True)
-class GeometricMemory:
-    """One-slot memory of the last successful triangulation."""
-
-    last_estimate: tuple[float, float] | None = None
 
 
 def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
@@ -165,7 +162,7 @@ def tracker_action(pose: CameraPose, bearing_pitch: float, bearing_yaw: float,
     z_in = abs(zoom_in - xi_star) / ZOOM_ERROR_NORM
     z_out = abs(zoom_out - xi_star) / ZOOM_ERROR_NORM
 
-    # each action's (pitch, yaw, zoom) terms of _ACTION_TERMS, summed left
+    # each action's (pitch, yaw, zoom) terms of _TERMS, summed left
     # to right, in action order
     scores = [p0 + y0 + z0, p0 + y_left + z0, p0 + y_right + z0,
               p_up + y0 + z0, p_down + y0 + z0,
@@ -229,15 +226,16 @@ def triangulate(poses: list[CameraPose], labels) -> TriangulationResult:
 
 
 def geometric_pose_action(pose: CameraPose, result: TriangulationResult,
-                          memory: GeometricMemory) -> Action:
-    """Steer toward the step's triangulated target; fall back to the remembered
-    estimate, and keep still when there is no information at all."""
+                          memory: np.ndarray) -> Action:
+    """Steer toward the step's triangulated target, which is written into the
+    camera's memory row; fall back to the row's estimate, and keep still
+    while it is NaN (no information at all)."""
     if result.ok:
-        memory.last_estimate = result.estimate
-    point = memory.last_estimate
-    if point is None:
+        memory[:] = result.estimate
+    x, y = memory.tolist()
+    if math.isnan(x):
         return Action.KEEP_STILL
-    return virtual_tracker_action(pose, (point[0], point[1], TARGET_MID_HEIGHT))
+    return virtual_tracker_action(pose, (x, y, TARGET_MID_HEIGHT))
 
 
 def learned_pose_action(poses: list[CameraPose], labels, params: nn.PolicyParams,
@@ -287,13 +285,14 @@ def sv_baseline_action(pose: CameraPose, vis: Visibility, bearing_pitch: float,
 
 def system_action(outcome: StepOutcome, labels, system: str,
                   params: nn.PolicyParams | None = None,
-                  memories: list[GeometricMemory] | None = None) -> list[Action]:
+                  memories: np.ndarray | None = None) -> list[Action]:
     """One step of the named system, one action per camera of the observed
     state in camera order (see the module docstring for the four rules).
 
     outcome is the latest observation: its state holds the cameras' poses
     and the arena, and its visibility, bearings and distances are what the
-    tracker reuses. labels holds one label per camera, for every system."""
+    tracker reuses. labels holds one label per camera, for every system;
+    geometric updates camera i's row memories[i] of its memory array."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     state = outcome.state
@@ -318,21 +317,15 @@ def system_action(outcome: StepOutcome, labels, system: str,
         return [tracker_action(pose, pitch, yaw, dist) if label != 0 else next(greedy)
                 for pose, label, pitch, yaw, dist in zip(poses, labels, b_pitch,
                                                          b_yaw, distance)]
-    if memories is None:
-        raise ValueError("geometric controller needs one GeometricMemory per camera")
-    # label-1 cameras track; the first label-0 camera triangulates, and each
-    # aims at the result or its memory
-    actions = []
-    result = None
-    for i, (pose, label, pitch, yaw, dist) in enumerate(zip(poses, labels, b_pitch,
-                                                             b_yaw, distance)):
-        if label != 0:
-            actions.append(tracker_action(pose, pitch, yaw, dist))
-        else:
-            if result is None:
-                result = triangulate(poses, labels)
-            actions.append(geometric_pose_action(pose, result, memories[i]))
-    return actions
+    if memories is None or len(memories) != len(poses):
+        raise ValueError("geometric controller needs a (C, 2) memories array")
+    # label-1 cameras track; one triangulation serves every label-0 camera,
+    # and each aims at the result or its memory row
+    result = triangulate(poses, labels) if 0 in labels else None
+    return [tracker_action(pose, pitch, yaw, dist) if label != 0
+            else geometric_pose_action(pose, result, memory)
+            for pose, label, pitch, yaw, dist, memory in zip(poses, labels, b_pitch,
+                                                             b_yaw, distance, memories)]
 
 
 def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
@@ -396,23 +389,10 @@ def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarr
     return estimate, ok
 
 
-@dataclass(slots=True)
-class BatchMemory:
-    """The GeometricMemory of every camera of a batch: the last successful
-    estimate (E, C, 2), and whether there is one (E, C)."""
-
-    estimate: np.ndarray
-    known: np.ndarray
-
-    @classmethod
-    def empty(cls, shape: tuple[int, int]) -> "BatchMemory":
-        return cls(np.zeros(shape + (2,)), np.zeros(shape, dtype=bool))
-
-
 def batch_system_action(state: BatchState, outcome: BatchOutcome,
                         labels: np.ndarray, systems: list[str] | np.ndarray,
                         params: nn.PolicyParams | None = None,
-                        memory: BatchMemory | None = None) -> np.ndarray:
+                        memory: np.ndarray | None = None) -> np.ndarray:
     """One step of each episode's system over a batch -> (E, C) action indices.
 
     systems names one system per episode (virtual, sv, geometric or
@@ -422,10 +402,11 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     every row: virtual rows take its action, sv rows keep still where the
     target is not visible, and the label-1 cameras of geometric and learned
     rows track. geometric triangulates each of its episodes that has a
-    label-0 camera, and its label-0 cameras aim at their stored estimate
-    (its bearing and distance are swapped in before the tracker call) or
-    keep still without one; learned runs nn.greedy_actions once per such
-    episode, since one forward over all of them would round differently."""
+    label-0 camera, and its label-0 cameras store a success in their memory
+    rows and aim at the stored estimate (its bearing and distance are
+    swapped in before the tracker call), or keep still while it is NaN;
+    learned runs nn.greedy_actions once per such episode, since one forward
+    over all of them would round differently."""
     kinds = np.asarray(systems)
     if kinds.shape != labels.shape[:1]:
         raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
@@ -435,7 +416,7 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if unknown:
         raise ValueError(f"unknown system in {sorted(unknown)}")
     if "geometric" in names and memory is None:
-        raise ValueError("geometric controller needs a BatchMemory")
+        raise ValueError("geometric controller needs an (E, C, 2) memory array")
     if "learned" in names and params is None:
         raise ValueError("learned controller needs params")
     label0 = labels == 0
@@ -451,18 +432,15 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
                                              labels[envs] == 1)
             # each label-0 camera of a successful triangulation stores it
             rows, cams = np.nonzero(geo_pose[envs] & ok[:, None])
-            memory.estimate[envs[rows], cams] = estimate[rows]
-            memory.known[envs[rows], cams] = True
-        aim = geo_pose & memory.known
-        keep_still |= geo_pose & ~memory.known
+            memory[envs[rows], cams] = estimate[rows]
+        aim = geo_pose & ~np.isnan(memory[..., 0])
+        keep_still |= geo_pose & ~aim
         if aim.any():
             # label-0 cameras aim at their estimate, at the target's mid-height
-            aim_origin = origin[aim]
-            points = np.empty_like(aim_origin)
-            points[:, :2] = memory.estimate[aim]
-            points[:, 2] = TARGET_MID_HEIGHT
+            points = np.full((np.count_nonzero(aim), 3), TARGET_MID_HEIGHT)
+            points[:, :2] = memory[aim]
             b_pitch, b_yaw, distance = b_pitch.copy(), b_yaw.copy(), distance.copy()
-            b_pitch[aim], b_yaw[aim], distance[aim] = bearings(points - aim_origin)
+            b_pitch[aim], b_yaw[aim], distance[aim] = bearings(points - origin[aim])
     actions = batch_tracker_action(state.pitch, state.yaw, state.zoom,
                                    b_pitch, b_yaw, distance)
     actions[keep_still] = Action.KEEP_STILL

@@ -25,8 +25,6 @@ from . import nn
 from .config import DEFAULT_EPISODE_STEPS, ConfigError, EpisodeConfig, check_seed
 from .controllers import (
     SYSTEMS,
-    BatchMemory,
-    GeometricMemory,
     batch_system_action,
     oracle_switch,
     random_labels,
@@ -105,12 +103,13 @@ def run_episode(config: EpisodeConfig, controller: str, switcher: str = "oracle"
     Each state is observed once: the observation step returns is the next
     step's current visibility, and its bearings and distances feed the next
     step's tracker. The random and noisy switchers take the episode's
-    _switch_draws before the first step. Deterministic in seed.
+    _switch_draws before the first step, and geometric's memories are one
+    NaN-filled (cameras, 2) array. Deterministic in seed.
     """
     switch_kind, switch_arg = check_run([controller], switcher, params, steps)
     world = spawn_episode(config, seed)
     n_cams = config.n_cameras
-    memories = [GeometricMemory() for _ in range(n_cams)]
+    memories = np.full((n_cams, 2), np.nan)
     if switch_kind != "oracle":
         draws = _switch_draws(switch_kind, switch_arg, [seed], steps, n_cams)[0].tolist()
 
@@ -262,7 +261,8 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     its seed's _switch_draws, taken before the first step as run_episode
     does, so each episode's values equal run_episode's records bit for bit.
     The draws are held for the whole run (steps x cameras per seed), so
-    compare_systems' chunks keep memory flat in the seed count."""
+    compare_systems' chunks keep memory flat in the seed count. geometric's
+    memory is one NaN-filled (episodes, cameras, 2) array."""
     switch_kind, switch_arg = check_run(systems, switcher, params, steps)
     if not seeds:
         raise ConfigError("a lockstep run needs at least one seed")
@@ -271,7 +271,7 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
                         rows=np.tile(np.arange(len(seeds)), len(systems)))
     if switch_kind != "oracle":
         draws = _switch_draws(switch_kind, switch_arg, seeds, steps, config.n_cameras)
-    memory = BatchMemory.empty(state.pitch.shape)
+    memory = np.full(state.pitch.shape + (2,), np.nan)
     error = np.empty((steps,) + state.pitch.shape)
     in_view = np.empty((steps,) + state.pitch.shape, dtype=bool)
     outcome = batch_observe(state)

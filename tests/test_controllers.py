@@ -10,7 +10,6 @@ from camtrack.config import EpisodeConfig
 from camtrack.controllers import (
     SYSTEMS,
     TRIANGULATION_MAX_CONDITION,
-    GeometricMemory,
     batch_system_action,
     batch_tracker_action,
     geometric_pose_action,
@@ -399,29 +398,29 @@ class TestGeometricPoseAction:
                             rng.uniform(2, 3), rng.uniform(-60, 60),
                             rng.uniform(-179.9, 180), rng.uniform(1, 3.3))
             result = triangulate([me] + peers, [0, 1, 1])
-            action = geometric_pose_action(me, result, GeometricMemory())
+            action = geometric_pose_action(me, result, np.full(2, np.nan))
             assert action == virtual_tracker_action(me, truth)
 
     def test_no_information_keeps_still(self):
         poses = [CameraPose(0, 0, 2.5, 0, 0, 1.0), CameraPose(5, 0, 2.5, 0, 0, 1.0)]
         assert (geometric_pose_action(poses[0], triangulate(poses, [0, 0]),
-                                      GeometricMemory())
+                                      np.full(2, np.nan))
                 == Action.KEEP_STILL)
 
     def test_memory_fallback(self):
         me = CameraPose(0, 0, 2.5, 0.0, 0.0, 1.0)
         poses = [me, CameraPose(5, 0, 2.5, 0, 0, 1.0)]
-        memory = GeometricMemory(last_estimate=(5.0, 5.0))
+        memory = np.array([5.0, 5.0])
         action = geometric_pose_action(me, triangulate(poses, [0, 0]), memory)
         assert action == virtual_tracker_action(me, (5.0, 5.0, 0.9))
-        assert memory.last_estimate == (5.0, 5.0)
+        assert memory.tolist() == [5.0, 5.0]
 
     def test_success_updates_memory(self):
         me = CameraPose(0, 10, 2.5, 0.0, -90.0, 1.0)
         peers = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0), CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
-        memory = GeometricMemory()
+        memory = np.full(2, np.nan)
         geometric_pose_action(me, triangulate([me] + peers, [0, 1, 1]), memory)
-        assert memory.last_estimate == pytest.approx((5.0, 5.0), abs=1e-9)
+        assert memory.tolist() == pytest.approx([5.0, 5.0], abs=1e-9)
 
 
 class TestSwitchers:
@@ -496,10 +495,10 @@ def per_camera_system_action(self_index, target, poses, labels, kind, params=Non
     if kind == "geometric":
         result = triangulate(poses, labels)
         if result.ok:
-            memory.last_estimate = result.estimate
-        if memory.last_estimate is None:
+            memory[:] = result.estimate
+        if np.isnan(memory).any():
             return Action.KEEP_STILL
-        x, y = memory.last_estimate
+        x, y = memory.tolist()
         return virtual_tracker_action(own, (x, y, 0.9))
     logits, _, _ = nn.policy_forward(params, self_index, poses, labels, arena_half)
     return Action(int(np.argmax(nn.log_softmax(logits))))
@@ -519,7 +518,7 @@ class TestSystemAction:
                 CameraPose(10, 0, 2.5, 0.0, 135.0, 1.0)]
 
     def _memories(self):
-        return [GeometricMemory() for _ in range(3)]
+        return np.full((3, 2), np.nan)
 
     def test_own_label_one_uses_tracker(self):
         poses = self._poses()
@@ -534,7 +533,7 @@ class TestSystemAction:
         actions = system_action(observed(poses, target), [0, 1, 1], "geometric",
                                 memories=self._memories())
         assert actions[0] == geometric_pose_action(poses[0], triangulate(poses, [0, 1, 1]),
-                                                   GeometricMemory())
+                                                   np.full(2, np.nan))
 
     def test_label_zero_learned_greedy(self):
         poses = self._poses()
@@ -561,9 +560,10 @@ class TestSystemAction:
         assert differs > 0
 
     def test_geometric_needs_memories(self):
-        with pytest.raises(ValueError, match="GeometricMemory"):
-            system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1], "geometric",
-                          params=nn.init_params(4))
+        for memories in (None, np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match=r"needs a \(C, 2\) memories array"):
+                system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1],
+                              "geometric", params=nn.init_params(4), memories=memories)
 
     def test_learned_needs_params(self):
         with pytest.raises(ValueError, match="needs params"):
@@ -594,8 +594,8 @@ class TestSystemAction:
         rng = np.random.default_rng(53)
         params = rand_params(rng)
         n_cams = 4
-        step_memories = [GeometricMemory() for _ in range(n_cams)]
-        camera_memories = [GeometricMemory() for _ in range(n_cams)]
+        step_memories = np.full((n_cams, 2), np.nan)
+        camera_memories = np.full((n_cams, 2), np.nan)
         remembered = visible = 0
         for _ in range(300):
             poses, labels = [], []
@@ -612,8 +612,8 @@ class TestSystemAction:
             got = system_action(outcome, labels, kind, params=params,
                                 memories=step_memories)
             assert got == want
-            assert step_memories == camera_memories
-            remembered += sum(m.last_estimate is not None for m in step_memories)
+            assert step_memories.tobytes() == camera_memories.tobytes()
+            remembered += np.count_nonzero(~np.isnan(step_memories[:, 0]))
             visible += outcome.visibility.count(Visibility.VISIBLE)
         if kind == "geometric":
             assert remembered > 0
@@ -629,16 +629,16 @@ class TestSystemAction:
         peers = [CameraPose(0, 0, 2.5, 0, 45.0, 1.0),
                  CameraPose(10, 0, 2.5, 0, 135.0, 1.0)]
         poses = [me] + peers
-        memories = [GeometricMemory() for _ in range(3)]
+        memories = np.full((3, 2), np.nan)
         system_action(observed(poses, (5.0, 5.0, 0.9)), [0, 1, 1], "geometric",
                       memories=memories)
-        estimate = memories[0].last_estimate
+        estimate = tuple(memories[0].tolist())
         assert estimate == pytest.approx((5.0, 5.0), abs=1e-9)
 
         actions = system_action(observed(poses, (-5.0, -5.0, 0.9)), [0, 0, 1],
                                 "geometric", memories=memories)
-        assert memories[0].last_estimate == estimate
-        assert memories[1].last_estimate is None
+        assert tuple(memories[0].tolist()) == estimate
+        assert np.isnan(memories[1:]).all()
         assert actions[0] == virtual_tracker_action(me, estimate + (0.9,))
         assert actions[1] == Action.KEEP_STILL
         assert actions[2] == virtual_tracker_action(peers[1], (-5.0, -5.0, 0.9))

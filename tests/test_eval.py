@@ -17,6 +17,7 @@ from camtrack.evaluate import (
     mean_error,
     parse_switcher,
     per_camera_mean_error,
+    per_camera_success_rate,
     run_episode,
     run_lockstep,
     success_rate,
@@ -237,10 +238,10 @@ class TestMetrics:
         assert success_rate(recs) == 0.75
 
     def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            mean_error([])
-        with pytest.raises(ValueError):
-            success_rate([])
+        for metric in (mean_error, success_rate, per_camera_mean_error,
+                       per_camera_success_rate):
+            with pytest.raises(ValueError, match="at least one step record"):
+                metric([])
 
     def test_against_brute_force_resummation(self):
         rng = np.random.default_rng(33)

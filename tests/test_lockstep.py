@@ -18,8 +18,6 @@ from camtrack import evaluate, nn
 from camtrack import world as world_module
 from camtrack.config import ConfigError, EpisodeConfig
 from camtrack.controllers import (
-    BatchMemory,
-    GeometricMemory,
     batch_system_action,
     batch_tracker_action,
     batch_triangulate,
@@ -264,7 +262,7 @@ class TestSharedWorlds:
         shared = batch_world(self.episodes(cfg), rows=[0, 1, 2, 0, 1, 2])
         separate = batch_world(self.episodes(cfg) + self.episodes(cfg))
         assert len(shared.envs) == 3 and len(separate.envs) == 6
-        memories = [BatchMemory.empty((6, 4)), BatchMemory.empty((6, 4))]
+        memories = [np.full((6, 4, 2), np.nan), np.full((6, 4, 2), np.nan)]
         outcomes = [batch_observe(shared), batch_observe(separate)]
         paused = cut = 0
         for _ in range(500):
@@ -461,8 +459,8 @@ class TestBatchSystemAction:
         seeds = range(6)
         worlds = [spawn_episode(cfg, s) for s in seeds]
         state = batch_world([spawn_episode(cfg, s) for s in seeds])
-        memories = [[GeometricMemory() for _ in range(5)] for _ in seeds]
-        memory = BatchMemory.empty(state.pitch.shape)
+        memories = np.full(state.pitch.shape + (2,), np.nan)
+        memory = np.full(state.pitch.shape + (2,), np.nan)
         outcome = batch_observe(state)
         rng = np.random.default_rng(1)
         for _ in range(60):
@@ -474,13 +472,9 @@ class TestBatchSystemAction:
             assert got.tolist() == want
             worlds = [step(w, a).state for w, a in zip(worlds, want)]
             outcome = batch_step(state, got)
-        if kind == "geometric":
-            assert memory.known.any()
-            for e, mems in enumerate(memories):
-                for c, m in enumerate(mems):
-                    assert memory.known[e, c] == (m.last_estimate is not None)
-                    if m.last_estimate is not None:
-                        assert bits(m.last_estimate) == memory.estimate[e, c].tobytes()
+        # the same estimates, and NaN in the same rows
+        assert memory.tobytes() == memories.tobytes()
+        assert np.isnan(memory).all() == (kind == "learned")
 
     def test_mixed_systems_equal_their_scalar_rules(self):
         """One batch of all four systems: each episode's actions equal its
@@ -490,8 +484,8 @@ class TestBatchSystemAction:
                    "learned", "virtual"]
         worlds = [spawn_episode(cfg, s) for s in range(len(systems))]
         state = batch_world([spawn_episode(cfg, s) for s in range(len(systems))])
-        memories = [[GeometricMemory() for _ in range(5)] for _ in systems]
-        memory = BatchMemory.empty(state.pitch.shape)
+        memories = np.full(state.pitch.shape + (2,), np.nan)
+        memory = np.full(state.pitch.shape + (2,), np.nan)
         outcome = batch_observe(state)
         rng = np.random.default_rng(2)
         kept_still = 0
@@ -508,9 +502,13 @@ class TestBatchSystemAction:
             worlds = [step(w, a).state for w, a in zip(worlds, want)]
             outcome = batch_step(state, got)
         assert kept_still > 0
-        # only geometric episodes remember an estimate
-        assert memory.known[[2, 4]].any()
-        assert not memory.known[[0, 1, 3, 5, 6, 7]].any()
+        assert memory.tobytes() == memories.tobytes()
+        # only geometric episodes remember an estimate, and a stored one is
+        # finite
+        stored = memory[[2, 4]]
+        assert np.isfinite(stored[~np.isnan(stored[..., 0])]).all()
+        assert not np.isnan(stored).all()
+        assert np.isnan(memory[[0, 1, 3, 5, 6, 7]]).all()
 
     def test_unknown_kind_rejected(self):
         state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])
@@ -518,7 +516,7 @@ class TestBatchSystemAction:
             with pytest.raises(ValueError, match="unknown system"):
                 batch_system_action(state, batch_observe(state), np.zeros((2, 4), int),
                                     systems, params=PARAMS,
-                                    memory=BatchMemory.empty((2, 4)))
+                                    memory=np.full((2, 4, 2), np.nan))
 
     @pytest.mark.parametrize("systems", [["sv"], ["sv", "sv", "sv"]])
     def test_one_system_per_episode_required(self, systems):

@@ -684,6 +684,46 @@ class TestCli:
         assert "cannot write" in capsys.readouterr().err
         assert started == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, work, named", [
+        (["train", "--steps", "200", "--out", "x", "--log", "x"],
+         "train_pose_controller", ("--log", "--out")),
+        (["train", "--steps", "200", "--out", "x", "--log", "d/../x"],
+         "train_pose_controller", ("--log", "--out")),
+        (["train", "--steps", "200", "--config", "c.json", "--out", "c.json"],
+         "train_pose_controller", ("--out", "--config")),
+        (["rollout", "--controller", "learned", "--checkpoint", "p.ckpt",
+          "--out", "p.ckpt"], "run_episode", ("--out", "--checkpoint")),
+        (["rollout", "--controller", "learned", "--checkpoint", "p.ckpt",
+          "--out", "d/../p.ckpt"], "run_episode", ("--out", "--checkpoint")),
+        (["compare", "--systems", "sv", "--seeds", "1", "--config", "c.json",
+          "--out", "c.json"], "compare_systems", ("--out", "--config")),
+        (["compare", "--systems", "sv", "--seeds", "1", "--config", "d/../c.json",
+          "--out", "c.json"], "compare_systems", ("--out", "--config")),
+    ], ids=["train-log-is-out", "train-log-is-out-respelled", "train-out-is-config",
+            "rollout-out-is-checkpoint", "rollout-out-is-checkpoint-respelled",
+            "compare-out-is-config", "compare-out-is-config-respelled"])
+    def test_output_naming_an_input_or_output_exits_two_before_working(
+            self, flags, work, named, tmp_path, capsys, monkeypatch):
+        """An output that resolves to the same file as --config, --checkpoint
+        or the command's other output is bad input: exit 2 naming both flags,
+        before the work runs, with every file's bytes unchanged and nothing
+        written."""
+        import camtrack.cli
+
+        started = []
+        monkeypatch.setattr(camtrack.cli, work,
+                            lambda *args, **kwargs: started.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "c.json").write_text("{}")
+        save_checkpoint(nn.init_params(0), tmp_path / "p.ckpt")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert cli_main(flags) == 2
+        err = capsys.readouterr().err
+        assert "is the same file as" in err and all(flag in err for flag in named)
+        assert started == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("flags, message", [
         (["compare", "--systems", "wizard", "--seeds", "2"], "unknown system 'wizard'"),
         (["compare", "--systems", "sv,sv", "--seeds", "2"], "repeated system"),
