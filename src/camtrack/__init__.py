@@ -45,7 +45,6 @@ from .io import (
     load_checkpoint,
     save_checkpoint,
     write_episode_log,
-    write_train_log,
 )
 from .nn import PolicyParams, build_features, compute_returns, forward, init_params
 from .rng import RngStream

@@ -59,7 +59,6 @@ from .world import (
     BETA_MAX_DEG,
     ROTATE_STEP_DEG,
     TARGET_MID_HEIGHT,
-    VIS_VISIBLE,
     ZOOM_DISTANCE_SCALE,
     ZOOM_ERROR_NORM,
     ZOOM_STEP,
@@ -291,8 +290,8 @@ def system_action(outcome: StepOutcome, labels, system: str,
 
     outcome is the latest observation: its state holds the cameras' poses
     and the arena, and its visibility, bearings and distances are what the
-    tracker reuses. labels holds one label per camera, for every system;
-    geometric updates camera i's row memories[i] of its memory array."""
+    tracker reuses. labels holds one label, 0 or 1, per camera, for every
+    system; geometric updates camera i's row memories[i] of its memory array."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     state = outcome.state
@@ -300,6 +299,8 @@ def system_action(outcome: StepOutcome, labels, system: str,
     if len(labels) != len(poses):
         raise ValueError(f"expected one label per camera ({len(poses)}), "
                          f"got {len(labels)}")
+    if not {0, 1}.issuperset(labels):
+        raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels) - {0, 1})}")
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
     if system == "virtual":
@@ -348,11 +349,11 @@ def batch_tracker_action(pitch: np.ndarray, yaw: np.ndarray, zoom: np.ndarray,
     return np.argmin(scores, axis=-1)
 
 
-def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def batch_triangulate(origin: np.ndarray, yaw: np.ndarray,
+                      contributes: np.ndarray) -> np.ndarray:
     """triangulate for K steps at once: camera origins (K, C, 3+), yaws and
-    contributor flags (K, C) -> estimates (K, 2) and success flags (K,);
-    failed rows of the estimate are NaN.
+    contributor flags (K, C) -> estimates (K, 2), NaN in a failed row and
+    finite in a successful one, as the geometric memory holds them.
 
     The normal equations are summed one camera at a time in camera order,
     as triangulate sums them, and the successful rows share one stacked
@@ -386,7 +387,7 @@ def batch_triangulate(origin: np.ndarray, yaw: np.ndarray, contributes: np.ndarr
         rows = sums.T[ok]
         estimate[ok] = np.linalg.solve(rows[:, [0, 1, 1, 2]].reshape(-1, 2, 2),
                                        rows[:, 3:, None])[..., 0]
-    return estimate, ok
+    return estimate
 
 
 def batch_system_action(state: BatchState, outcome: BatchOutcome,
@@ -399,14 +400,14 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     learned), so one batch can mix them; each episode's actions equal its
     own system's scalar rule. outcome is the latest observation of state,
     and one batch_tracker_action call on its bearings and distances serves
-    every row: virtual rows take its action, sv rows keep still where the
-    target is not visible, and the label-1 cameras of geometric and learned
-    rows track. geometric triangulates each of its episodes that has a
-    label-0 camera, and its label-0 cameras store a success in their memory
-    rows and aim at the stored estimate (its bearing and distance are
-    swapped in before the tracker call), or keep still while it is NaN;
-    learned runs nn.greedy_actions once per such episode, since one forward
-    over all of them would round differently."""
+    every row: virtual rows take its action, sv rows keep still where
+    outcome.visible is False, and the label-1 cameras of geometric and
+    learned rows track (a label is 0 or 1). geometric triangulates each of
+    its episodes that has a label-0 camera, and its label-0 cameras store a
+    non-NaN estimate in their memory rows and aim at the stored one (its
+    bearing and distance are swapped in before the tracker call), or keep
+    still while it is NaN; learned runs nn.greedy_actions once per such
+    episode, since one forward over all of them would round differently."""
     kinds = np.asarray(systems)
     if kinds.shape != labels.shape[:1]:
         raise ValueError(f"expected one system per episode ({labels.shape[0]}), "
@@ -420,18 +421,21 @@ def batch_system_action(state: BatchState, outcome: BatchOutcome,
     if "learned" in names and params is None:
         raise ValueError("learned controller needs params")
     label0 = labels == 0
+    if not (label0 | (labels == 1)).all():
+        bad = np.setdiff1d(labels, (0, 1)).tolist()
+        raise ValueError(f"labels must be 0 or 1, got {bad}")
     origin = state.row_origin
-    keep_still = (kinds == "sv")[:, None] & (outcome.visibility != VIS_VISIBLE)
+    keep_still = (kinds == "sv")[:, None] & ~outcome.visible
     b_pitch, b_yaw, distance = (outcome.bearing_pitch, outcome.bearing_yaw,
                                 outcome.distance)
     if "geometric" in names:
         geo_pose = label0 & (kinds == "geometric")[:, None]
         envs = np.flatnonzero(geo_pose.any(axis=1))
         if envs.size:
-            estimate, ok = batch_triangulate(origin[envs], state.yaw[envs],
-                                             labels[envs] == 1)
+            estimate = batch_triangulate(origin[envs], state.yaw[envs],
+                                         labels[envs] == 1)
             # each label-0 camera of a successful triangulation stores it
-            rows, cams = np.nonzero(geo_pose[envs] & ok[:, None])
+            rows, cams = np.nonzero(geo_pose[envs] & ~np.isnan(estimate[:, :1]))
             memory[envs[rows], cams] = estimate[rows]
         aim = geo_pose & ~np.isnan(memory[..., 0])
         keep_still |= geo_pose & ~aim

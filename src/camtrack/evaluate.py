@@ -33,8 +33,6 @@ from .controllers import (
 from .geometry import CameraPose
 from .rng import RngStream, peek_randoms, stream_states
 from .world import (
-    VIS_OUT_OF_VIEW,
-    VIS_VISIBLE,
     Visibility,
     batch_observe,
     batch_step,
@@ -250,9 +248,10 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     """Roll one episode per (system, seed) pair in lockstep, as run_episode
     would roll each.
 
-    Returns each step's pose error (d_alpha + d_beta) / 2 and whether the
-    target is in view, both (steps, episodes, cameras) with system-major
-    episodes: episode s * len(seeds) + k is systems[s] on seeds[k]. All
+    Returns each step's pose error (d_alpha + d_beta) / 2 and in_view mask,
+    both (steps, episodes, cameras) with system-major episodes: episode
+    s * len(seeds) + k is systems[s] on seeds[k]; the oracle labels are the
+    visible masks. All
     systems share each step's world step, observation and tracker call
     (batch_system_action applies each episode's rule), and the episodes of
     one seed share one world: it is spawned once, and its target walk and
@@ -276,7 +275,7 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
     in_view = np.empty((steps,) + state.pitch.shape, dtype=bool)
     outcome = batch_observe(state)
     for t in range(steps):
-        labels = (outcome.visibility == VIS_VISIBLE).astype(int)
+        labels = outcome.visible.astype(int)
         if switch_kind == "random":
             labels = draws[state.world, t]
         elif switch_kind == "noisy":
@@ -286,7 +285,7 @@ def run_lockstep(config: EpisodeConfig, systems: list[str], seeds: list[int],
                                       params=params, memory=memory)
         outcome = batch_step(state, actions)
         error[t] = (outcome.d_alpha + outcome.d_beta) * 0.5
-        in_view[t] = outcome.visibility != VIS_OUT_OF_VIEW
+        in_view[t] = outcome.in_view
     return error, in_view
 
 

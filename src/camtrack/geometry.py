@@ -71,21 +71,15 @@ def wrap_angle(a: float) -> float:
     return r - 360.0 if r > 180.0 else r
 
 
-def bearing_angles(dx: float, dy: float, dz: float) -> tuple[float, float]:
-    """(pitch, yaw) of the direction (dx, dy, dz); raises for the zero
-    vector."""
+def bearing_to(origin: tuple[float, float, float],
+               target: tuple[float, float, float]) -> tuple[float, float]:
+    """(pitch, yaw) from origin toward target; raises for coincident points."""
+    dx, dy, dz = target[0] - origin[0], target[1] - origin[1], target[2] - origin[2]
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
         raise ValueError("bearing undefined for coincident points")
     return (math.degrees(math.atan2(dz, horizontal)),
             wrap_angle(math.degrees(math.atan2(dy, dx))))
-
-
-def bearing_to(origin: tuple[float, float, float],
-               target: tuple[float, float, float]) -> tuple[float, float]:
-    """(pitch, yaw) from origin toward target; raises for coincident points."""
-    return bearing_angles(target[0] - origin[0], target[1] - origin[1],
-                          target[2] - origin[2])
 
 
 def angle_error(pose: CameraPose,

@@ -169,12 +169,6 @@ def train_log_writer(path: str | Path) -> Iterator[Callable[[UpdateStats], None]
         yield append
 
 
-def write_train_log(rows: list[UpdateStats], path: str | Path) -> None:
-    with train_log_writer(path) as append:
-        for r in rows:
-            append(r)
-
-
 def write_comparison_csv(summaries: list[SystemSummary], path: str | Path) -> None:
     lines = ["system,scope,mean_error_mean,mean_error_std,"
              "success_rate_mean,success_rate_std"]

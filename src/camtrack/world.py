@@ -356,7 +356,7 @@ def observe(state: WorldState) -> StepOutcome:
     """Score every camera on the state in one pass: the bearing and distance
     to the target, the angle errors, visibility (field of view first, then
     the sight line against every obstacle) and the sum of the direction
-    and zoom rewards, clipped at 1. The arithmetic is that of bearing_angles,
+    and zoom rewards, clipped at 1. The arithmetic is that of bearing_to,
     effective_fov, direction_reward and zoom_reward, written out in their
     order. A sight line is blocked when geometry.first_overlap finds a box
     on it among the camera's corners in the state's SightLines, built here
@@ -424,9 +424,6 @@ def step(state: WorldState, joint_action: list[Action]) -> StepOutcome:
                               state.sight))
 
 
-# The array world's visibility codes: VISIBILITIES[code] is the Visibility.
-VIS_VISIBLE, VIS_OCCLUDED, VIS_OUT_OF_VIEW = range(3)
-VISIBILITIES = (Visibility.VISIBLE, Visibility.OCCLUDED, Visibility.OUT_OF_VIEW)
 _DELTA_ARRAY = np.array(ACTION_DELTAS)
 
 
@@ -457,15 +454,15 @@ class BatchState:
 
 @dataclass(slots=True)
 class BatchOutcome:
-    """StepOutcome's per-camera quantities as (E, C) arrays, plus each
-    camera's bearing and distance to its world's target, which the next
-    step's tracker reuses. visibility holds VIS_* codes."""
+    """StepOutcome's per-camera quantities as (E, C) arrays, visibility as
+    the two masks its readers test and d_xi left to the reward, plus each
+    camera's bearing and distance for the next step's tracker."""
 
-    visibility: np.ndarray
+    visible: np.ndarray
+    in_view: np.ndarray
     reward: np.ndarray
     d_alpha: np.ndarray
     d_beta: np.ndarray
-    d_xi: np.ndarray
     bearing_pitch: np.ndarray
     bearing_yaw: np.ndarray
     distance: np.ndarray
@@ -518,8 +515,8 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     test per obstacle along its sight line (geometry.sight_lines_blocked
     over BatchState.box). Then per row, reading its world's values: the
     angle errors, the yaw error as geometry.yaw_errors, observe's
-    abs(wrap) without the wrap, visibility (field of view first, then the
-    sight line) and the reward, clipped at 1."""
+    abs(wrap) without the wrap, the visible and in_view masks (field of
+    view first, then the sight line) and the reward, clipped at 1."""
     direction = (np.array([env.target.point() for env in state.envs])[:, None, :]
                  - state.origin)
     b_pitch, b_yaw, distance = bearings(direction)
@@ -534,15 +531,13 @@ def batch_observe(state: BatchState) -> BatchOutcome:
     d_xi = np.abs(state.zoom - desired_zooms(distance))
     out = ((d_beta > 0.5 * (BASE_H_FOV_DEG / state.zoom))
            | (d_alpha > 0.5 * (BASE_V_FOV_DEG / state.zoom)))
-    visibility = np.where(out, VIS_OUT_OF_VIEW,
-                          np.where(occluded, VIS_OCCLUDED, VIS_VISIBLE))
+    visible = ~(out | occluded)
     # direction_reward + zoom_reward, clipped at 1: as in observe, no
     # reward can fall below -1
     tracked = ((1.0 - d_alpha / ALPHA_MAX_DEG - d_beta / BETA_MAX_DEG)
                + (1.0 - d_xi / ZOOM_ERROR_NORM))
-    reward = np.minimum(np.where(visibility == VIS_VISIBLE, tracked,
-                                 np.where(out, -1.0, 0.0)), 1.0)
-    return BatchOutcome(visibility, reward, d_alpha, d_beta, d_xi,
+    reward = np.minimum(np.where(visible, tracked, np.where(out, -1.0, 0.0)), 1.0)
+    return BatchOutcome(visible, ~out, reward, d_alpha, d_beta,
                         b_pitch, b_yaw, distance)
 
 

@@ -565,6 +565,22 @@ class TestSystemAction:
                 system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1],
                               "geometric", params=nn.init_params(4), memories=memories)
 
+    @pytest.mark.parametrize("kind", SYSTEMS)
+    @pytest.mark.parametrize("labels", [[2, 0, 1], [-1, 0, 1], [0, 2, -1]])
+    def test_labels_other_than_zero_and_one_rejected(self, kind, labels):
+        """A label-2 camera would track (label != 0) and yet be left out of
+        the triangulation (label != 1): every system rejects such labels,
+        naming them, before any memory row is written."""
+        memories = self._memories()
+        memories[2] = (1.0, 2.0)
+        before = memories.tobytes()
+        with pytest.raises(ValueError) as raised:
+            system_action(observed(self._poses(), (5, 5, 0.9)), labels, kind,
+                          params=nn.init_params(4), memories=memories)
+        assert str(raised.value) \
+            == f"labels must be 0 or 1, got {sorted(set(labels) - {0, 1})}"
+        assert memories.tobytes() == before
+
     def test_learned_needs_params(self):
         with pytest.raises(ValueError, match="needs params"):
             system_action(observed(self._poses(), (5, 5, 0.9)), [0, 1, 1], "learned",

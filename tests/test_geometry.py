@@ -9,7 +9,6 @@ from camtrack.geometry import (
     CameraPose,
     Obstacle,
     angle_error,
-    bearing_angles,
     bearing_to,
     bearings,
     effective_fov,
@@ -177,11 +176,8 @@ class TestBearing:
         assert yaw == pytest.approx(53.13010235415598, abs=1e-9)
         assert pitch == 0.0
 
-    def test_is_bearing_angles_of_the_difference(self):
-        o, t = (1.5, -2.0, 3.0), (-4.0, 0.25, 1.0)
-        b = bearing_to(o, t)
-        assert type(b) is tuple
-        assert b == bearing_angles(t[0] - o[0], t[1] - o[1], t[2] - o[2])
+    def test_returns_a_tuple(self):
+        assert type(bearing_to((1.5, -2.0, 3.0), (-4.0, 0.25, 1.0))) is tuple
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):

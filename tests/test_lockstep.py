@@ -38,8 +38,6 @@ from camtrack.evaluate import (
 from camtrack.geometry import CameraPose, Obstacle, bearing_to
 from camtrack.io import write_comparison_csv
 from camtrack.world import (
-    VISIBILITIES,
-    VIS_VISIBLE,
     Action,
     Visibility,
     BatchOutcome,
@@ -99,16 +97,17 @@ def assert_outcome_equal(state, e, outcome, scalar_world, scalar=None):
     assert bits([yaw for _, yaw in bearings]) == outcome.bearing_yaw[e].tobytes()
     assert bits([math.dist((c.x, c.y, c.z), tp) for c in cams]) \
         == outcome.distance[e].tobytes()
-    codes = [VISIBILITIES.index(visibility_of(scalar_world, i)) for i in range(len(cams))]
-    assert outcome.visibility[e].tolist() == codes
+    visibility = [visibility_of(scalar_world, i) for i in range(len(cams))]
     if scalar is None:
         scalar = observe(scalar_world)
-    assert [VISIBILITIES[c] for c in outcome.visibility[e].tolist()] \
-        == scalar.visibility
+    assert scalar.visibility == visibility
+    # the two masks tell all three values apart
+    assert outcome.visible[e].tolist() == [v is Visibility.VISIBLE for v in visibility]
+    assert outcome.in_view[e].tolist() \
+        == [v is not Visibility.OUT_OF_VIEW for v in visibility]
     assert bits(scalar.reward) == outcome.reward[e].tobytes()
     assert bits(scalar.d_alpha) == outcome.d_alpha[e].tobytes()
     assert bits(scalar.d_beta) == outcome.d_beta[e].tobytes()
-    assert bits(scalar.d_xi) == outcome.d_xi[e].tobytes()
     assert bits(scalar.bearing_pitch) == outcome.bearing_pitch[e].tobytes()
     assert bits(scalar.bearing_yaw) == outcome.bearing_yaw[e].tobytes()
     assert bits(scalar.distance) == outcome.distance[e].tobytes()
@@ -278,7 +277,7 @@ class TestSharedWorlds:
                       for env in shared.envs]
             paused += sum(env.target.pause_steps_remaining > 0 for env in shared.envs)
             actions = [batch_system_action(state, outcome,
-                                           (outcome.visibility == VIS_VISIBLE).astype(int),
+                                           outcome.visible.astype(int),
                                            systems, memory=memory)
                        for state, outcome, memory in zip((shared, separate), outcomes,
                                                          memories)]
@@ -419,13 +418,14 @@ class TestBatchTriangulate:
         rng = np.random.default_rng(n_cams)
         groups = [random_step(rng, n_cams, parallel=k % 7 == 0) for k in range(1500)]
         origin, _, yaw, labels = step_arrays(groups)
-        estimate, ok = batch_triangulate(origin, yaw, labels == 1)
+        estimate = batch_triangulate(origin, yaw, labels == 1)
         results = [triangulate(poses, labels) for poses, labels in groups]
-        assert ok.tolist() == [r.ok for r in results]
+        ok = ~np.isnan(estimate)
+        assert ok.tolist() == [[r.ok] * 2 for r in results]
         for est, r in zip(estimate.tolist(), results):
             if r.ok:
                 assert bits(est) == bits(r.estimate)
-        assert 0 < ok.sum() < len(groups)
+        assert 0 < ok[:, 0].sum() < len(groups)
 
     def test_seam_yaws_and_few_contributors(self):
         # at yaw 0 and -0 a01 = -cos * sin is -0.0 and +0.0; at +-90 and 180
@@ -439,17 +439,16 @@ class TestBatchTriangulate:
                                     0.0, yaw, 1.0) for yaw in yaws]
                 groups.append((poses, list(labels)))
         origin, _, yaw, labels = step_arrays(groups)
-        estimate, ok = batch_triangulate(origin, yaw, labels == 1)
+        estimate = batch_triangulate(origin, yaw, labels == 1)
         results = [triangulate(poses, labels) for poses, labels in groups]
-        assert ok.tolist() == [r.ok for r in results]
+        ok = ~np.isnan(estimate)
+        assert ok.tolist() == [[r.ok] * 2 for r in results]
         for est, r, row in zip(estimate.tolist(), results, labels.tolist()):
             if r.ok:
                 assert bits(est) == bits(r.estimate)
-            else:
-                assert all(math.isnan(v) for v in est)
             if sum(row) < 2:
                 assert not r.ok
-        assert 0 < ok.sum() < len(groups)
+        assert 0 < ok[:, 0].sum() < len(groups)
 
 
 class TestBatchSystemAction:
@@ -498,7 +497,7 @@ class TestBatchSystemAction:
                                                   systems)]
             assert got.tolist() == want
             # the sv episodes (rows 1 and 5) keep these cameras still
-            kept_still += int((outcome.visibility[[1, 5]] != VIS_VISIBLE).sum())
+            kept_still += int((~outcome.visible[[1, 5]]).sum())
             worlds = [step(w, a).state for w, a in zip(worlds, want)]
             outcome = batch_step(state, got)
         assert kept_still > 0
@@ -509,6 +508,23 @@ class TestBatchSystemAction:
         assert np.isfinite(stored[~np.isnan(stored[..., 0])]).all()
         assert not np.isnan(stored).all()
         assert np.isnan(memory[[0, 1, 3, 5, 6, 7]]).all()
+
+    @pytest.mark.parametrize("kind", ALL_SYSTEMS)
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_labels_other_than_zero_and_one_rejected(self, kind, bad):
+        """system_action's label check: a label other than 0 and 1 raises,
+        naming it, before any memory row is written (the second episode's
+        two label-0 cameras would store its triangulation)."""
+        state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])
+        labels = np.array([[bad, 0, 1, 1], [0, 0, 1, 1]])
+        memory = np.full((2, 4, 2), np.nan)
+        memory[0, 1] = (1.0, 2.0)
+        before = memory.tobytes()
+        with pytest.raises(ValueError) as raised:
+            batch_system_action(state, batch_observe(state), labels, [kind] * 2,
+                                params=PARAMS, memory=memory)
+        assert str(raised.value) == f"labels must be 0 or 1, got [{bad}]"
+        assert memory.tobytes() == before
 
     def test_unknown_kind_rejected(self):
         state = batch_world([spawn_episode(EpisodeConfig(), s) for s in (0, 1)])

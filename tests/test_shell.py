@@ -23,8 +23,8 @@ from camtrack.io import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
+    train_log_writer,
     write_episode_log,
-    write_train_log,
 )
 from camtrack.rng import RngStream
 from camtrack.training import UpdateStats, train_pose_controller
@@ -507,7 +507,9 @@ class TestTrainLogCsv:
         rows = [UpdateStats(1, 320, 0.5, 2.1, 9.0, 3.3, 96),
                 UpdateStats(2, 640, 0.6, 2.0, 8.5, 3.1, 101)]
         path = tmp_path / "t.csv"
-        write_train_log(rows, path)
+        with train_log_writer(path) as append:
+            for r in rows:
+                append(r)
         lines = path.read_text().splitlines()
         assert lines[0] == "update_idx,env_steps,mean_reward_g0,entropy,value_loss,grad_norm"
         assert len(lines) == 3
@@ -768,7 +770,9 @@ class TestCli:
                                 "--log", str(full)]) == 0
         _, log = train_pose_controller(TrainConfig(n_envs=4, rollout_len=10,
                                                    total_steps=400), EpisodeConfig())
-        write_train_log(log, tmp_path / "want.csv")
+        with train_log_writer(tmp_path / "want.csv") as append:
+            for r in log:
+                append(r)
         assert full.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
         # with 16 cameras at p_pose 0.9, every step of a window has a label-0
